@@ -2,58 +2,3 @@
 with a randomized binary-phase reflecting surface."""
 
 __version__ = "0.1.0"
-
-from .channel import (
-    CsiFrame,
-    FrameSimulator,
-    IrsLayout,
-    Path,
-    PathSet,
-    PersonState,
-    Scenario,
-    ScenarioError,
-    apply_motion,
-    build_irs_paths,
-    build_static_paths,
-    channel_response,
-    grid_layout,
-    rect_room,
-    scatter_path,
-)
-from .irs import (
-    IrsAlgState,
-    IrsConfig,
-    hamming_distance,
-    hamming_trace,
-    initial_state,
-    map_coefficient,
-    map_config,
-    step,
-)
-from .sensing import (
-    DetectionReport,
-    ObservationSeries,
-    attack_report,
-    calibrate_threshold,
-    detect,
-    max_threshold,
-    observe,
-    roc,
-    select_subcarriers,
-    sliding_std,
-    vectorize,
-)
-from .experiments import (
-    CoverageResult,
-    ParamStudyCell,
-    RotatingReflector,
-    SweepResult,
-    Trajectory,
-    coherence_time,
-    parameter_study,
-    run_coverage_grid,
-    run_session,
-    sweep_irs_distance,
-    sweep_irs_orientation,
-    sweep_irs_size,
-)

@@ -138,9 +138,10 @@ class PersonState:
 class Path:
     """One propagation route with its frequency-dependent complex gain.
 
-    gain(f) = amp_coeff * (c/f)**lambda_exp * exp(-2j*pi*f*length/c), so
-    amp_coeff carries every frequency-independent factor (reflection loss,
-    obliquity cosines, product path-loss denominator, scatter scaling).
+    Its gain at frequency f is
+    amp_coeff * (c/f)**lambda_exp * exp(-2j*pi*f*length/c), so amp_coeff
+    carries every frequency-independent factor (reflection loss, obliquity
+    cosines, product path-loss denominator, scatter scaling).
     """
 
     kind: str
@@ -151,10 +152,6 @@ class Path:
     base_gain: complex = 0.0 + 0.0j  # gain evaluated at the carrier frequency
     blocked_atten: float = 1.0
     element: int | None = None
-
-    def gain(self, freq: float) -> complex:
-        lam = C_LIGHT / freq
-        return self.amp_coeff * lam ** self.lambda_exp * np.exp(-2j * np.pi * freq * self.length / C_LIGHT)
 
 
 class PathSet:
@@ -171,9 +168,6 @@ class PathSet:
 
     def __getitem__(self, i):
         return self.paths[i]
-
-    def __add__(self, other):
-        return PathSet(self.paths + list(other))
 
 
 @dataclass

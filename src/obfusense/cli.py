@@ -70,7 +70,10 @@ def _parse_values(text: str):
         if step_ <= 0:
             raise ValueError("range step must be > 0")
         n = int(round((stop - start) / step_))
-        return [start + i * step_ for i in range(n + 1) if start + i * step_ <= stop + 1e-9]
+        values = [start + i * step_ for i in range(n + 1) if start + i * step_ <= stop + 1e-9]
+        if not values:
+            raise ValueError(f"--values {text!r}: range stop below start gives no values")
+        return values
     return [float(v) for v in text.split(",")]
 
 
@@ -213,13 +216,11 @@ def cmd_paramstudy(args):
 
 def cmd_ingest(args):
     out = _out_dir(args)
-    frames = list(oio.ingest_trace(args.trace))
+    header = oio.read_trace_header(args.trace)
+    frames = list(oio.ingest_trace(args.trace, header))
     if not frames:
         raise oio.IngestError(f"{args.trace}: no frames")
-    with open(args.trace, "r", encoding="utf-8") as fh:
-        meta = oio._read_meta_lines(fh)
-    sample_rate = float(meta.get("sample_rate", 70.0))
-    obs = sensing.observe(frames, args.window, sample_rate)
+    obs = sensing.observe(frames, args.window, header.sample_rate)
     oio.export_observation(obs, out / "observation.csv")
     _write_manifest(out, args, extra={"trace_sha256": _sha256(args.trace)})
     print(f"wrote {out / 'observation.csv'} ({len(obs)} samples)")
@@ -269,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--var", choices=["size", "distance", "orientation"], required=True)
     p.add_argument("--values", required=True, help="comma list or start:stop:step")
     p.add_argument("--duration", type=float, default=120.0, help="seconds per cell")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("paramstudy", help="scheduler parameter grid")

@@ -7,6 +7,7 @@ stream id share identical environment noise.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -154,7 +155,7 @@ def _irs_rng(scenario: Scenario, stream: int) -> np.random.Generator:
 def _session_magnitudes(scenario, defense_on, motion, duration_s, *, progression_rate, hold_prob,
                         update_rate, stream, person_template, active_elements, simulator,
                         keep_frames=False):
-    """Simulate one session; returns (mags, meta, frames_or_None)."""
+    """Simulate one session; returns (|H| of shape (T, K, n_rx, n_tx), meta, frames_or_None)."""
     n_frames = int(round(duration_s * scenario.sample_rate))
     if n_frames < 1:
         raise ValueError("session produces no frames")
@@ -184,10 +185,9 @@ def _session_magnitudes(scenario, defense_on, motion, duration_s, *, progression
     trajectory = motion if isinstance(motion, Trajectory) else None
     reflector = motion if isinstance(motion, RotatingReflector) else None
 
-    n_comp = scenario.n_subcarriers * scenario.n_rx * scenario.n_tx
-    mags = np.empty((n_frames, n_comp))
-    frames = np.empty((n_frames, scenario.n_subcarriers, scenario.n_rx, scenario.n_tx),
-                      dtype=complex) if keep_frames else None
+    shape = (n_frames, scenario.n_subcarriers, scenario.n_rx, scenario.n_tx)
+    mags = np.empty(shape)
+    frames = np.empty(shape, dtype=complex) if keep_frames else None
     change_frames = []
     moving = np.zeros(n_frames, dtype=bool) if trajectory is not None else None
     person_xy = np.zeros((n_frames, 2)) if trajectory is not None else None
@@ -216,7 +216,7 @@ def _session_magnitudes(scenario, defense_on, motion, duration_s, *, progression
         h = sim.frame(coeffs=coeffs, person=person, scatters=scatters, rng=rng_noise)
         if keep_frames:
             frames[i] = h
-        mags[i] = np.abs(h.transpose(0, 2, 1).reshape(-1))
+        mags[i] = np.abs(h)
 
     meta = {
         "seed": scenario.seed,
@@ -230,11 +230,6 @@ def _session_magnitudes(scenario, defense_on, motion, duration_s, *, progression
         meta["moving"] = moving
         meta["person_xy"] = person_xy
     return mags, meta, frames
-
-
-def _component_columns(subcarriers, n_rx, n_tx):
-    per = n_rx * n_tx
-    return np.concatenate([np.arange(k * per, (k + 1) * per) for k in subcarriers])
 
 
 def run_session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
@@ -258,32 +253,11 @@ def run_session(scenario: Scenario, defense_on: bool, motion, duration_s: float,
         person_template=person_template, active_elements=active_elements,
         simulator=simulator, keep_frames=keep_frames)
     if subcarriers is not None:
-        cols = _component_columns(subcarriers, scenario.n_rx, scenario.n_tx)
-        mags = mags[:, cols]
         meta["subcarriers"] = [int(k) for k in subcarriers]
-    obs = sensing.observe_magnitudes(mags, window_s, scenario.sample_rate, meta=meta)
+    obs = sensing.observe(mags, window_s, scenario.sample_rate, subcarriers, meta=meta)
     if keep_frames:
         return obs, frames
     return obs
-
-
-def select_reference_subcarriers(scenario: Scenario, mags: np.ndarray, k: int) -> list:
-    """Subcarrier selection from a session's magnitude matrix."""
-    t = mags.shape[0]
-    per = scenario.n_rx * scenario.n_tx
-    series = mags.reshape(t, scenario.n_subcarriers, per).mean(axis=2)
-    centered = series - series.mean(axis=0, keepdims=True)
-    norms = np.sqrt((centered ** 2).sum(axis=0))
-    safe = np.where(norms > 0, norms, 1.0)
-    unit = centered / safe
-    corr = unit.T @ unit
-    corr[norms == 0, :] = 0.0
-    corr[:, norms == 0] = 0.0
-    np.fill_diagonal(corr, 0.0)
-    n_sub = scenario.n_subcarriers
-    scores = corr.sum(axis=1) / max(n_sub - 1, 1)
-    order = np.lexsort((np.arange(n_sub), -scores))
-    return sorted(int(i) for i in order[:k])
 
 
 def reference_and_selection(scenario: Scenario, defense_on: bool, reference_s: float, *,
@@ -298,10 +272,9 @@ def reference_and_selection(scenario: Scenario, defense_on: bool, reference_s: f
     if n_select is None or n_select >= scenario.n_subcarriers:
         subs = list(range(scenario.n_subcarriers))
     else:
-        subs = select_reference_subcarriers(scenario, mags, n_select)
-    cols = _component_columns(subs, scenario.n_rx, scenario.n_tx)
+        subs = sensing.select_subcarriers(mags, n_select)
     meta["subcarriers"] = subs
-    obs = sensing.observe_magnitudes(mags[:, cols], window_s, scenario.sample_rate, meta=meta)
+    obs = sensing.observe(mags, window_s, scenario.sample_rate, subs, meta=meta)
     return obs, subs
 
 
@@ -327,8 +300,10 @@ def run_coverage_grid(scenario: Scenario, grid, defense_on: bool, c: float = 11.
 
     One reference calibration, then one session per position; rates are
     reported for the median+C*MAD threshold and for the max-of-reference
-    variant.
+    variant. Cells run in min(jobs, cells, CPU count) worker processes.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid is empty")
@@ -342,9 +317,10 @@ def run_coverage_grid(scenario: Scenario, grid, defense_on: bool, c: float = 11.
 
     args = [(scenario, defense_on, tuple(pos), rpm, reflector_gain_db, session_s, window_s,
              subs, 100 + i, alg) for i, pos in enumerate(grid)]
-    if jobs > 1:
+    workers = min(jobs, len(args), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             observations = list(pool.map(_coverage_cell, args))
     else:
         observations = [_coverage_cell(a) for a in args]

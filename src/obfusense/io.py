@@ -325,22 +325,28 @@ def _check_schema(meta: dict, path):
         raise IngestError(f"{path}: schema_version {major} is newer than supported {SCHEMA_VERSION}")
 
 
+def read_trace_header(path) -> TraceHeader:
+    """Dimensions and sample rate from a trace CSV's `# key=value` lines."""
+    with open(path, "r", encoding="utf-8") as fh:
+        meta = _read_meta_lines(fh)
+    _check_schema(meta, path)
+    try:
+        return TraceHeader(n_subcarriers=int(meta["n_subcarriers"]), n_rx=int(meta["n_rx"]),
+                           n_tx=int(meta["n_tx"]), sample_rate=float(meta["sample_rate"]))
+    except KeyError as exc:
+        raise IngestError(f"{path}: missing header key {exc}") from None
+
+
 def ingest_trace(path, header: TraceHeader | None = None):
     """Yield CsiFrames from a trace CSV.
 
+    Without `header`, the file's own header is used (see read_trace_header).
     The (t, k, rx, tx) lattice must be complete for every frame and frame
     indices must not go backwards; row order inside one frame is free.
     """
+    header = header or read_trace_header(path)
     with open(path, "r", encoding="utf-8") as fh:
-        meta = _read_meta_lines(fh)
-        _check_schema(meta, path)
-        if header is None:
-            try:
-                header = TraceHeader(n_subcarriers=int(meta["n_subcarriers"]),
-                                     n_rx=int(meta["n_rx"]), n_tx=int(meta["n_tx"]),
-                                     sample_rate=float(meta.get("sample_rate", 70.0)))
-            except KeyError as exc:
-                raise IngestError(f"{path}: missing dimension header {exc}") from None
+        _check_schema(_read_meta_lines(fh), path)
         first = fh.readline().strip()
         if first != "t,k,rx,tx,re,im":
             raise IngestError(f"{path}: expected header row 't,k,rx,tx,re,im', got {first!r}")

@@ -49,28 +49,34 @@ def _series_values(obs) -> np.ndarray:
     return np.asarray(obs, dtype=float)
 
 
-def vectorize(frame: CsiFrame) -> np.ndarray:
-    """Flatten one frame subcarrier-major with column-major antenna matrices.
+def _component_order(arr: np.ndarray) -> np.ndarray:
+    """(time, K, n_rx, n_tx) array as (time, components), contiguous.
 
-    Component n = k * (n_rx * n_tx) + tx * n_rx + rx.
+    Component n = k * (n_rx * n_tx) + tx * n_rx + rx: subcarrier-major with
+    column-major antenna matrices. No other code fixes this order.
     """
-    v = frame.values
-    return v.transpose(0, 2, 1).reshape(-1)
+    # contiguous layout keeps downstream reductions bit-reproducible
+    return np.ascontiguousarray(arr.transpose(0, 1, 3, 2)).reshape(arr.shape[0], -1)
+
+
+def vectorize(frame: CsiFrame) -> np.ndarray:
+    """Flatten one frame into component order, like one row of magnitude_matrix."""
+    return _component_order(frame.values[None])[0]
 
 
 def stack_frames(frames) -> np.ndarray:
-    """Frames as a (time, K, n_rx, n_tx) complex array."""
+    """Frames as a (time, K, n_rx, n_tx) array; an array passes through as is."""
     if isinstance(frames, np.ndarray):
         return frames
     return np.stack([f.values for f in frames])
 
 
 def magnitude_matrix(frames) -> np.ndarray:
-    """Per-component magnitude time series, shape (time, K * n_rx * n_tx)."""
-    arr = stack_frames(frames)
-    t = arr.shape[0]
-    # contiguous layout keeps downstream reductions bit-reproducible
-    return np.abs(np.ascontiguousarray(arr.transpose(0, 1, 3, 2)).reshape(t, -1))
+    """Per-component magnitude time series, shape (time, K * n_rx * n_tx).
+
+    Frames may be complex or magnitudes already: |x| of a magnitude is itself.
+    """
+    return np.abs(_component_order(stack_frames(frames)))
 
 
 def select_subcarriers(reference_frames, k: int) -> list:
@@ -79,7 +85,7 @@ def select_subcarriers(reference_frames, k: int) -> list:
     Each subcarrier's magnitude series (averaged over spatial channels) is
     scored by its mean Pearson correlation to all other subcarriers; the k
     best win, ties broken toward lower indices. Zero-variance series
-    correlate as 0 by definition.
+    correlate as 0 by definition. Frames may be complex or magnitudes.
     """
     arr = stack_frames(reference_frames)
     if arr.shape[0] < 2:
@@ -87,7 +93,7 @@ def select_subcarriers(reference_frames, k: int) -> list:
     n_sub = arr.shape[1]
     if not (1 <= k <= n_sub):
         raise ValueError(f"k={k} out of range for {n_sub} subcarriers")
-    series = np.abs(arr).mean(axis=(2, 3))  # (time, K)
+    series = magnitude_matrix(arr).reshape(arr.shape[0], n_sub, -1).mean(axis=2)  # (time, K)
     centered = series - series.mean(axis=0, keepdims=True)
     norms = np.sqrt((centered ** 2).sum(axis=0))
     safe = np.where(norms > 0, norms, 1.0)
@@ -141,8 +147,9 @@ def observe(frames, window_s: float, sample_rate: float, subcarriers=None,
             meta: dict | None = None) -> ObservationSeries:
     """Averaged trailing-window magnitude deviation over all components.
 
-    Phase is discarded; each component's magnitude series is run through the
-    sliding standard deviation and the component mean is the observation.
+    Frames may be complex or magnitudes; phase is discarded. Each component's
+    magnitude series is run through the sliding standard deviation and the
+    component mean is the observation.
     """
     arr = stack_frames(frames)
     if subcarriers is not None:
@@ -151,19 +158,6 @@ def observe(frames, window_s: float, sample_rate: float, subcarriers=None,
     if n_w < 2:
         raise ValueError("window must cover at least 2 samples")
     mags = magnitude_matrix(arr)
-    if mags.shape[0] < n_w:
-        raise ValueError(f"{mags.shape[0]} frames shorter than window of {n_w}")
-    values = _sliding_std_columns(mags, n_w).mean(axis=1)
-    return ObservationSeries(values=values, sample_rate=sample_rate, window_s=window_s,
-                             meta=dict(meta or {}))
-
-
-def observe_magnitudes(mags: np.ndarray, window_s: float, sample_rate: float,
-                       meta: dict | None = None) -> ObservationSeries:
-    """observe() for a precomputed (time, components) magnitude matrix."""
-    n_w = window_samples(window_s, sample_rate)
-    if n_w < 2:
-        raise ValueError("window must cover at least 2 samples")
     if mags.shape[0] < n_w:
         raise ValueError(f"{mags.shape[0]} frames shorter than window of {n_w}")
     values = _sliding_std_columns(mags, n_w).mean(axis=1)

@@ -115,6 +115,31 @@ def test_sweep_size_cells(tmp_path, minimal_config):
     assert manifest["cells"] == 8
 
 
+def test_sweep_empty_range_rejected(tmp_path, minimal_config, capsys):
+    out = tmp_path / "sweep"
+    assert invoke("sweep", "--config", minimal_config, "--var", "size",
+                  "--values", "5:1:1", "--out", out) == 3
+    assert "gives no values" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_coverage_jobs_below_one_rejected(tmp_path, minimal_config, capsys):
+    assert invoke("coverage", "--config", minimal_config, "--jobs", 0,
+                  "--out", tmp_path / "cov") == 3
+    assert "jobs must be >= 1" in capsys.readouterr().err
+
+
+def test_ingest_trace_without_sample_rate_rejected(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    frames = [oio.CsiFrame(t_index=i, values=np.full((2, 1, 1), 1.0 + i, dtype=complex))
+              for i in range(4)]
+    oio.export_trace(frames, trace)
+    lines = trace.read_text().splitlines(keepends=True)
+    trace.write_text("".join(ln for ln in lines if not ln.startswith("# sample_rate=")))
+    assert invoke("ingest", "--trace", trace, "--out", tmp_path / "ing") == 3
+    assert "missing header key 'sample_rate'" in capsys.readouterr().err
+
+
 def test_paramstudy_cartesian_product(tmp_path, minimal_config):
     out = tmp_path / "ps"
     assert invoke("paramstudy", "--config", minimal_config, "--R", "0.025,0.05",

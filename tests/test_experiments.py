@@ -262,6 +262,34 @@ def test_coverage_grid_empty_rejected():
         ex.run_coverage_grid(scn, [], False)
 
 
+@pytest.mark.parametrize("cpus, want", [(8, 3), (2, 2)])
+def test_coverage_pool_size_clamped(monkeypatch, cpus, want):
+    """The pool gets min(jobs, cells, CPUs) workers; a stand-in pool runs cells in-process."""
+    import concurrent.futures
+    import os
+
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    grid = [(3.0, 2.0), (4.0, 2.0), (5.0, 2.0)]
+    ex.run_coverage_grid(quiet_scenario(), grid, False, reference_s=1.5, session_s=1.5, jobs=64)
+    assert seen == [want]
+
+
 def test_coverage_silent_reflector_never_detected():
     scn = quiet_scenario()
     grid = [(3.75, 2.75), (2.0, 4.0)]

@@ -227,6 +227,17 @@ def test_trace_header_override(tmp_path):
     assert len(back) == 2
 
 
+def test_trace_missing_sample_rate_named(tmp_path):
+    path = tmp_path / "trace.csv"
+    oio.export_trace(small_frames(n=2, k=1, rx=1, tx=1), path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(ln for ln in lines if not ln.startswith("# sample_rate=")))
+    with pytest.raises(oio.IngestError, match="missing header key 'sample_rate'"):
+        oio.read_trace_header(path)
+    with pytest.raises(oio.IngestError, match="sample_rate"):
+        list(oio.ingest_trace(path))
+
+
 # --- observation CSV -------------------------------------------------------
 
 def test_observation_export_row_count(tmp_path):
