@@ -79,6 +79,14 @@ class Scenario:
     seed: int = 1
 
     def __post_init__(self):
+        for name in ("anchor_pos", "eve_pos", "room", "irs_pos", "irs_normal", "irs_panel",
+                     "antenna_spacing", "carrier_freq", "subcarrier_spacing", "sample_rate",
+                     "wall_reflection_loss_db"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+                raise ScenarioError(f"{name} must be finite, got {value!r}")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ScenarioError(f"snr_db must be finite or +inf, got {self.snr_db!r}")
         if self.n_tx < 1 or self.n_rx < 1:
             raise ScenarioError("antenna counts must be >= 1")
         if self.n_subcarriers < 1:
@@ -99,6 +107,8 @@ class Scenario:
                 raise ScenarioError("irs_normal must have unit norm")
         if self.irs_grid[0] < 1 or self.irs_grid[1] < 1:
             raise ScenarioError("irs_grid counts must be >= 1")
+        if self.irs_panel[0] <= 0 or self.irs_panel[1] <= 0:
+            raise ScenarioError(f"irs_panel sizes must be > 0, got {self.irs_panel!r}")
 
     @property
     def wavelength(self) -> float:
@@ -403,18 +413,15 @@ def _blocking_atten(path: Path, person: PersonState) -> float:
     return 10.0 ** (-person.blocking_depth_db * s / 20.0)
 
 
-def apply_motion(paths: PathSet, person: PersonState | None, scenario: Scenario | None = None) -> PathSet:
+def apply_motion(paths: PathSet, person: PersonState | None, scenario: Scenario) -> PathSet:
     """Attenuate paths blocked by the person and append their scatter path.
 
     Attenuation ramps linearly inside the blocking radius, reaching the full
-    blocking depth on the route itself. The scatter path needs `scenario` for
-    its geometry; it is only required when the person is present.
+    blocking depth on the route itself.
     """
     if person is None or not person.present:
         return PathSet([replace(p, blocked_atten=1.0) for p in paths])
     out = [replace(p, blocked_atten=_blocking_atten(p, person)) for p in paths]
-    if scenario is None:
-        raise ScenarioError("scenario required to build the person's scatter path")
     out.append(scatter_path(scenario, person.position, 10.0 ** (person.scatter_gain_db / 20.0)))
     return PathSet(out)
 
@@ -486,13 +493,12 @@ def noise_std(scenario: Scenario, static_paths: PathSet) -> float:
 
 
 def channel_response(static_paths: PathSet, irs_paths: PathSet, irs_config, person,
-                     scenario: Scenario, t_index: int, rng=None) -> CsiFrame:
+                     scenario: Scenario, t_index: int) -> CsiFrame:
     """One noisy MIMO-OFDM frame for the given environment and surface state.
 
     irs_config maps bits {0,1} to reflection coefficients {-1,+1}; None turns
-    the surface contribution off (zero coefficients). With rng=None the noise
-    stream is derived from (scenario.seed, t_index) so a frame regenerates
-    bit-identically.
+    the surface contribution off (zero coefficients). The noise stream is
+    derived from (scenario.seed, t_index), so a frame regenerates bit-identically.
     """
     from .irs import map_config  # local import to avoid a module cycle
 
@@ -515,8 +521,7 @@ def channel_response(static_paths: PathSet, irs_paths: PathSet, irs_config, pers
 
     if not math.isinf(scenario.snr_db):
         sigma = noise_std(scenario, static_paths)
-        if rng is None:
-            rng = frame_noise_rng(scenario.seed, t_index)
+        rng = frame_noise_rng(scenario.seed, t_index)
         shape = values.shape
         values = values + (sigma / math.sqrt(2.0)) * (rng.standard_normal(shape)
                                                       + 1j * rng.standard_normal(shape))

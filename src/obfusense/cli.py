@@ -80,13 +80,7 @@ def _parse_values(text: str):
 def cmd_simulate(args):
     scenario, cfg = _load(args)
     out = _out_dir(args)
-    motion = None
-    if args.motion == "walk":
-        motion = cfg.walk
-    elif args.motion == "reflector":
-        motion = cfg.reflector or experiments.RotatingReflector(
-            position=((scenario.anchor_pos[0] + scenario.eve_pos[0]) / 2,
-                      (scenario.anchor_pos[1] + scenario.eve_pos[1]) / 2))
+    motion = {"none": None, "walk": cfg.walk, "reflector": cfg.reflector}[args.motion]
     person = None
     if args.motion == "walk":
         person = experiments.PersonState(position=(0.0, 0.0),
@@ -94,10 +88,8 @@ def cmd_simulate(args):
                                          blocking_radius=cfg.blocking_radius,
                                          blocking_depth_db=cfg.blocking_depth_db)
     obs, frames = experiments.run_session(
-        scenario, args.defense == "on", motion, args.duration,
-        progression_rate=cfg.progression_rate, hold_prob=cfg.hold_prob,
-        update_rate=cfg.update_rate, window_s=cfg.window_s,
-        stream=args.stream, person_template=person, keep_frames=True)
+        scenario, args.defense == "on", motion, args.duration, window_s=cfg.window_s,
+        stream=args.stream, person_template=person, keep_frames=True, **cfg.settings())
     csi = [oio.CsiFrame(t_index=i, values=frames[i]) for i in range(frames.shape[0])]
     oio.export_trace(csi, out / "trace.csv",
                      oio.TraceHeader(scenario.n_subcarriers, scenario.n_rx, scenario.n_tx,
@@ -131,14 +123,17 @@ def cmd_attack(args):
 def cmd_coverage(args):
     scenario, cfg = _load(args)
     out = _out_dir(args)
-    nx, ny = (int(v) for v in args.grid.lower().split("x"))
+    try:
+        nx, ny = oio.parse_grid(args.grid)
+    except ValueError as exc:
+        raise ValueError(f"--grid: {exc}") from None
     grid = experiments.coverage_grid_positions(scenario, nx, ny)
     result = experiments.run_coverage_grid(
         scenario, grid, args.defense == "on", cfg.c,
         reference_s=args.reference_s if args.reference_s is not None else cfg.reference_s,
-        session_s=args.session_s, window_s=cfg.window_s, n_select=cfg.n_select,
-        progression_rate=cfg.progression_rate, hold_prob=cfg.hold_prob,
-        update_rate=cfg.update_rate, jobs=args.jobs)
+        session_s=args.session_s, rpm=cfg.reflector.rpm,
+        reflector_gain_db=cfg.reflector.peak_scatter_gain_db, window_s=cfg.window_s,
+        n_select=cfg.n_select, jobs=args.jobs, **cfg.settings())
     with open(out / "coverage.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# schema_version={oio.SCHEMA_VERSION}\n")
         fh.write("x,y,detection_rate,detection_rate_maxref\n")
@@ -177,15 +172,13 @@ def cmd_sweep(args):
     scenario, cfg = _load(args)
     out = _out_dir(args)
     values = _parse_values(args.values)
-    alg = dict(progression_rate=cfg.progression_rate, hold_prob=cfg.hold_prob,
-               update_rate=cfg.update_rate, c=cfg.c, window_s=cfg.window_s,
-               session_s=args.duration)
+    kwargs = dict(c=cfg.c, window_s=cfg.window_s, session_s=args.duration, **cfg.settings())
     if args.var == "size":
-        result = experiments.sweep_irs_size(scenario, [int(v) for v in values], **alg)
+        result = experiments.sweep_irs_size(scenario, [int(v) for v in values], **kwargs)
     elif args.var == "distance":
-        result = experiments.sweep_irs_distance(scenario, values, **alg)
+        result = experiments.sweep_irs_distance(scenario, values, **kwargs)
     else:
-        result = experiments.sweep_irs_orientation(scenario, values, **alg)
+        result = experiments.sweep_irs_orientation(scenario, values, **kwargs)
     _write_sweep_csv(result, out / "sweep.csv")
     _write_manifest(out, args, config_path=args.config, seed=scenario.seed,
                     extra={"sweep_var": result.sweep_var, "cells": len(result.cells)})

@@ -152,9 +152,9 @@ def _irs_rng(scenario: Scenario, stream: int) -> np.random.Generator:
     return np.random.default_rng((scenario.seed, _IRS_STREAM, stream))
 
 
-def _session_magnitudes(scenario, defense_on, motion, duration_s, *, progression_rate, hold_prob,
-                        update_rate, stream, person_template, active_elements, simulator,
-                        keep_frames=False):
+def _session_magnitudes(scenario, defense_on, motion, duration_s,
+                        scheduler: irsmod.SchedulerParams, *, stream, person_template,
+                        active_elements, simulator, keep_frames=False):
     """Simulate one session; returns (|H| of shape (T, K, n_rx, n_tx), meta, frames_or_None)."""
     n_frames = int(round(duration_s * scenario.sample_rate))
     if n_frames < 1:
@@ -177,8 +177,7 @@ def _session_magnitudes(scenario, defense_on, motion, duration_s, *, progression
                       else np.asarray(sorted(active_elements), dtype=int))
             if active.size:
                 state = irsmod.IrsAlgState(cfg=irsmod.IrsConfig(full_bits[active].copy()),
-                                           progression_rate=progression_rate, hold_prob=hold_prob,
-                                           update_rate=update_rate, rng=rng_irs)
+                                           rng=rng_irs, **scheduler.settings())
         coeffs = full_bits.astype(float) * 2.0 - 1.0
 
     template = person_template if person_template is not None else PersonState(position=(0.0, 0.0))
@@ -196,7 +195,7 @@ def _session_magnitudes(scenario, defense_on, motion, duration_s, *, progression
     for i in range(n_frames):
         t = i / scenario.sample_rate
         if state is not None:
-            while next_tick / update_rate <= t + 1e-12:
+            while next_tick / scheduler.update_rate <= t + 1e-12:
                 state, changed = irsmod.step(state)
                 if changed:
                     coeffs[active] = state.cfg.bits.astype(float) * 2.0 - 1.0
@@ -233,23 +232,24 @@ def _session_magnitudes(scenario, defense_on, motion, duration_s, *, progression
 
 
 def run_session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
-                progression_rate: float = 0.05, hold_prob: float = 0.6, update_rate: float = 20.0,
                 window_s: float = 1.0, subcarriers=None, stream: int = 0,
                 person_template: PersonState | None = None, active_elements=None,
-                simulator: FrameSimulator | None = None, keep_frames: bool = False):
+                simulator: FrameSimulator | None = None, keep_frames: bool = False,
+                **scheduler):
     """One eavesdropping session; returns the adversarial observation.
 
     motion is None, a Trajectory, or a RotatingReflector. With defense_on the
     surface scheduler advances at update_rate and holds between ticks; off, the
-    surface stays frozen at its random initial configuration. keep_frames also
-    returns the raw frame array.
+    surface stays frozen at its random initial configuration. scheduler holds
+    the irs.SchedulerParams keywords, validated even when the defense is off.
+    keep_frames also returns the raw frame array.
     """
+    params = irsmod.SchedulerParams(**scheduler)
     n_w = sensing.window_samples(window_s, scenario.sample_rate)
     if int(round(duration_s * scenario.sample_rate)) < max(n_w, 2):
         raise ValueError("session shorter than the observation window")
     mags, meta, frames = _session_magnitudes(
-        scenario, defense_on, motion, duration_s, progression_rate=progression_rate,
-        hold_prob=hold_prob, update_rate=update_rate, stream=stream,
+        scenario, defense_on, motion, duration_s, params, stream=stream,
         person_template=person_template, active_elements=active_elements,
         simulator=simulator, keep_frames=keep_frames)
     if subcarriers is not None:
@@ -262,13 +262,11 @@ def run_session(scenario: Scenario, defense_on: bool, motion, duration_s: float,
 
 def reference_and_selection(scenario: Scenario, defense_on: bool, reference_s: float, *,
                             n_select: int | None = 28, window_s: float = 1.0, stream: int = 0,
-                            simulator: FrameSimulator | None = None, **alg):
+                            simulator: FrameSimulator | None = None, **scheduler):
     """No-motion reference observation plus the frozen subcarrier selection."""
     mags, meta, _ = _session_magnitudes(
-        scenario, defense_on, None, reference_s, stream=stream,
-        progression_rate=alg.get("progression_rate", 0.05), hold_prob=alg.get("hold_prob", 0.6),
-        update_rate=alg.get("update_rate", 20.0), person_template=None, active_elements=None,
-        simulator=simulator)
+        scenario, defense_on, None, reference_s, irsmod.SchedulerParams(**scheduler),
+        stream=stream, person_template=None, active_elements=None, simulator=simulator)
     if n_select is None or n_select >= scenario.n_subcarriers:
         subs = list(range(scenario.n_subcarriers))
     else:
@@ -291,11 +289,11 @@ def coverage_grid_positions(scenario: Scenario, nx: int = 5, ny: int = 4,
 
 
 def run_coverage_grid(scenario: Scenario, grid, defense_on: bool, c: float = 11.0, *,
-                      reference_s: float = 180.0, session_s: float = 60.0, rpm: float = 20.0,
-                      reflector_gain_db: float = 15.0, window_s: float = 1.0,
-                      n_select: int | None = 28, progression_rate: float = 0.05,
-                      hold_prob: float = 0.6, update_rate: float = 20.0,
-                      jobs: int = 1) -> CoverageResult:
+                      reference_s: float = 180.0, session_s: float = 60.0,
+                      rpm: float = RotatingReflector.rpm,
+                      reflector_gain_db: float = RotatingReflector.peak_scatter_gain_db,
+                      window_s: float = 1.0, n_select: int | None = 28, jobs: int = 1,
+                      **scheduler) -> CoverageResult:
     """Detection-rate map for a rotating reflector at each grid position.
 
     One reference calibration, then one session per position; rates are
@@ -308,15 +306,14 @@ def run_coverage_grid(scenario: Scenario, grid, defense_on: bool, c: float = 11.
     if grid.size == 0:
         raise ValueError("grid is empty")
     sim = FrameSimulator(scenario)
-    alg = dict(progression_rate=progression_rate, hold_prob=hold_prob, update_rate=update_rate)
     ref_obs, subs = reference_and_selection(scenario, defense_on, reference_s,
                                             n_select=n_select, window_s=window_s, stream=0,
-                                            simulator=sim, **alg)
+                                            simulator=sim, **scheduler)
     u = sensing.calibrate_threshold(ref_obs, c)
     u_max = sensing.max_threshold(ref_obs)
 
     args = [(scenario, defense_on, tuple(pos), rpm, reflector_gain_db, session_s, window_s,
-             subs, 100 + i, alg) for i, pos in enumerate(grid)]
+             subs, 100 + i, scheduler) for i, pos in enumerate(grid)]
     workers = min(jobs, len(args), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -335,10 +332,10 @@ def run_coverage_grid(scenario: Scenario, grid, defense_on: bool, c: float = 11.
 
 
 def _coverage_cell(args):
-    (scenario, defense_on, pos, rpm, gain_db, session_s, window_s, subs, stream, alg) = args
+    (scenario, defense_on, pos, rpm, gain_db, session_s, window_s, subs, stream, scheduler) = args
     reflector = RotatingReflector(position=pos, rpm=rpm, peak_scatter_gain_db=gain_db)
     return run_session(scenario, defense_on, reflector, session_s, window_s=window_s,
-                       subcarriers=subs, stream=stream, **alg)
+                       subcarriers=subs, stream=stream, **scheduler)
 
 
 def _sweep_cell_stats(value, obs, c=11.0) -> SweepCell:
@@ -349,8 +346,7 @@ def _sweep_cell_stats(value, obs, c=11.0) -> SweepCell:
 
 def sweep_irs_size(scenario: Scenario, active_counts, *, session_s: float = 120.0,
                    c: float = 11.0, window_s: float = 1.0, stream: int = 0,
-                   progression_rate: float = 0.05, hold_prob: float = 0.6,
-                   update_rate: float = 20.0) -> SweepResult:
+                   **scheduler) -> SweepResult:
     """Obfuscation strength versus the number of actively scheduled elements.
 
     Inactive elements stay frozen at their initial random bits; the active
@@ -368,14 +364,8 @@ def sweep_irs_size(scenario: Scenario, active_counts, *, session_s: float = 120.
         else:
             pick_rng = np.random.default_rng((scenario.seed, _SUBSET_STREAM, count))
             active = np.sort(pick_rng.choice(m, size=count, replace=False))
-        if count == 0:
-            obs = run_session(scenario, False, None, session_s, window_s=window_s,
-                              stream=stream, simulator=sim)
-        else:
-            obs = run_session(scenario, True, None, session_s, window_s=window_s, stream=stream,
-                              active_elements=active, simulator=sim,
-                              progression_rate=progression_rate, hold_prob=hold_prob,
-                              update_rate=update_rate)
+        obs = run_session(scenario, count > 0, None, session_s, window_s=window_s, stream=stream,
+                          active_elements=active, simulator=sim, **scheduler)
         cells.append(_sweep_cell_stats(count, obs, c))
     return SweepResult(sweep_var="active_elements", cells=cells)
 
@@ -387,8 +377,7 @@ def _room_bbox(scenario: Scenario):
 
 def sweep_irs_distance(scenario: Scenario, distances, *, session_s: float = 120.0,
                        c: float = 11.0, window_s: float = 1.0, stream: int = 0,
-                       progression_rate: float = 0.05, hold_prob: float = 0.6,
-                       update_rate: float = 20.0) -> SweepResult:
+                       **scheduler) -> SweepResult:
     """Obfuscation strength versus surface distance along the anchor->surface axis."""
     if scenario.irs_pos is None:
         raise ScenarioError("scenario has no reflecting surface")
@@ -409,16 +398,14 @@ def sweep_irs_distance(scenario: Scenario, distances, *, session_s: float = 120.
                 raise ScenarioError(f"surface at distance {d} m falls outside the room")
         scn = replace(scenario, irs_pos=(float(pos[0]), float(pos[1])))
         obs = run_session(scn, True, None, session_s, window_s=window_s, stream=stream,
-                          progression_rate=progression_rate, hold_prob=hold_prob,
-                          update_rate=update_rate)
+                          **scheduler)
         cells.append(_sweep_cell_stats(d, obs, c))
     return SweepResult(sweep_var="distance_m", cells=cells)
 
 
 def sweep_irs_orientation(scenario: Scenario, angles_deg, *, session_s: float = 60.0,
                           c: float = 11.0, window_s: float = 1.0, stream: int = 0,
-                          orbit_radius: float | None = None, progression_rate: float = 0.05,
-                          hold_prob: float = 0.6, update_rate: float = 20.0) -> SweepResult:
+                          **scheduler) -> SweepResult:
     """Obfuscation strength as the surface orbits the anchor.
 
     The panel and its normal rotate rigidly around the anchor; 0 degrees is
@@ -432,20 +419,18 @@ def sweep_irs_orientation(scenario: Scenario, angles_deg, *, session_s: float = 
     if dist < 1e-9:
         raise ScenarioError("surface sits on the anchor; orientation undefined")
     radial = offset / dist
-    radius = dist if orbit_radius is None else float(orbit_radius)
     normal = np.asarray(scenario.irs_normal, dtype=float)
     cells = []
     for ang in angles_deg:
         a = math.radians(float(ang))
         rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
-        pos = anchor + radius * (rot @ radial)
+        pos = anchor + dist * (rot @ radial)
         nrm = rot @ normal
         nrm = nrm / np.hypot(nrm[0], nrm[1])
         scn = replace(scenario, irs_pos=(float(pos[0]), float(pos[1])),
                       irs_normal=(float(nrm[0]), float(nrm[1])))
         obs = run_session(scn, True, None, session_s, window_s=window_s, stream=stream,
-                          progression_rate=progression_rate, hold_prob=hold_prob,
-                          update_rate=update_rate)
+                          **scheduler)
         cells.append(_sweep_cell_stats(ang, obs, c))
     return SweepResult(sweep_var="angle_deg", cells=cells)
 
@@ -472,7 +457,7 @@ def coherence_time(series, sample_rate: float) -> float:
 
 def parameter_study(scenario: Scenario, r_values, p_values, duration_s: float, *,
                     c: float = 11.0, window_s: float = 1.0, stream: int = 0,
-                    update_rate: float = 20.0) -> list:
+                    update_rate: float = irsmod.SchedulerParams.update_rate) -> list:
     """Scheduler parameter grid: observation statistics per (rate, hold) cell."""
     if len(list(r_values)) == 0 or len(list(p_values)) == 0:
         raise ValueError("parameter grids must be non-empty")

@@ -14,12 +14,13 @@ from __future__ import annotations
 import configparser
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import CsiFrame, Scenario, ScenarioError, _unit, rect_room
+from .channel import CsiFrame, Scenario, _unit, rect_room
 from .experiments import RotatingReflector, Trajectory
+from .irs import SchedulerParams
 from .sensing import DetectionReport, ObservationSeries
 
 SCHEMA_VERSION = 1
@@ -34,12 +35,9 @@ class IngestError(ValueError):
 
 
 @dataclass
-class ExperimentConfig:
-    """Knobs outside the physical scenario: defense, protocol, and motion."""
+class ExperimentConfig(SchedulerParams):
+    """Knobs outside the physical scenario: scheduler (inherited), protocol, and motion."""
 
-    progression_rate: float = 0.05
-    hold_prob: float = 0.6
-    update_rate: float = 20.0
     c: float = 11.0
     reference_s: float = 180.0
     window_s: float = 1.0
@@ -53,12 +51,7 @@ class ExperimentConfig:
 
 def default_scenario(seed: int = 1, snr_db: float = 30.0) -> Scenario:
     """Office-sized room with the surface beside the anchor, facing the eve side."""
-    anchor = (1.2, 2.75)
-    eve = (6.3, 2.75)
-    irs_pos = _default_irs_pos(anchor)
-    normal = _bisector_normal(irs_pos, anchor, eve)
-    return Scenario(anchor_pos=anchor, eve_pos=eve, room=rect_room(7.5, 5.5),
-                    irs_pos=irs_pos, irs_normal=normal, snr_db=snr_db, seed=seed)
+    return _placed_scenario(anchor_pos=(1.2, 2.75), eve_pos=(6.3, 2.75), snr_db=snr_db, seed=seed)
 
 
 def default_walk() -> Trajectory:
@@ -66,44 +59,29 @@ def default_walk() -> Trajectory:
     return Trajectory(waypoints=[(4.0, 2.15), (4.0, 3.35)], speed=0.45)
 
 
-def _default_irs_pos(anchor, distance: float = 0.3):
+def _placed_scenario(**fields) -> Scenario:
+    """Scenario whose room defaults to a 7.5 x 5.5 m rectangle and whose surface
+    defaults to 0.3 m beside the anchor, facing the bisector of the anchor and
+    eve directions (also when only irs_normal is None)."""
+    anchor, eve = fields["anchor_pos"], fields["eve_pos"]
+    fields.setdefault("room", rect_room(7.5, 5.5))
     d = _unit((-1.0, 1.0))
-    return (anchor[0] + distance * d[0], anchor[1] + distance * d[1])
-
-
-def _bisector_normal(irs_pos, anchor, eve):
-    to_anchor = _unit((anchor[0] - irs_pos[0], anchor[1] - irs_pos[1]))
-    to_eve = _unit((eve[0] - irs_pos[0], eve[1] - irs_pos[1]))
-    n = _unit(to_anchor + to_eve)
-    return (float(n[0]), float(n[1]))
+    irs = fields.setdefault("irs_pos", (anchor[0] + 0.3 * d[0], anchor[1] + 0.3 * d[1]))
+    if fields.get("irs_normal") is None:
+        n = _unit(_unit((anchor[0] - irs[0], anchor[1] - irs[1]))
+                  + _unit((eve[0] - irs[0], eve[1] - irs[1])))
+        fields["irs_normal"] = (float(n[0]), float(n[1]))
+    return Scenario(**fields)
 
 
 # ---------------------------------------------------------------------------
 # Scenario configuration files (INI sections)
 
-_KNOWN_KEYS = {
-    "room": {"walls"},
-    "anchor": {"position"},
-    "eavesdropper": {"position"},
-    "irs": {"position", "normal", "elements", "grid", "panel_size"},
-    "radio": {"carrier_freq_hz", "n_subcarriers", "subcarrier_spacing_hz", "n_tx", "n_rx",
-              "antenna_spacing_m", "sample_rate", "snr_db", "wall_reflection_loss_db"},
-    "defense": {"progression_rate", "hold_probability", "update_rate"},
-    "experiment": {"seed", "reference_s", "window_s", "n_select", "c",
-                   "walk_waypoints", "walk_speed", "walk_dwell",
-                   "reflector_position", "reflector_rpm", "reflector_gain_db",
-                   "blocking_radius", "blocking_depth_db", "scatter_gain_db"},
-}
-
-
-def _parse_point(text: str, key: str):
+def _parse_point(text: str):
     parts = text.replace(",", " ").split()
     if len(parts) != 2:
-        raise ConfigError(f"{key}: expected two coordinates, got {text!r}")
-    try:
-        return (float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+        raise ValueError(f"expected two coordinates, got {text!r}")
+    return (float(parts[0]), float(parts[1]))
 
 
 def _parse_walls(text: str):
@@ -111,157 +89,133 @@ def _parse_walls(text: str):
     for line in text.strip().splitlines():
         parts = line.replace(",", " ").split()
         if len(parts) != 4:
-            raise ConfigError(f"room.walls: each line needs x1 y1 x2 y2, got {line!r}")
+            raise ValueError(f"each line needs x1 y1 x2 y2, got {line!r}")
         x1, y1, x2, y2 = (float(v) for v in parts)
         walls.append(((x1, y1), (x2, y2)))
     return walls
 
 
-def _parse_points_list(text: str, key: str):
-    pts = []
-    for line in text.strip().splitlines():
-        pts.append(_parse_point(line, key))
-    return pts
+def _parse_normal(text: str):
+    """A unit vector, or None for "auto" (the bisector of the anchor and eve directions)."""
+    if text.strip() == "auto":
+        return None
+    x, y = _parse_point(text)
+    norm = math.hypot(x, y)
+    if norm < 1e-12:
+        raise ValueError("zero vector")
+    return (x / norm, y / norm)
 
 
-def _get(parser, section, key, cast, default, errors):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
+def parse_grid(text: str):
+    """(NX, NY) from "NXxNY", both >= 1."""
     try:
-        return cast(raw)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        errors.append(f"{section}.{key}: {exc}")
-        return default
+        nx, ny = (int(v) for v in text.lower().split("x"))
+        if nx >= 1 and ny >= 1:
+            return nx, ny
+    except ValueError:
+        pass
+    raise ValueError(f"expected NXxNY with NX, NY >= 1, got {text!r}")
+
+
+# section -> key -> (object, field, parser). A key left out keeps the field's
+# default; Scenario.n_elements is not a field, only a check on the grid.
+_KEYS = {
+    "room": {"walls": (Scenario, "room", _parse_walls)},
+    "anchor": {"position": (Scenario, "anchor_pos", _parse_point)},
+    "eavesdropper": {"position": (Scenario, "eve_pos", _parse_point)},
+    "irs": {
+        "position": (Scenario, "irs_pos", _parse_point),
+        "normal": (Scenario, "irs_normal", _parse_normal),
+        "elements": (Scenario, "n_elements", int),
+        "grid": (Scenario, "irs_grid", parse_grid),
+        "panel_size": (Scenario, "irs_panel", _parse_point),
+    },
+    "radio": {
+        "carrier_freq_hz": (Scenario, "carrier_freq", float),
+        "n_subcarriers": (Scenario, "n_subcarriers", int),
+        "subcarrier_spacing_hz": (Scenario, "subcarrier_spacing", float),
+        "n_tx": (Scenario, "n_tx", int),
+        "n_rx": (Scenario, "n_rx", int),
+        "antenna_spacing_m": (Scenario, "antenna_spacing", float),
+        "sample_rate": (Scenario, "sample_rate", float),
+        "snr_db": (Scenario, "snr_db", float),
+        "wall_reflection_loss_db": (Scenario, "wall_reflection_loss_db", float),
+    },
+    "defense": {
+        "progression_rate": (ExperimentConfig, "progression_rate", float),
+        "hold_probability": (ExperimentConfig, "hold_prob", float),
+        "update_rate": (ExperimentConfig, "update_rate", float),
+    },
+    "experiment": {
+        "seed": (Scenario, "seed", int),
+        "reference_s": (ExperimentConfig, "reference_s", float),
+        "window_s": (ExperimentConfig, "window_s", float),
+        "n_select": (ExperimentConfig, "n_select", int),
+        "c": (ExperimentConfig, "c", float),
+        "walk_waypoints": (Trajectory, "waypoints",
+                           lambda text: [_parse_point(ln) for ln in text.strip().splitlines()]),
+        "walk_speed": (Trajectory, "speed", float),
+        "walk_dwell": (Trajectory, "dwell", float),
+        "reflector_position": (RotatingReflector, "position", _parse_point),
+        "reflector_rpm": (RotatingReflector, "rpm", float),
+        "reflector_gain_db": (RotatingReflector, "peak_scatter_gain_db", float),
+        "blocking_radius": (ExperimentConfig, "blocking_radius", float),
+        "blocking_depth_db": (ExperimentConfig, "blocking_depth_db", float),
+        "scatter_gain_db": (ExperimentConfig, "scatter_gain_db", float),
+    },
+}
 
 
 def load_scenario(path):
     """Parse a scenario config file; returns (Scenario, ExperimentConfig).
 
-    Unknown sections or keys are rejected; omitted keys fall back to the
-    documented defaults.
+    Unknown sections or keys are rejected. Omitted keys keep the dataclass
+    defaults, except for the room and surface placement (see _placed_scenario),
+    the walk (default_walk) and the reflector position (midway between anchor
+    and eve).
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except FileNotFoundError:
-        raise
     except configparser.Error as exc:
         line = getattr(exc, "lineno", "?")
         raise ConfigError(f"{path}: parse error at line {line}: {exc.message}") from None
 
+    values = {cls: {} for cls in (Scenario, ExperimentConfig, Trajectory, RotatingReflector)}
+    errors = []
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
         for key in parser.options(section):
-            if key not in _KNOWN_KEYS[section]:
+            if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
-
-    errors: list = []
-    get = lambda s, k, cast, dflt: _get(parser, s, k, cast, dflt, errors)
-
-    anchor = get("anchor", "position", lambda v: _parse_point(v, "anchor.position"), None)
-    eve = get("eavesdropper", "position", lambda v: _parse_point(v, "eavesdropper.position"), None)
-    if anchor is None:
-        raise ConfigError("anchor.position is required")
-    if eve is None:
-        raise ConfigError("eavesdropper.position is required")
-
-    walls = get("room", "walls", _parse_walls, rect_room(7.5, 5.5))
-
-    irs_pos = get("irs", "position", lambda v: _parse_point(v, "irs.position"), _default_irs_pos(anchor))
-    if parser.has_option("irs", "normal") and parser.get("irs", "normal").strip() != "auto":
-        normal = _parse_point(parser.get("irs", "normal"), "irs.normal")
-        norm = math.hypot(normal[0], normal[1])
-        if norm < 1e-12:
-            raise ConfigError("irs.normal: zero vector")
-        normal = (normal[0] / norm, normal[1] / norm)
-    else:
-        normal = _bisector_normal(irs_pos, anchor, eve)
-
-    grid_text = get("irs", "grid", str, "16x16")
-    try:
-        nx, ny = (int(v) for v in grid_text.lower().split("x"))
-    except ValueError:
-        raise ConfigError(f"irs.grid: expected NXxNY, got {grid_text!r}") from None
-    elements = get("irs", "elements", int, nx * ny)
-    if elements != nx * ny:
-        raise ConfigError(f"irs.elements={elements} does not match grid {nx}x{ny}")
-    panel = get("irs", "panel_size", lambda v: _parse_point(v, "irs.panel_size"), (0.43, 0.35))
-
-    spacing = get("radio", "antenna_spacing_m", float, None)
-    seed = get("experiment", "seed", int, 1)
-
+            cls, name, parse = _KEYS[section][key]
+            try:
+                values[cls][name] = parse(parser.get(section, key))
+            except ValueError as exc:
+                errors.append(f"{section}.{key}: {exc}")
     if errors:
         raise ConfigError("; ".join(errors))
 
+    scn = values[Scenario]
+    for name, key in (("anchor_pos", "anchor.position"), ("eve_pos", "eavesdropper.position")):
+        if name not in scn:
+            raise ConfigError(f"{key} is required")
+    anchor, eve = scn["anchor_pos"], scn["eve_pos"]
+    elements = scn.pop("n_elements", None)
+    midpoint = ((anchor[0] + eve[0]) / 2, (anchor[1] + eve[1]) / 2)
     try:
-        scenario = Scenario(
-            anchor_pos=anchor,
-            eve_pos=eve,
-            room=walls,
-            irs_pos=irs_pos,
-            irs_normal=normal,
-            irs_grid=(nx, ny),
-            irs_panel=panel,
-            n_tx=get("radio", "n_tx", int, 3),
-            n_rx=get("radio", "n_rx", int, 3),
-            antenna_spacing=spacing,
-            carrier_freq=get("radio", "carrier_freq_hz", float, 5.32e9),
-            n_subcarriers=get("radio", "n_subcarriers", int, 56),
-            subcarrier_spacing=get("radio", "subcarrier_spacing_hz", float, 312.5e3),
-            sample_rate=get("radio", "sample_rate", float, 70.0),
-            snr_db=get("radio", "snr_db", float, 30.0),
-            wall_reflection_loss_db=get("radio", "wall_reflection_loss_db", float, 6.0),
-            seed=seed,
-        )
-    except ScenarioError as exc:
+        scenario = _placed_scenario(**scn)
+        cfg = ExperimentConfig(
+            walk=replace(default_walk(), **values[Trajectory]),
+            reflector=RotatingReflector(**{"position": midpoint, **values[RotatingReflector]}),
+            **values[ExperimentConfig])
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if errors:
-        raise ConfigError("; ".join(errors))
-
-    walk = None
-    if parser.has_option("experiment", "walk_waypoints"):
-        walk = Trajectory(
-            waypoints=_parse_points_list(parser.get("experiment", "walk_waypoints"),
-                                         "experiment.walk_waypoints"),
-            speed=get("experiment", "walk_speed", float, 0.45),
-            dwell=get("experiment", "walk_dwell", float, 0.0),
-        )
-    else:
-        walk = default_walk()
-    reflector = None
-    if parser.has_option("experiment", "reflector_position"):
-        reflector = RotatingReflector(
-            position=_parse_point(parser.get("experiment", "reflector_position"),
-                                  "experiment.reflector_position"),
-            rpm=get("experiment", "reflector_rpm", float, 20.0),
-            peak_scatter_gain_db=get("experiment", "reflector_gain_db", float, 15.0),
-        )
-
-    cfg = ExperimentConfig(
-        progression_rate=get("defense", "progression_rate", float, 0.05),
-        hold_prob=get("defense", "hold_probability", float, 0.6),
-        update_rate=get("defense", "update_rate", float, 20.0),
-        c=get("experiment", "c", float, 11.0),
-        reference_s=get("experiment", "reference_s", float, 180.0),
-        window_s=get("experiment", "window_s", float, 1.0),
-        n_select=get("experiment", "n_select", int, 28),
-        walk=walk,
-        reflector=reflector,
-        blocking_radius=get("experiment", "blocking_radius", float, 0.4),
-        blocking_depth_db=get("experiment", "blocking_depth_db", float, 10.0),
-        scatter_gain_db=get("experiment", "scatter_gain_db", float, -5.0),
-    )
-    if errors:
-        raise ConfigError("; ".join(errors))
-    if not (0.0 < cfg.progression_rate <= 0.5):
-        raise ConfigError("defense.progression_rate must be in (0, 0.5]")
-    if not (0.0 <= cfg.hold_prob < 1.0):
-        raise ConfigError("defense.hold_probability must be in [0, 1)")
+    if elements is not None and elements != scenario.n_elements:
+        raise ConfigError(f"irs.elements={elements} does not match grid "
+                          f"{scenario.irs_grid[0]}x{scenario.irs_grid[1]}")
     if cfg.n_select < 1 or cfg.n_select > scenario.n_subcarriers:
         raise ConfigError("experiment.n_select out of range")
     return scenario, cfg
@@ -373,8 +327,11 @@ def _frames_from_rows(fh, header: TraceHeader, path):
         parts = line.split(",")
         if len(parts) != 6:
             raise IngestError(f"{path}: malformed row {line!r}")
-        t, k, rx, tx = (int(parts[i]) for i in range(4))
-        re, im = float(parts[4]), float(parts[5])
+        try:
+            t, k, rx, tx = (int(parts[i]) for i in range(4))
+            re, im = float(parts[4]), float(parts[5])
+        except ValueError as exc:
+            raise IngestError(f"{path}: bad number in row {line!r}: {exc}") from None
         if not (math.isfinite(re) and math.isfinite(im)):
             raise IngestError(f"{path}: non-finite value at t={t}")
         if not (0 <= k < shape[0] and 0 <= rx < shape[1] and 0 <= tx < shape[2]):
@@ -411,12 +368,26 @@ def export_observation(obs: ObservationSeries, path):
 
 
 def load_observation(path) -> ObservationSeries:
+    """Read an observation CSV; the header must give sample_rate and window_s.
+
+    Each row's t_seconds must sit on the lattice (i + n_w - 1) / sample_rate
+    that export_observation writes, within 1e-9 s.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         meta = _read_meta_lines(fh)
         _check_schema(meta, path)
+        try:
+            sample_rate, window_s = float(meta["sample_rate"]), float(meta["window_s"])
+        except KeyError as exc:
+            raise IngestError(f"{path}: missing header key {exc}") from None
+        except ValueError as exc:
+            raise IngestError(f"{path}: bad header value: {exc}") from None
+        if not (0 < sample_rate < math.inf and 0 < window_s < math.inf):
+            raise IngestError(f"{path}: sample_rate and window_s must be finite and > 0")
         first = fh.readline().strip()
         if first != "t_seconds,sigma_bar":
             raise IngestError(f"{path}: expected header row 't_seconds,sigma_bar', got {first!r}")
+        n_w = int(round(window_s * sample_rate))
         values = []
         for line in fh:
             line = line.strip()
@@ -425,9 +396,20 @@ def load_observation(path) -> ObservationSeries:
             parts = line.split(",")
             if len(parts) != 2:
                 raise IngestError(f"{path}: malformed row {line!r}")
-            values.append(float(parts[1]))
-    return ObservationSeries(values=np.asarray(values), sample_rate=float(meta.get("sample_rate", 70.0)),
-                             window_s=float(meta.get("window_s", 1.0)), meta={"path": str(path)})
+            try:
+                t, v = float(parts[0]), float(parts[1])
+            except ValueError as exc:
+                raise IngestError(f"{path}: bad number in row {line!r}: {exc}") from None
+            expected = (len(values) + n_w - 1) / sample_rate
+            if not abs(t - expected) <= 1e-9:
+                raise IngestError(f"{path}: row {line!r}: t_seconds {t!r} is off the lattice, "
+                                  f"expected {expected!r}")
+            values.append(v)
+    try:
+        return ObservationSeries(values=np.asarray(values), sample_rate=sample_rate,
+                                 window_s=window_s, meta={"path": str(path)})
+    except ValueError as exc:
+        raise IngestError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ one configuration write at the surface update rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -33,39 +33,54 @@ class IrsConfig:
         return self.bits.shape[0]
 
 
+@dataclass(kw_only=True)
+class SchedulerParams:
+    """The three scheduler settings; the one place their defaults and ranges live.
+
+    progression_rate is the share of elements a RAND step flips, hold_prob the
+    chance that a tick leaves the surface unchanged, and update_rate the ticks
+    (configuration writes) per second.
+    """
+
+    progression_rate: float = 0.05
+    hold_prob: float = 0.6
+    update_rate: float = 20.0
+
+    def __post_init__(self):
+        if not (0.0 < self.progression_rate <= 0.5):
+            raise ValueError(f"progression_rate must be in (0, 0.5], got {self.progression_rate}")
+        if not (0.0 <= self.hold_prob < 1.0):
+            raise ValueError(f"hold_prob must be in [0, 1), got {self.hold_prob}")
+        if not (math.isfinite(self.update_rate) and self.update_rate > 0):
+            raise ValueError(f"update_rate must be finite and > 0, got {self.update_rate}")
+
+    def settings(self) -> dict:
+        """The scheduler settings as keywords, for functions taking **scheduler."""
+        return {f.name: getattr(self, f.name) for f in fields(SchedulerParams)}
+
+
 @dataclass
-class IrsAlgState:
+class IrsAlgState(SchedulerParams):
     """Scheduler state: current configuration plus the pending step kind."""
 
     cfg: IrsConfig
     next_state: str = RAND
-    progression_rate: float = 0.05
-    hold_prob: float = 0.6
-    update_rate: float = 20.0
     rng: np.random.Generator = None
 
     def __post_init__(self):
-        m = len(self.cfg)
-        if not (0.0 < self.progression_rate <= 0.5):
-            raise ValueError("progression_rate must be in (0, 0.5]")
-        if math.ceil(self.progression_rate * m) < 1:
+        super().__post_init__()
+        if math.ceil(self.progression_rate * len(self.cfg)) < 1:
             raise ValueError("progression rate selects no elements")
-        if not (0.0 <= self.hold_prob < 1.0):
-            raise ValueError("hold_prob must be in [0, 1)")
-        if self.update_rate <= 0:
-            raise ValueError("update_rate must be > 0")
         if self.next_state not in (RAND, FLIP):
             raise ValueError(f"unknown state {self.next_state!r}")
         if self.rng is None:
             self.rng = np.random.default_rng()
 
 
-def initial_state(m: int, rng: np.random.Generator, progression_rate: float = 0.05,
-                  hold_prob: float = 0.6, update_rate: float = 20.0) -> IrsAlgState:
+def initial_state(m: int, rng: np.random.Generator, **scheduler) -> IrsAlgState:
     """Fresh scheduler state with a uniformly random starting configuration."""
     bits = rng.integers(0, 2, size=m, dtype=np.uint8)
-    return IrsAlgState(cfg=IrsConfig(bits), next_state=RAND, progression_rate=progression_rate,
-                       hold_prob=hold_prob, update_rate=update_rate, rng=rng)
+    return IrsAlgState(cfg=IrsConfig(bits), next_state=RAND, rng=rng, **scheduler)
 
 
 def map_coefficient(bit: int) -> float:
@@ -102,10 +117,7 @@ def step(state: IrsAlgState, disable_inversion: bool = False):
         if not disable_inversion:
             bits ^= 1
         nxt = RAND
-    new = IrsAlgState(cfg=IrsConfig(bits), next_state=nxt,
-                      progression_rate=state.progression_rate, hold_prob=state.hold_prob,
-                      update_rate=state.update_rate, rng=state.rng)
-    return new, True
+    return replace(state, cfg=IrsConfig(bits), next_state=nxt), True
 
 
 def hamming_distance(a: IrsConfig, b: IrsConfig) -> int:
@@ -114,18 +126,19 @@ def hamming_distance(a: IrsConfig, b: IrsConfig) -> int:
     return int(np.count_nonzero(a.bits != b.bits))
 
 
-def hamming_trace(m: int, n_steps: int, n_ensemble: int, *, progression_rate: float = 0.05,
-                  hold_prob: float = 0.0, seed: int = 0, include_inversion: bool = True) -> np.ndarray:
+def hamming_trace(m: int, n_steps: int, n_ensemble: int, *, hold_prob: float = 0.0,
+                  seed: int = 0, include_inversion: bool = True, **scheduler) -> np.ndarray:
     """Ensemble-mean Hamming distance to the starting configuration per tick.
 
-    Returns n_steps + 1 values; index 0 is the distance at the start (zero).
+    Every tick steps (hold_prob 0) unless told otherwise. Returns n_steps + 1
+    values; index 0 is the distance at the start (zero).
     """
     if n_ensemble < 1:
         raise ValueError("n_ensemble must be >= 1")
     totals = np.zeros(n_steps + 1)
     for run in range(n_ensemble):
         rng = np.random.default_rng((seed, run))
-        state = initial_state(m, rng, progression_rate=progression_rate, hold_prob=hold_prob)
+        state = initial_state(m, rng, hold_prob=hold_prob, **scheduler)
         start = IrsConfig(state.cfg.bits.copy())
         for t in range(1, n_steps + 1):
             state, _ = step(state, disable_inversion=not include_inversion)

@@ -29,6 +29,30 @@ def test_scenario_validation():
     simple_scenario(irs_pos=(1, 1), irs_normal=(0.0, 1.0))
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("irs_panel", (0.0, -1.0)),
+    ("anchor_pos", (NAN, 0.0)),
+    ("irs_normal", (NAN, NAN)),
+    ("sample_rate", NAN),
+    ("carrier_freq", NAN),
+    ("snr_db", NAN),
+    ("snr_db", float("-inf")),
+    ("room", [((0.0, 0.0), (float("inf"), 0.0))]),
+])
+def test_scenario_rejects_non_finite_and_non_positive(field, value):
+    kw = {"irs_pos": (1.0, 1.0), "irs_normal": (0.0, 1.0), field: value}
+    with pytest.raises(ch.ScenarioError, match=field):
+        simple_scenario(**kw)
+
+
+@pytest.mark.parametrize("snr_db", [float("inf"), -10.0])
+def test_scenario_accepts_infinite_or_negative_snr(snr_db):
+    assert simple_scenario(snr_db=snr_db).snr_db == snr_db
+
+
 def test_los_only():
     paths = ch.build_static_paths(simple_scenario())
     assert len(paths) == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import run_cli
-from obfusense import cli
+from obfusense import cli, experiments
 from obfusense import io as oio
 
 
@@ -127,6 +127,49 @@ def test_coverage_jobs_below_one_rejected(tmp_path, minimal_config, capsys):
     assert invoke("coverage", "--config", minimal_config, "--jobs", 0,
                   "--out", tmp_path / "cov") == 3
     assert "jobs must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["3", "0x2"])
+def test_coverage_bad_grid_names_flag(tmp_path, minimal_config, capsys, grid):
+    assert invoke("coverage", "--config", minimal_config, "--grid", grid,
+                  "--out", tmp_path / "cov") == 3
+    err = capsys.readouterr().err
+    assert "--grid" in err and "NXxNY" in err
+
+
+def test_coverage_uses_config_reflector(tmp_path, minimal_config, monkeypatch):
+    cfg = tmp_path / "rpm.cfg"
+    cfg.write_text(minimal_config.read_text() + "reflector_rpm = 40\n")
+    seen = {}
+    real = experiments.run_coverage_grid
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_coverage_grid", spy)
+    assert invoke("coverage", "--config", cfg, "--grid", "1x1", "--reference-s", 1.5,
+                  "--session-s", 1.5, "--out", tmp_path / "cov") == 0
+    assert seen["rpm"] == 40.0
+    assert seen["reflector_gain_db"] == 15.0
+
+
+@pytest.mark.parametrize("edit", [
+    ("[experiment]", "[irs]\npanel_size = 0 -1\n\n[experiment]"),
+    ("position = 1.2 2.75", "position = nan 2.75"),
+    ("[experiment]", "[irs]\nnormal = nan 1\n\n[experiment]"),
+    ("[experiment]", "[radio]\nsample_rate = nan\n\n[experiment]"),
+    ("[experiment]", "[radio]\ncarrier_freq_hz = nan\n\n[experiment]"),
+    ("[experiment]", "[radio]\nsnr_db = nan\n\n[experiment]"),
+    ("[experiment]", "[radio]\nsnr_db = -inf\n\n[experiment]"),
+    ("[experiment]", "[defense]\nupdate_rate = 0\n\n[experiment]"),
+])
+def test_invalid_config_value_exits_3(tmp_path, minimal_config, edit):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(minimal_config.read_text().replace(*edit))
+    assert invoke("simulate", "--config", cfg, "--motion", "none", "--defense", "off",
+                  "--duration", 2, "--out", tmp_path / "x") == 3
+    assert not (tmp_path / "x").exists()
 
 
 def test_ingest_trace_without_sample_rate_rejected(tmp_path, capsys):

@@ -15,6 +15,18 @@ def quiet_scenario(seed=3, **kw):
     return scn
 
 
+# --- scheduler keywords ----------------------------------------------------
+
+def test_reference_and_selection_misspelled_scheduler_keyword():
+    with pytest.raises(TypeError, match="hold_probabilty"):
+        ex.reference_and_selection(quiet_scenario(), True, 2.0, hold_probabilty=0.0)
+
+
+def test_run_session_validates_scheduler_with_defense_off():
+    with pytest.raises(ValueError, match="hold_prob"):
+        ex.run_session(quiet_scenario(), False, None, 2.0, hold_prob=1.0)
+
+
 # --- Trajectory ------------------------------------------------------------
 
 def test_trajectory_validation():

@@ -134,6 +134,25 @@ def test_walk_defaults_and_override(tmp_path):
     assert len(cfg2.walk.waypoints) == 2
 
 
+def test_walk_speed_applies_to_default_waypoints(tmp_path):
+    _, cfg = oio.load_scenario(write(tmp_path, FULL_CONFIG + "walk_speed = 0.9\n"))
+    assert cfg.walk.speed == 0.9
+    assert cfg.walk.waypoints == oio.default_walk().waypoints
+
+
+def test_reflector_keys_without_position(tmp_path):
+    _, cfg = oio.load_scenario(write(tmp_path, FULL_CONFIG + "reflector_rpm = 40\n"))
+    assert cfg.reflector.rpm == 40.0
+    assert cfg.reflector.peak_scatter_gain_db == 15.0
+    assert cfg.reflector.position == (3.75, 2.75)  # anchor-eve midpoint
+
+
+def test_default_reflector_is_midpoint(minimal_config):
+    scenario, cfg = oio.load_scenario(minimal_config)
+    assert cfg.reflector.position == ((1.2 + 6.3) / 2, 2.75)
+    assert cfg.reflector.rpm == 20.0
+
+
 # --- trace CSV -------------------------------------------------------------
 
 def small_frames(n=3, k=2, rx=1, tx=1, seed=0):
@@ -238,6 +257,22 @@ def test_trace_missing_sample_rate_named(tmp_path):
         list(oio.ingest_trace(path))
 
 
+@pytest.mark.parametrize("row, message", [
+    ("0,0,0,0,1.0", "malformed row"),
+    ("0,0,0,0,nan,1.0", "non-finite"),
+    ("0,5,0,0,1.0,2.0", "outside header"),
+    ("0,0,0,0,1.0,abc", r"row '0,0,0,0,1.0,abc'"),
+    ("0.5,0,0,0,1.0,2.0", r"row '0.5,0,0,0,1.0,2.0'"),
+])
+def test_trace_bad_row_named(tmp_path, row, message):
+    path = tmp_path / "trace.csv"
+    oio.export_trace(small_frames(n=1, k=1, rx=1, tx=1), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:6] + [row]) + "\n")
+    with pytest.raises(oio.IngestError, match=message):
+        list(oio.ingest_trace(path))
+
+
 # --- observation CSV -------------------------------------------------------
 
 def test_observation_export_row_count(tmp_path):
@@ -262,6 +297,32 @@ def test_observation_roundtrip_exact(tmp_path):
     assert back.window_s == obs.window_s
     oio.export_observation(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def write_observation(tmp_path, n=5):
+    obs = sn.ObservationSeries(values=np.linspace(0.1, 0.5, n), sample_rate=70.0, window_s=1.0)
+    path = tmp_path / "obs.csv"
+    oio.export_observation(obs, path)
+    return path
+
+
+@pytest.mark.parametrize("key", ["sample_rate", "window_s"])
+def test_observation_missing_header_key(tmp_path, key):
+    path = write_observation(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(ln for ln in lines if not ln.startswith(f"# {key}=")))
+    with pytest.raises(oio.IngestError, match=f"missing header key '{key}'"):
+        oio.load_observation(path)
+
+
+@pytest.mark.parametrize("t", ["0.5", "1.0000001", "x"])
+def test_observation_bad_t_seconds_row_named(tmp_path, t):
+    path = write_observation(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[5] = f"{t},0.2"  # second data row, whose t_seconds must be 70/70 = 1.0
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(oio.IngestError, match=f"row '{t},0.2'"):
+        oio.load_observation(path)
 
 
 # --- report JSON -----------------------------------------------------------

@@ -33,6 +33,17 @@ def test_config_validation():
         ir.IrsAlgState(cfg=ir.IrsConfig(np.zeros(4, np.uint8)), hold_prob=1.0)
 
 
+@pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+def test_scheduler_params_rejects_update_rate(rate):
+    with pytest.raises(ValueError, match="update_rate"):
+        ir.SchedulerParams(update_rate=rate)
+
+
+def test_scheduler_params_misspelled_keyword_is_type_error():
+    with pytest.raises(TypeError, match="hold_probabilty"):
+        ir.SchedulerParams(hold_probabilty=0.0)
+
+
 def test_step_alternates_rand_and_flip():
     state = fresh_state()
     deltas = []
