@@ -91,12 +91,9 @@ class Scenario:
             raise ScenarioError("antenna counts must be >= 1")
         if self.n_subcarriers < 1:
             raise ScenarioError("n_subcarriers must be >= 1")
-        if self.sample_rate <= 0:
-            raise ScenarioError("sample_rate must be > 0")
-        if self.carrier_freq <= 0:
-            raise ScenarioError("carrier_freq must be > 0")
-        if self.subcarrier_spacing <= 0:
-            raise ScenarioError("subcarrier_spacing must be > 0")
+        for name in ("sample_rate", "carrier_freq", "subcarrier_spacing"):
+            if getattr(self, name) <= 0:
+                raise ScenarioError(f"{name} must be > 0")
         if not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2 ** 64:
             raise ScenarioError("seed must be an unsigned 64-bit integer")
         if (self.irs_pos is None) != (self.irs_normal is None):
@@ -138,10 +135,14 @@ class PersonState:
     blocking_depth_db: float = 10.0
 
     def __post_init__(self):
-        if self.blocking_radius <= 0:
-            raise ScenarioError("blocking_radius must be > 0")
-        if self.blocking_depth_db < 0:
-            raise ScenarioError("blocking_depth_db must be >= 0")
+        if not (0 < self.blocking_radius < math.inf):
+            raise ScenarioError(
+                f"blocking_radius must be finite and > 0, got {self.blocking_radius!r}")
+        if not (0 <= self.blocking_depth_db < math.inf):
+            raise ScenarioError(
+                f"blocking_depth_db must be finite and >= 0, got {self.blocking_depth_db!r}")
+        if not (self.scatter_gain_db < math.inf):  # -inf scatters nothing
+            raise ScenarioError(f"scatter_gain_db must be below +inf, got {self.scatter_gain_db!r}")
 
 
 @dataclass
@@ -164,20 +165,8 @@ class Path:
     element: int | None = None
 
 
-class PathSet:
+class PathSet(list):
     """Ordered collection of propagation paths."""
-
-    def __init__(self, paths):
-        self.paths = list(paths)
-
-    def __len__(self):
-        return len(self.paths)
-
-    def __iter__(self):
-        return iter(self.paths)
-
-    def __getitem__(self, i):
-        return self.paths[i]
 
 
 @dataclass
@@ -212,15 +201,9 @@ def grid_layout(scenario: Scenario) -> IrsLayout:
     tangent = _perp(_unit(scenario.irs_normal))
     u = ((np.arange(nx) + 0.5) / nx - 0.5) * width
     v = ((np.arange(ny) + 0.5) / ny - 0.5) * height
-    pos = np.empty((nx * ny, 2))
-    hgt = np.empty(nx * ny)
-    center = np.asarray(scenario.irs_pos, dtype=float)
-    for i in range(ny):
-        for j in range(nx):
-            m = i * nx + j
-            pos[m] = center + u[j] * tangent
-            hgt[m] = v[i]
-    return IrsLayout(positions=pos, heights=hgt)
+    # element m = i * nx + j sits in panel row i, column j
+    pos = np.asarray(scenario.irs_pos, dtype=float) + np.tile(u, ny)[:, None] * tangent
+    return IrsLayout(positions=pos, heights=np.repeat(v, nx))
 
 
 # ---------------------------------------------------------------------------
@@ -438,26 +421,26 @@ def _antenna_projections(scenario: Scenario):
 
 
 def _path_tensors(paths, scenario: Scenario) -> np.ndarray:
-    """Per-path response tensor G[p, k, rx, tx] before weights/attenuation.
+    """Per-path response tensor G[p, k, rx, tx] before weights/attenuation."""
+    routes = [p.segment_points for p in paths]
+    return _tensors(np.array([p.length for p in paths]),
+                    np.array([p.amp_coeff for p in paths], dtype=complex),
+                    np.array([p.lambda_exp for p in paths]),
+                    np.array([_unit(r[1] - r[0]) for r in routes]).reshape(-1, 2),
+                    np.array([_unit(r[-1] - r[-2]) for r in routes]).reshape(-1, 2), scenario)
+
+
+def _tensors(lengths, amps, lexp, dep, arr, scenario: Scenario) -> np.ndarray:
+    """Response tensors G[p, k, rx, tx] from per-path arrays: route length,
+    frequency-independent complex amplitude, wavelength exponent, and unit
+    departure and arrival directions (P, 2).
 
     Antenna offsets perturb each path's length through far-field projection
     onto the departure and arrival directions.
     """
-    n_p = len(paths)
     freqs = scenario.subcarrier_freqs()
     lam = C_LIGHT / freqs
     axis, otx, orx = _antenna_projections(scenario)
-
-    lengths = np.array([p.length for p in paths])
-    amps = np.array([p.amp_coeff for p in paths], dtype=complex)
-    lexp = np.array([p.lambda_exp for p in paths])
-
-    dep = np.empty((n_p, 2))
-    arr = np.empty((n_p, 2))
-    for i, p in enumerate(paths):
-        pts = p.segment_points
-        dep[i] = _unit(pts[1] - pts[0])
-        arr[i] = _unit(pts[-1] - pts[-2])
     proj_dep = dep @ axis
     proj_arr = arr @ axis
 
@@ -470,9 +453,32 @@ def _path_tensors(paths, scenario: Scenario) -> np.ndarray:
     return ampk[:, :, None, None] * phase
 
 
+def _scatter_tensors(scenario: Scenario, positions) -> np.ndarray:
+    """Unit-gain scatter responses (T, K, n_rx, n_tx) for bounces at positions
+    (T, 2): _path_tensors of scatter_path(scenario, position, 1.0) for each."""
+    to_p = positions - np.asarray(scenario.anchor_pos, dtype=float)
+    to_eve = np.asarray(scenario.eve_pos, dtype=float) - positions
+    d1 = np.hypot(to_p[:, 0], to_p[:, 1])
+    d2 = np.hypot(to_eve[:, 0], to_eve[:, 1])
+    if np.any(d1 < 1e-9) or np.any(d2 < 1e-9):
+        raise ScenarioError("scatter point coincides with an endpoint")
+    amps = (1.0 / ((4.0 * np.pi) ** 2 * d1 * d2)).astype(complex)
+    return _tensors(d1 + d2, amps, np.full(len(d1), 2), to_p / d1[:, None],
+                    to_eve / d2[:, None], scenario)
+
+
+def point_segment_distances(points, seg_a, seg_b) -> np.ndarray:
+    """Distances (T, S) from points (T, 2) to the segments seg_a -> seg_b (S, 2)."""
+    ab = seg_b - seg_a
+    den = np.einsum("ij,ij->i", ab, ab)
+    apx = points[:, :1] - seg_a[:, 0]
+    apy = points[:, 1:] - seg_a[:, 1]
+    t = np.clip((apx * ab[:, 0] + apy * ab[:, 1]) / np.where(den == 0, 1.0, den), 0.0, 1.0)
+    return np.hypot(points[:, :1] - (seg_a[:, 0] + t * ab[:, 0]),
+                    points[:, 1:] - (seg_a[:, 1] + t * ab[:, 1]))
+
+
 def _sum_response(paths, weights, scenario: Scenario) -> np.ndarray:
-    if len(paths) == 0:
-        return np.zeros((scenario.n_subcarriers, scenario.n_rx, scenario.n_tx), dtype=complex)
     g = _path_tensors(paths, scenario)
     w = np.asarray(weights, dtype=complex)
     return np.tensordot(w, g, axes=(0, 0))
@@ -483,11 +489,11 @@ def frame_noise_rng(seed: int, t_index: int) -> np.random.Generator:
     return np.random.default_rng((seed, _NOISE_TAG, t_index))
 
 
-def noise_std(scenario: Scenario, static_paths: PathSet) -> float:
-    """Per-entry complex noise std calibrated on the unblocked, surface-off frame."""
+def noise_std(scenario: Scenario, h_env: np.ndarray) -> float:
+    """Per-entry complex noise std calibrated on h_env, the noiseless
+    unblocked, surface-off frame (K, n_rx, n_tx)."""
     if math.isinf(scenario.snr_db):
         return 0.0
-    h_env = _sum_response(list(static_paths), np.ones(len(static_paths)), scenario)
     p_sig = float(np.mean(np.abs(h_env) ** 2))
     return math.sqrt(p_sig * 10.0 ** (-scenario.snr_db / 10.0))
 
@@ -520,7 +526,8 @@ def channel_response(static_paths: PathSet, irs_paths: PathSet, irs_config, pers
     values = _sum_response(list(moved), weights, scenario)
 
     if not math.isinf(scenario.snr_db):
-        sigma = noise_std(scenario, static_paths)
+        sigma = noise_std(scenario, _sum_response(list(static_paths), np.ones(len(static_paths)),
+                                                  scenario))
         rng = frame_noise_rng(scenario.seed, t_index)
         shape = values.shape
         values = values + (sigma / math.sqrt(2.0)) * (rng.standard_normal(shape)
@@ -531,120 +538,92 @@ def channel_response(static_paths: PathSet, irs_paths: PathSet, irs_config, pers
 
 
 class FrameSimulator:
-    """Precomputed fast path for generating long frame streams.
+    """Array frame engine for long frame streams.
 
-    Produces frames identical to channel_response() for the same inputs but
-    amortizes path-tensor construction and segment geometry across a session.
+    Produces frames equal to channel_response() for the same inputs, but
+    builds the path tensors and segment geometry once and synthesises many
+    frames per call.
     """
 
     def __init__(self, scenario: Scenario, static_paths: PathSet | None = None,
                  irs_paths: PathSet | None = None):
         self.scenario = scenario
-        self.static_paths = static_paths if static_paths is not None else build_static_paths(scenario)
+        env = list(static_paths if static_paths is not None else build_static_paths(scenario))
         if irs_paths is None and scenario.irs_pos is not None:
             irs_paths = build_irs_paths(scenario, grid_layout(scenario))
-        self.irs_paths = irs_paths if irs_paths is not None else PathSet([])
-
-        env = list(self.static_paths)
-        irs = list(self.irs_paths)
-        self._g_env = _path_tensors(env, scenario) if env else None
-        self._g_irs = _path_tensors(irs, scenario) if irs else None
-        self._irs_elements = np.array([p.element for p in irs], dtype=int) if irs else np.empty(0, int)
-        self.n_elements = len(irs)
-        self.h_env = (np.tensordot(np.ones(len(env), dtype=complex), self._g_env, axes=(0, 0))
-                      if env else np.zeros((scenario.n_subcarriers, scenario.n_rx, scenario.n_tx),
-                                           dtype=complex))
-        self.noise_std = noise_std(scenario, self.static_paths)
-
-        self._seg_a, self._seg_b, self._seg_path = self._segment_arrays(env + irs)
+        irs = list(irs_paths if irs_paths is not None else [])
+        self._g_env = _path_tensors(env, scenario)
+        self._g_irs = _path_tensors(irs, scenario)
+        self._irs_elements = np.array([p.element for p in irs], dtype=int)
         self._n_env = len(env)
-        self._scatter_cache = {}
-        self._irs_coeff_cache = None
-        self._h_irs_cache = None
+        self.n_elements = len(irs)
+        self.h_env = np.tensordot(np.ones(len(env), dtype=complex), self._g_env, axes=(0, 0))
+        self.noise_std = noise_std(scenario, self.h_env)
 
-    @staticmethod
-    def _segment_arrays(paths):
-        seg_a, seg_b, seg_path = [], [], []
-        for i, p in enumerate(paths):
-            pts = p.segment_points
-            for j in range(len(pts) - 1):
-                seg_a.append(pts[j])
-                seg_b.append(pts[j + 1])
-                seg_path.append(i)
-        if not seg_a:
-            return np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0, dtype=int)
-        return np.asarray(seg_a), np.asarray(seg_b), np.asarray(seg_path, dtype=int)
+        # route segments of every path, environment first; path i owns the
+        # segments from _seg_start[i] up to the next path's start
+        routes = [p.segment_points for p in env + irs]
+        self._seg_a = np.concatenate([r[:-1] for r in routes] + [np.zeros((0, 2))])
+        self._seg_b = np.concatenate([r[1:] for r in routes] + [np.zeros((0, 2))])
+        self._seg_start = np.cumsum([0] + [len(r) - 1 for r in routes])[:-1]
 
-    def _attenuations(self, person: PersonState) -> np.ndarray:
-        n_paths = self._n_env + self.n_elements
-        atten = np.ones(n_paths)
-        if self._seg_a.shape[0] == 0:
-            return atten
-        p = np.asarray(person.position, dtype=float)
-        ab = self._seg_b - self._seg_a
-        ap = p[None, :] - self._seg_a
-        den = np.einsum("ij,ij->i", ab, ab)
-        t = np.clip(np.einsum("ij,ij->i", ap, ab) / np.where(den == 0, 1.0, den), 0.0, 1.0)
-        closest = self._seg_a + t[:, None] * ab
-        d = np.hypot(p[0] - closest[:, 0], p[1] - closest[:, 1])
-        dmin = np.full(n_paths, np.inf)
-        np.minimum.at(dmin, self._seg_path, d)
+    def _attenuations(self, person: PersonState, positions) -> np.ndarray:
+        """Blocking attenuation (T, paths) with the person at each of positions (T, 2)."""
+        dmin = np.minimum.reduceat(point_segment_distances(positions, self._seg_a, self._seg_b),
+                                   self._seg_start, axis=1)
         s = np.clip(1.0 - dmin / person.blocking_radius, 0.0, 1.0)
-        blocked = s > 0.0
-        atten[blocked] = 10.0 ** (-person.blocking_depth_db * s[blocked] / 20.0)
-        return atten
+        return np.where(s > 0.0, 10.0 ** (-person.blocking_depth_db * s / 20.0), 1.0)
 
-    def scatter_tensor(self, position) -> np.ndarray:
-        """Unit-gain scatter response for a bounce at `position` (cached)."""
-        key = (round(float(position[0]), 12), round(float(position[1]), 12))
-        cached = self._scatter_cache.get(key)
-        if cached is None:
-            path = scatter_path(self.scenario, position, 1.0)
-            cached = _path_tensors([path], self.scenario)[0]
-            if len(self._scatter_cache) > 64:
-                self._scatter_cache.clear()
-            self._scatter_cache[key] = cached
-        return cached
+    def frames(self, configs, cfg_index, *, person: PersonState | None = None, positions=None,
+               scatters=(), rng=None) -> np.ndarray:
+        """Channel values (T, K, n_rx, n_tx) for T frames.
 
-    def _h_irs(self, coeffs: np.ndarray) -> np.ndarray:
-        if self._irs_coeff_cache is not None and np.array_equal(coeffs, self._irs_coeff_cache):
-            return self._h_irs_cache
-        h = np.tensordot(coeffs.astype(complex), self._g_irs, axes=(0, 0))
-        self._irs_coeff_cache = coeffs.copy()
-        self._h_irs_cache = h
+        configs: distinct per-element reflection coefficient vectors (C, M),
+        +-1 and 0 for inactive, or None for surface off; cfg_index (T,) gives
+        each frame's row and fixes T. person: blocking and scatter parameters
+        of a person standing at positions (T, 2), or None. scatters:
+        (position, factors (T,)) extras, e.g. a modulated rotating reflector.
+        Noise is one draw of shape (T, 2, K, n_rx, n_tx) from rng, the same
+        stream as T single-frame draws of the real and then the imaginary part.
+        """
+        n = len(cfg_index)
+        if configs is not None and configs.shape[1] != self.n_elements:
+            raise ValueError(
+                f"coefficient vector length {configs.shape[1]} != {self.n_elements} elements")
+        if self.noise_std > 0.0 and rng is None:
+            raise ValueError("rng required for noisy frames")
+        if person is not None:
+            atten = self._attenuations(person, positions)
+            h = np.tensordot(atten[:, :self._n_env].astype(complex), self._g_env, axes=(1, 0))
+            if configs is not None:
+                w = configs[cfg_index][:, self._irs_elements] * atten[:, self._n_env:]
+                h = h + np.tensordot(w.astype(complex), self._g_irs, axes=(1, 0))
+            gain = 10.0 ** (person.scatter_gain_db / 20.0)
+            h = h + gain * _scatter_tensors(self.scenario, positions)
+        elif configs is not None:
+            h_irs = np.stack([np.tensordot(c.astype(complex), self._g_irs, axes=(0, 0))
+                              for c in configs])
+            h = self.h_env + h_irs[cfg_index]
+        else:
+            h = np.repeat(self.h_env[None], n, axis=0)
+        for position, factors in scatters:
+            unit = _scatter_tensors(self.scenario, np.array([position], dtype=float))
+            h = h + np.asarray(factors, dtype=complex)[:, None, None, None] * unit
+        if self.noise_std > 0.0:
+            z = rng.standard_normal((n, 2) + self.h_env.shape)
+            h = h + (self.noise_std / math.sqrt(2.0)) * (z[:, 0] + 1j * z[:, 1])
         return h
 
     def frame(self, coeffs: np.ndarray | None = None, person: PersonState | None = None,
               scatters=(), rng=None) -> np.ndarray:
-        """Channel values (K, n_rx, n_tx) for one frame.
+        """Channel values (K, n_rx, n_tx) for one frame: frames() with T = 1.
 
         coeffs: per-element reflection coefficients (+-1 and 0 for inactive),
-        or None for surface off. scatters: (position, complex_factor) extras,
-        e.g. a modulated rotating reflector.
+        or None for surface off. scatters: (position, complex_factor) extras.
         """
-        if coeffs is not None and len(coeffs) != self.n_elements:
-            raise ValueError(f"coefficient vector length {len(coeffs)} != {self.n_elements} elements")
-        if person is not None and person.present:
-            atten = self._attenuations(person)
-            h = np.tensordot(atten[:self._n_env].astype(complex), self._g_env, axes=(0, 0)) \
-                if self._n_env else np.zeros_like(self.h_env)
-            if self.n_elements and coeffs is not None:
-                w = coeffs[self._irs_elements] * atten[self._n_env:]
-                h = h + np.tensordot(w.astype(complex), self._g_irs, axes=(0, 0))
-            factor = 10.0 ** (person.scatter_gain_db / 20.0)
-            h = h + factor * self.scatter_tensor(person.position)
-        else:
-            h = self.h_env
-            if self.n_elements and coeffs is not None:
-                h = h + self._h_irs(np.asarray(coeffs, dtype=float))
-        for position, factor in scatters:
-            h = h + complex(factor) * self.scatter_tensor(position)
-        if self.noise_std > 0.0:
-            if rng is None:
-                raise ValueError("rng required for noisy frames")
-            shape = h.shape
-            h = h + (self.noise_std / math.sqrt(2.0)) * (rng.standard_normal(shape)
-                                                         + 1j * rng.standard_normal(shape))
-        elif h is self.h_env:
-            h = h.copy()
-        return h
+        present = person is not None and person.present
+        return self.frames(None if coeffs is None else np.asarray(coeffs, dtype=float)[None],
+                           np.zeros(1, dtype=int), person=person if present else None,
+                           positions=np.array([person.position], dtype=float) if present else None,
+                           scatters=[(position, [factor]) for position, factor in scatters],
+                           rng=rng)[0]

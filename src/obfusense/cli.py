@@ -81,12 +81,7 @@ def cmd_simulate(args):
     scenario, cfg = _load(args)
     out = _out_dir(args)
     motion = {"none": None, "walk": cfg.walk, "reflector": cfg.reflector}[args.motion]
-    person = None
-    if args.motion == "walk":
-        person = experiments.PersonState(position=(0.0, 0.0),
-                                         scatter_gain_db=cfg.scatter_gain_db,
-                                         blocking_radius=cfg.blocking_radius,
-                                         blocking_depth_db=cfg.blocking_depth_db)
+    person = cfg.person() if args.motion == "walk" else None
     obs, frames = experiments.run_session(
         scenario, args.defense == "on", motion, args.duration, window_s=cfg.window_s,
         stream=args.stream, person_template=person, keep_frames=True, **cfg.settings())

@@ -14,11 +14,14 @@ import numpy as np
 
 from . import irs as irsmod
 from . import sensing
-from .channel import FrameSimulator, PersonState, Scenario, ScenarioError, _point_segment_distance
+from .channel import FrameSimulator, PersonState, Scenario, ScenarioError, point_segment_distances
 
 _NOISE_STREAM = 11
 _IRS_STREAM = 23
 _SUBSET_STREAM = 37
+
+# Frames per FrameSimulator.frames call: bounds a session's complex working set.
+FRAME_CHUNK = 1024
 
 
 @dataclass
@@ -36,11 +39,13 @@ class Trajectory:
     def __post_init__(self):
         if len(self.waypoints) < 2:
             raise ValueError("trajectory needs at least 2 waypoints")
-        if self.speed <= 0:
-            raise ValueError("speed must be > 0")
-        if self.dwell < 0:
-            raise ValueError("dwell must be >= 0")
+        if not (0 < self.speed < math.inf):
+            raise ValueError(f"speed must be finite and > 0, got {self.speed!r}")
+        if not (0 <= self.dwell < math.inf):
+            raise ValueError(f"dwell must be finite and >= 0, got {self.dwell!r}")
         pts = np.asarray(self.waypoints, dtype=float)
+        if not np.all(np.isfinite(pts)):
+            raise ValueError(f"waypoints must be finite, got {self.waypoints!r}")
         seg = np.diff(pts, axis=0)
         seglen = np.hypot(seg[:, 0], seg[:, 1])
         if np.any(seglen == 0):
@@ -91,8 +96,13 @@ class RotatingReflector:
     peak_scatter_gain_db: float = 15.0
 
     def __post_init__(self):
-        if self.rpm <= 0:
-            raise ValueError("rpm must be > 0")
+        if not (0 < self.rpm < math.inf):
+            raise ValueError(f"rpm must be finite and > 0, got {self.rpm!r}")
+        if not np.all(np.isfinite(self.position)):
+            raise ValueError(f"position must be finite, got {self.position!r}")
+        if not (self.peak_scatter_gain_db < math.inf):  # -inf is a silent reflector
+            raise ValueError(f"peak_scatter_gain_db must be below +inf, got "
+                             f"{self.peak_scatter_gain_db!r}")
 
     def factor(self, t: float) -> complex:
         theta = 2.0 * math.pi * (self.rpm / 60.0) * t
@@ -152,10 +162,50 @@ def _irs_rng(scenario: Scenario, stream: int) -> np.random.Generator:
     return np.random.default_rng((scenario.seed, _IRS_STREAM, stream))
 
 
+def _schedule(n_elements, defense_on, times, scheduler: irsmod.SchedulerParams,
+              active_elements, rng_irs):
+    """Scheduler pass: (configs (C, M), cfg_index (T,), change frames).
+
+    Tick k >= 1 lands on the first frame i with k / update_rate <= times[i] +
+    1e-12 and steps the scheduler once, drawing from rng_irs in tick order.
+    configs holds the int8 coefficients of each frame that starts a new
+    configuration (a later change on the same frame supersedes an earlier
+    one, so C <= T + 1); frame i uses row cfg_index[i].
+    """
+    full_bits = rng_irs.integers(0, 2, size=n_elements, dtype=np.uint8)
+    coeffs = full_bits.astype(np.int8) * 2 - 1
+    configs, starts, change_frames = [coeffs.copy()], [0], []
+    active = (np.arange(n_elements) if active_elements is None
+              else np.asarray(sorted(active_elements), dtype=int))
+    if defense_on and active.size:
+        state = irsmod.IrsAlgState(cfg=irsmod.IrsConfig(full_bits[active].copy()),
+                                   rng=rng_irs, **scheduler.settings())
+        t = times + 1e-12
+        tick = 1
+        while tick / scheduler.update_rate <= t[-1]:
+            state, changed = irsmod.step(state)
+            if changed:
+                i = int(np.searchsorted(t, tick / scheduler.update_rate))
+                coeffs[active] = state.cfg.bits.astype(np.int8) * 2 - 1
+                change_frames.append(i)
+                if starts[-1] == i:
+                    configs.pop()
+                    starts.pop()
+                configs.append(coeffs.copy())
+                starts.append(i)
+            tick += 1
+    cfg_index = np.searchsorted(starts, np.arange(len(times)), side="right") - 1
+    return np.array(configs), cfg_index, change_frames
+
+
 def _session_magnitudes(scenario, defense_on, motion, duration_s,
                         scheduler: irsmod.SchedulerParams, *, stream, person_template,
                         active_elements, simulator, keep_frames=False):
-    """Simulate one session; returns (|H| of shape (T, K, n_rx, n_tx), meta, frames_or_None)."""
+    """Simulate one session; returns (|H| of shape (T, K, n_rx, n_tx), meta, frames_or_None).
+
+    A scheduler pass and a motion pass turn the session into per-frame arrays;
+    the frame engine then synthesises FRAME_CHUNK frames per call.
+    """
     n_frames = int(round(duration_s * scenario.sample_rate))
     if n_frames < 1:
         raise ValueError("session produces no frames")
@@ -164,58 +214,30 @@ def _session_magnitudes(scenario, defense_on, motion, duration_s,
         raise ScenarioError("defense requested but the scenario has no reflecting surface")
 
     rng_noise = _noise_rng(scenario, stream)
-    rng_irs = _irs_rng(scenario, stream)
+    times = np.arange(n_frames) / scenario.sample_rate
+    configs, cfg_index, change_frames = _schedule(sim.n_elements, defense_on, times, scheduler,
+                                                  active_elements, _irs_rng(scenario, stream))
 
-    coeffs = None
-    state = None
-    active = None
-    full_bits = None
-    if sim.n_elements:
-        full_bits = rng_irs.integers(0, 2, size=sim.n_elements, dtype=np.uint8)
-        if defense_on:
-            active = (np.arange(sim.n_elements) if active_elements is None
-                      else np.asarray(sorted(active_elements), dtype=int))
-            if active.size:
-                state = irsmod.IrsAlgState(cfg=irsmod.IrsConfig(full_bits[active].copy()),
-                                           rng=rng_irs, **scheduler.settings())
-        coeffs = full_bits.astype(float) * 2.0 - 1.0
-
-    template = person_template if person_template is not None else PersonState(position=(0.0, 0.0))
-    trajectory = motion if isinstance(motion, Trajectory) else None
-    reflector = motion if isinstance(motion, RotatingReflector) else None
+    person = person_xy = moving = factors = None
+    if isinstance(motion, Trajectory):
+        person = person_template if person_template is not None else PersonState(position=(0.0, 0.0))
+        person_xy, moving = (np.array(v) for v in zip(*map(motion.locate, times.tolist())))
+    elif isinstance(motion, RotatingReflector):
+        factors = np.array([motion.factor(t) for t in times.tolist()])
 
     shape = (n_frames, scenario.n_subcarriers, scenario.n_rx, scenario.n_tx)
     mags = np.empty(shape)
     frames = np.empty(shape, dtype=complex) if keep_frames else None
-    change_frames = []
-    moving = np.zeros(n_frames, dtype=bool) if trajectory is not None else None
-    person_xy = np.zeros((n_frames, 2)) if trajectory is not None else None
-
-    next_tick = 1
-    for i in range(n_frames):
-        t = i / scenario.sample_rate
-        if state is not None:
-            while next_tick / scheduler.update_rate <= t + 1e-12:
-                state, changed = irsmod.step(state)
-                if changed:
-                    coeffs[active] = state.cfg.bits.astype(float) * 2.0 - 1.0
-                    change_frames.append(i)
-                next_tick += 1
-
-        person = None
-        scatters = ()
-        if trajectory is not None:
-            pos, is_moving = trajectory.locate(t)
-            person = replace(template, position=(float(pos[0]), float(pos[1])), present=True)
-            moving[i] = is_moving
-            person_xy[i] = pos
-        elif reflector is not None:
-            scatters = ((reflector.position, reflector.factor(t)),)
-
-        h = sim.frame(coeffs=coeffs, person=person, scatters=scatters, rng=rng_noise)
+    for a in range(0, n_frames, FRAME_CHUNK):
+        b = min(a + FRAME_CHUNK, n_frames)
+        first = cfg_index[a]
+        h = sim.frames(configs[first:cfg_index[b - 1] + 1], cfg_index[a:b] - first,
+                       person=person, positions=None if person is None else person_xy[a:b],
+                       scatters=() if factors is None else ((motion.position, factors[a:b]),),
+                       rng=rng_noise)
         if keep_frames:
-            frames[i] = h
-        mags[i] = np.abs(h)
+            frames[a:b] = h
+        mags[a:b] = np.abs(h)
 
     meta = {
         "seed": scenario.seed,
@@ -225,7 +247,7 @@ def _session_magnitudes(scenario, defense_on, motion, duration_s,
         "n_frames": n_frames,
         "irs_change_frames": change_frames,
     }
-    if moving is not None:
+    if person is not None:
         meta["moving"] = moving
         meta["person_xy"] = person_xy
     return mags, meta, frames
@@ -480,12 +502,9 @@ def parameter_study(scenario: Scenario, r_values, p_values, duration_s: float, *
 
 def blocked_flags(scenario: Scenario, positions: np.ndarray, radius: float) -> np.ndarray:
     """Per-frame flags: person within `radius` of the anchor-eve segment."""
-    a = np.asarray(scenario.anchor_pos, dtype=float)
-    b = np.asarray(scenario.eve_pos, dtype=float)
-    out = np.empty(positions.shape[0], dtype=bool)
-    for i, p in enumerate(positions):
-        out[i] = _point_segment_distance(p, a, b) <= radius
-    return out
+    return point_segment_distances(np.asarray(positions, dtype=float),
+                                   np.array([scenario.anchor_pos], dtype=float),
+                                   np.array([scenario.eve_pos], dtype=float))[:, 0] <= radius
 
 
 def window_any(flags: np.ndarray, n_w: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import CsiFrame, Scenario, _unit, rect_room
+from .channel import CsiFrame, PersonState, Scenario, _unit, rect_room
 from .experiments import RotatingReflector, Trajectory
 from .irs import SchedulerParams
 from .sensing import DetectionReport, ObservationSeries
@@ -47,6 +47,21 @@ class ExperimentConfig(SchedulerParams):
     blocking_radius: float = 0.4
     blocking_depth_db: float = 10.0
     scatter_gain_db: float = -5.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not (0 <= self.c < math.inf):
+            raise ValueError(f"c must be finite and >= 0, got {self.c!r}")
+        for name in ("reference_s", "window_s"):
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        self.person()  # PersonState checks the blocking and scatter parameters
+
+    def person(self) -> PersonState:
+        """Walking-person template with the configured blocking and scatter parameters."""
+        return PersonState(position=(0.0, 0.0), scatter_gain_db=self.scatter_gain_db,
+                           blocking_radius=self.blocking_radius,
+                           blocking_depth_db=self.blocking_depth_db)
 
 
 def default_scenario(seed: int = 1, snr_db: float = 30.0) -> Scenario:
@@ -212,13 +227,21 @@ def load_scenario(path):
             reflector=RotatingReflector(**{"position": midpoint, **values[RotatingReflector]}),
             **values[ExperimentConfig])
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(_named(str(exc))) from None
     if elements is not None and elements != scenario.n_elements:
         raise ConfigError(f"irs.elements={elements} does not match grid "
                           f"{scenario.irs_grid[0]}x{scenario.irs_grid[1]}")
     if cfg.n_select < 1 or cfg.n_select > scenario.n_subcarriers:
         raise ConfigError("experiment.n_select out of range")
     return scenario, cfg
+
+
+def _named(message: str) -> str:
+    """A dataclass check's message, prefixed with the config key of the field it starts with."""
+    field = message.split(" ", 1)[0]
+    keys = [f"{section}.{key}" for section, table in _KEYS.items()
+            for key, (_, name, _) in table.items() if name == field]
+    return f"{keys[0]}: {message}" if keys else message
 
 
 # ---------------------------------------------------------------------------

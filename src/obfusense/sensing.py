@@ -200,14 +200,11 @@ def roc(obs_motion, obs_reference) -> DetectionReport:
     if motion.size == 0 or ref.size == 0:
         raise ValueError("both observation series must be non-empty")
     thresholds = np.unique(np.concatenate([motion, ref]))[::-1]
-    points = [(0.0, 0.0)]
-    for u in thresholds:
-        tpr = (motion.size - np.searchsorted(motion, u, side="right")) / motion.size
-        fpr = (ref.size - np.searchsorted(ref, u, side="right")) / ref.size
-        points.append((float(fpr), float(tpr)))
-    points.append((1.0, 1.0))
-    fprs = np.array([p[0] for p in points])
-    tprs = np.array([p[1] for p in points])
+    tprs = np.concatenate([[0.0], (motion.size - np.searchsorted(motion, thresholds, side="right"))
+                           / motion.size, [1.0]])
+    fprs = np.concatenate([[0.0], (ref.size - np.searchsorted(ref, thresholds, side="right"))
+                           / ref.size, [1.0]])
+    points = list(zip(fprs.tolist(), tprs.tolist()))
     auc = float(np.trapezoid(tprs, fprs))
     return DetectionReport(threshold=float("nan"), roc_points=points, auc=auc)
 

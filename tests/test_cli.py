@@ -163,6 +163,15 @@ def test_coverage_uses_config_reflector(tmp_path, minimal_config, monkeypatch):
     ("[experiment]", "[radio]\nsnr_db = nan\n\n[experiment]"),
     ("[experiment]", "[radio]\nsnr_db = -inf\n\n[experiment]"),
     ("[experiment]", "[defense]\nupdate_rate = 0\n\n[experiment]"),
+    ("seed = 42", "seed = 42\nwalk_speed = nan"),
+    ("seed = 42", "seed = 42\nwalk_dwell = nan"),
+    ("seed = 42", "seed = 42\nreflector_rpm = nan"),
+    ("seed = 42", "seed = 42\nblocking_radius = nan"),
+    ("seed = 42", "seed = 42\nblocking_depth_db = nan"),
+    ("seed = 42", "seed = 42\nscatter_gain_db = nan"),
+    ("seed = 42", "seed = 42\nc = nan"),
+    ("seed = 42", "seed = 42\nwindow_s = nan"),
+    ("seed = 42", "seed = 42\nreference_s = -5"),
 ])
 def test_invalid_config_value_exits_3(tmp_path, minimal_config, edit):
     cfg = tmp_path / "bad.cfg"

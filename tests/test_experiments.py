@@ -1,9 +1,13 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from obfusense import channel as ch
 from obfusense import experiments as ex
 from obfusense import io as oio
+from obfusense import irs as ir
 from obfusense import sensing as sn
 
 
@@ -167,6 +171,64 @@ def test_walk_session_metadata():
     obs = ex.run_session(scn, False, walk, 3.0, person_template=ch.PersonState(position=(0, 0)))
     assert obs.meta["person_xy"].shape == (obs.meta["n_frames"], 2)
     assert obs.meta["moving"].all()
+
+
+# --- frame engine against the per-frame oracle ------------------------------
+
+def oracle_frames(scn, motion, duration_s, stream, person=None, **scheduler):
+    """Noiseless reference frames, one channel_response per frame, with the
+    scheduler stepped tick by tick on the session's surface stream."""
+    params = ir.SchedulerParams(**scheduler)
+    static = ch.build_static_paths(scn)
+    irsp = ch.build_irs_paths(scn, ch.grid_layout(scn))
+    rng = ex._irs_rng(scn, stream)
+    state = ir.IrsAlgState(cfg=ir.IrsConfig(rng.integers(0, 2, size=scn.n_elements, dtype=np.uint8)),
+                           rng=rng, **params.settings())
+    out, tick = [], 1
+    for i in range(int(round(duration_s * scn.sample_rate))):
+        t = i / scn.sample_rate
+        while tick / params.update_rate <= t + 1e-12:
+            state, _ = ir.step(state)
+            tick += 1
+        if isinstance(motion, ex.Trajectory):
+            pos, _ = motion.locate(t)
+            here = replace(person, position=(float(pos[0]), float(pos[1])))
+            out.append(ch.channel_response(static, irsp, state.cfg, here, scn, i).values)
+        else:
+            unit = ch._path_tensors([ch.scatter_path(scn, motion.position, 1.0)], scn)[0]
+            out.append(ch.channel_response(static, irsp, state.cfg, None, scn, i).values
+                       + motion.factor(t) * unit)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("kind", ["walk", "reflector"])
+def test_defended_session_matches_per_frame_oracle(kind):
+    scn = quiet_scenario(snr_db=float("inf"))
+    person = ch.PersonState(position=(0.0, 0.0))
+    motion = (ex.Trajectory(waypoints=[(4.0, 2.15), (4.0, 3.35)], speed=0.45) if kind == "walk"
+              else ex.RotatingReflector(position=(3.75, 2.75)))
+    _, got = ex.run_session(scn, True, motion, 1.5, stream=2, person_template=person,
+                            keep_frames=True, hold_prob=0.0)
+    want = oracle_frames(scn, motion, 1.5, 2, person, hold_prob=0.0)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-18)
+
+
+def test_chunked_noise_matches_per_frame_draws():
+    # a session longer than one engine chunk draws the same noise stream as
+    # one (real, imaginary) pair of draws per frame
+    scn = quiet_scenario(snr_db=20.0)
+    duration = (ex.FRAME_CHUNK + 60) / scn.sample_rate
+    _, noisy = ex.run_session(scn, True, None, duration, stream=5, keep_frames=True)
+    _, clean = ex.run_session(replace(scn, snr_db=float("inf")), True, None, duration,
+                              stream=5, keep_frames=True)
+    assert noisy.shape[0] > ex.FRAME_CHUNK
+    sigma = ch.FrameSimulator(scn).noise_std / math.sqrt(2.0)
+    rng = ex._noise_rng(scn, 5)
+    shape = noisy.shape[1:]
+    draws = np.array([sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                      for _ in range(noisy.shape[0])])
+    assert np.array_equal(noisy, clean + draws)
 
 
 # --- sweeps ----------------------------------------------------------------

@@ -124,6 +124,19 @@ def test_missing_required_position(tmp_path):
         oio.load_scenario(write(tmp_path, "[eavesdropper]\nposition = 1 1\n"))
 
 
+@pytest.mark.parametrize("line, key", [
+    ("walk_speed = nan", "experiment.walk_speed"),
+    ("reflector_rpm = nan", "experiment.reflector_rpm"),
+    ("blocking_radius = nan", "experiment.blocking_radius"),
+    ("c = nan", "experiment.c"),
+    ("reference_s = -5", "experiment.reference_s"),
+])
+def test_invalid_experiment_value_names_key(tmp_path, minimal_config, line, key):
+    text = minimal_config.read_text() + line + "\n"
+    with pytest.raises(oio.ConfigError, match=key):
+        oio.load_scenario(write(tmp_path, text, "bad.cfg"))
+
+
 def test_walk_defaults_and_override(tmp_path):
     _, cfg = oio.load_scenario(write(tmp_path, FULL_CONFIG))
     assert cfg.walk is not None
