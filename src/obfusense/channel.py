@@ -91,9 +91,12 @@ class Scenario:
             raise ScenarioError("antenna counts must be >= 1")
         if self.n_subcarriers < 1:
             raise ScenarioError("n_subcarriers must be >= 1")
-        for name in ("sample_rate", "carrier_freq", "subcarrier_spacing"):
-            if getattr(self, name) <= 0:
-                raise ScenarioError(f"{name} must be > 0")
+        if self.sample_rate <= 0:
+            raise ScenarioError("sample_rate must be > 0")
+        if self.carrier_freq <= 0:
+            raise ScenarioError("carrier_freq must be > 0")
+        if self.subcarrier_spacing <= 0:
+            raise ScenarioError("subcarrier_spacing must be > 0")
         if not isinstance(self.seed, int) or self.seed < 0 or self.seed >= 2 ** 64:
             raise ScenarioError("seed must be an unsigned 64-bit integer")
         if (self.irs_pos is None) != (self.irs_normal is None):
@@ -165,8 +168,20 @@ class Path:
     element: int | None = None
 
 
-class PathSet(list):
+class PathSet:
     """Ordered collection of propagation paths."""
+
+    def __init__(self, paths):
+        self.paths = list(paths)
+
+    def __len__(self):
+        return len(self.paths)
+
+    def __iter__(self):
+        return iter(self.paths)
+
+    def __getitem__(self, i):
+        return self.paths[i]
 
 
 @dataclass
@@ -201,9 +216,15 @@ def grid_layout(scenario: Scenario) -> IrsLayout:
     tangent = _perp(_unit(scenario.irs_normal))
     u = ((np.arange(nx) + 0.5) / nx - 0.5) * width
     v = ((np.arange(ny) + 0.5) / ny - 0.5) * height
-    # element m = i * nx + j sits in panel row i, column j
-    pos = np.asarray(scenario.irs_pos, dtype=float) + np.tile(u, ny)[:, None] * tangent
-    return IrsLayout(positions=pos, heights=np.repeat(v, nx))
+    pos = np.empty((nx * ny, 2))
+    hgt = np.empty(nx * ny)
+    center = np.asarray(scenario.irs_pos, dtype=float)
+    for i in range(ny):
+        for j in range(nx):
+            m = i * nx + j
+            pos[m] = center + u[j] * tangent
+            hgt[m] = v[i]
+    return IrsLayout(positions=pos, heights=hgt)
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +287,6 @@ def _reflection_point(anchor, eve, a, b):
     if not (_EPS < t < 1.0 - _EPS and _EPS < u < 1.0 - _EPS):
         return None
     return img + t * r
-
-
-def _point_segment_distance(p, a, b) -> float:
-    ab = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
-    ap = np.asarray(p, dtype=float) - np.asarray(a, dtype=float)
-    den = float(np.dot(ab, ab))
-    t = 0.0 if den == 0.0 else float(np.clip(np.dot(ap, ab) / den, 0.0, 1.0))
-    closest = np.asarray(a, dtype=float) + t * ab
-    return float(np.hypot(p[0] - closest[0], p[1] - closest[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +400,7 @@ def scatter_path(scenario: Scenario, position, gain_factor: complex) -> Path:
 
 def _blocking_atten(path: Path, person: PersonState) -> float:
     pts = path.segment_points
-    dmin = min(_point_segment_distance(person.position, pts[i], pts[i + 1])
-               for i in range(len(pts) - 1))
+    dmin = point_segment_distances(np.array([person.position], dtype=float), pts[:-1], pts[1:]).min()
     if dmin >= person.blocking_radius:
         return 1.0
     s = 1.0 - dmin / person.blocking_radius

@@ -20,8 +20,11 @@ _NOISE_STREAM = 11
 _IRS_STREAM = 23
 _SUBSET_STREAM = 37
 
-# Frames per FrameSimulator.frames call: bounds a session's complex working set.
-FRAME_CHUNK = 1024
+# Frames per FrameSimulator.frames call. A person's blocking step holds
+# (frames x route segments) arrays, so the working set grows with the surface;
+# 64 frames keep it under the rest of a session's memory up to a 64x64 surface,
+# and larger chunks synthesise no faster.
+FRAME_CHUNK = 64
 
 
 @dataclass
@@ -170,11 +173,11 @@ def _schedule(n_elements, defense_on, times, scheduler: irsmod.SchedulerParams,
     1e-12 and steps the scheduler once, drawing from rng_irs in tick order.
     configs holds the int8 coefficients of each frame that starts a new
     configuration (a later change on the same frame supersedes an earlier
-    one, so C <= T + 1); frame i uses row cfg_index[i].
+    one, so C <= T); frame i uses row cfg_index[i].
     """
     full_bits = rng_irs.integers(0, 2, size=n_elements, dtype=np.uint8)
     coeffs = full_bits.astype(np.int8) * 2 - 1
-    configs, starts, change_frames = [coeffs.copy()], [0], []
+    configs, change_frames = {0: coeffs.copy()}, []  # first frame -> coefficients
     active = (np.arange(n_elements) if active_elements is None
               else np.asarray(sorted(active_elements), dtype=int))
     if defense_on and active.size:
@@ -188,14 +191,10 @@ def _schedule(n_elements, defense_on, times, scheduler: irsmod.SchedulerParams,
                 i = int(np.searchsorted(t, tick / scheduler.update_rate))
                 coeffs[active] = state.cfg.bits.astype(np.int8) * 2 - 1
                 change_frames.append(i)
-                if starts[-1] == i:
-                    configs.pop()
-                    starts.pop()
-                configs.append(coeffs.copy())
-                starts.append(i)
+                configs[i] = coeffs.copy()
             tick += 1
-    cfg_index = np.searchsorted(starts, np.arange(len(times)), side="right") - 1
-    return np.array(configs), cfg_index, change_frames
+    cfg_index = np.searchsorted(list(configs), np.arange(len(times)), side="right") - 1
+    return np.array(list(configs.values())), cfg_index, change_frames
 
 
 def _session_magnitudes(scenario, defense_on, motion, duration_s,

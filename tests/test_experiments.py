@@ -40,6 +40,10 @@ def test_trajectory_validation():
         ex.Trajectory(waypoints=[(0, 0), (1, 0)], speed=0.0)
     with pytest.raises(ValueError):
         ex.Trajectory(waypoints=[(0, 0), (0, 0)])
+    with pytest.raises(ValueError, match="waypoints must be finite"):
+        ex.Trajectory(waypoints=[(0, 0), (float("nan"), 1)])
+    with pytest.raises(ValueError, match="dwell must be finite"):
+        ex.Trajectory(waypoints=[(0, 0), (1, 0)], dwell=float("inf"))
 
 
 def test_trajectory_pingpong():
@@ -71,6 +75,14 @@ def test_reflector_modulation():
     assert abs(refl.factor(0.5)) == pytest.approx(0.0, abs=1e-12)  # quarter turn
     with pytest.raises(ValueError):
         ex.RotatingReflector(position=(0, 0), rpm=0.0)
+    with pytest.raises(ValueError, match="rpm must be finite"):
+        ex.RotatingReflector(position=(0, 0), rpm=float("nan"))
+    with pytest.raises(ValueError, match="position must be finite"):
+        ex.RotatingReflector(position=(float("inf"), 0))
+    with pytest.raises(ValueError, match="below \\+inf"):
+        ex.RotatingReflector(position=(0, 0), peak_scatter_gain_db=float("inf"))
+    silent = ex.RotatingReflector(position=(0, 0), peak_scatter_gain_db=float("-inf"))
+    assert silent.factor(0.3) == 0
 
 
 # --- coherence_time --------------------------------------------------------
