@@ -165,7 +165,18 @@ def _irs_rng(scenario: Scenario, stream: int) -> np.random.Generator:
     return np.random.default_rng((scenario.seed, _IRS_STREAM, stream))
 
 
-def _schedule(n_elements, defense_on, times, scheduler: irsmod.SchedulerParams,
+def check_update_rate(update_rate: float, sample_rate: float) -> None:
+    """Raise ValueError above 100 scheduler ticks per frame.
+
+    The scheduler pass steps once per tick in Python, so its time grows with
+    the ticks per frame; a finite but huge rate would otherwise run for days.
+    """
+    if update_rate > 100 * sample_rate:
+        raise ValueError(f"update_rate must be at most 100 ticks per frame ({100 * sample_rate:g} "
+                         f"at sample_rate {sample_rate:g}), got {update_rate:g}")
+
+
+def _schedule(n_elements, defense_on, times, sample_rate, scheduler: irsmod.SchedulerParams,
               active_elements, rng_irs):
     """Scheduler pass: (configs (C, M), cfg_index (T,), change frames).
 
@@ -175,6 +186,7 @@ def _schedule(n_elements, defense_on, times, scheduler: irsmod.SchedulerParams,
     configuration (a later change on the same frame supersedes an earlier
     one, so C <= T); frame i uses row cfg_index[i].
     """
+    check_update_rate(scheduler.update_rate, sample_rate)
     full_bits = rng_irs.integers(0, 2, size=n_elements, dtype=np.uint8)
     coeffs = full_bits.astype(np.int8) * 2 - 1
     configs, change_frames = {0: coeffs.copy()}, []  # first frame -> coefficients
@@ -197,6 +209,14 @@ def _schedule(n_elements, defense_on, times, scheduler: irsmod.SchedulerParams,
     return np.array(list(configs.values())), cfg_index, change_frames
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory; inf where the platform does not report it."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
 def _session_magnitudes(scenario, defense_on, motion, duration_s,
                         scheduler: irsmod.SchedulerParams, *, stream, person_template,
                         active_elements, simulator, keep_frames=False):
@@ -205,6 +225,13 @@ def _session_magnitudes(scenario, defense_on, motion, duration_s,
     A scheduler pass and a motion pass turn the session into per-frame arrays;
     the frame engine then synthesises FRAME_CHUNK frames per call.
     """
+    cells = scenario.n_subcarriers * scenario.n_rx * scenario.n_tx
+    # float64 |H|, plus the complex128 frames when they are kept
+    need = duration_s * scenario.sample_rate * cells * (24 if keep_frames else 8)
+    memory = _physical_memory()
+    if not need <= memory:  # also rejects a NaN or infinite duration
+        raise ValueError(f"duration {duration_s:g} s needs {need / 2**30:.3g} GiB for its "
+                         f"frames, more than the {memory / 2**30:.3g} GiB of physical memory")
     n_frames = int(round(duration_s * scenario.sample_rate))
     if n_frames < 1:
         raise ValueError("session produces no frames")
@@ -214,7 +241,8 @@ def _session_magnitudes(scenario, defense_on, motion, duration_s,
 
     rng_noise = _noise_rng(scenario, stream)
     times = np.arange(n_frames) / scenario.sample_rate
-    configs, cfg_index, change_frames = _schedule(sim.n_elements, defense_on, times, scheduler,
+    configs, cfg_index, change_frames = _schedule(sim.n_elements, defense_on, times,
+                                                  scenario.sample_rate, scheduler,
                                                   active_elements, _irs_rng(scenario, stream))
 
     person = person_xy = moving = factors = None

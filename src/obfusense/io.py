@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import CsiFrame, PersonState, Scenario, _unit, rect_room
-from .experiments import RotatingReflector, Trajectory
+from .experiments import RotatingReflector, Trajectory, check_update_rate
 from .irs import SchedulerParams
 from .sensing import DetectionReport, ObservationSeries
 
@@ -226,6 +226,7 @@ def load_scenario(path):
             walk=replace(default_walk(), **values[Trajectory]),
             reflector=RotatingReflector(**{"position": midpoint, **values[RotatingReflector]}),
             **values[ExperimentConfig])
+        check_update_rate(cfg.update_rate, scenario.sample_rate)
     except ValueError as exc:
         raise ConfigError(_named(str(exc))) from None
     if elements is not None and elements != scenario.n_elements:

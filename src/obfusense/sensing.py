@@ -120,22 +120,36 @@ def sliding_std(series, n_w: int) -> np.ndarray:
 def _sliding_std_columns(x: np.ndarray, n_w: int) -> np.ndarray:
     """Column-wise trailing-window population std of a (time, components) matrix.
 
-    Each window subtracts its own mean (the literal two-pass formula), so the
-    result tracks a per-window brute-force computation at machine precision;
-    globally constant columns come out exactly zero thanks to the centering.
-    Columns are processed in chunks to bound the materialized window tensor.
+    O(T) per column. Windows are taken in blocks of n_w. A block's 2 n_w - 1
+    samples are centred on its sample n_w - 1, which every window of the
+    block contains, so a constant column gives exactly 0 and slow drift adds
+    little to the sums; each window's variance comes from prefix sums of the
+    centred values and their squares. A window is ill-conditioned where the
+    block's prefix sum of squares up to its last sample exceeds
+    1e3 * n_w * var, as after a step inside the block; such windows are
+    recomputed by the two-pass formula (subtract the window's own mean, then
+    average the squared deviations).
     """
-    x = np.ascontiguousarray(x, dtype=float)
-    xc = x - x.mean(axis=0, keepdims=True)
-    n, m = xc.shape
+    x = np.asarray(x, dtype=float)
+    n, m = x.shape
     n_win = n - n_w + 1
     out = np.empty((n_win, m))
-    chunk = max(1, int(4_000_000 // max(n_win * n_w, 1)))
-    for j in range(0, m, chunk):
-        sw = np.lib.stride_tricks.sliding_window_view(xc[:, j:j + chunk], n_w, axis=0)
-        mean = sw.mean(axis=-1)
-        dev = sw - mean[..., None]
-        out[:, j:j + chunk] = np.sqrt(np.einsum("abw,abw->ab", dev, dev) / n_w)
+    windows = np.lib.stride_tricks.sliding_window_view(x, n_w, axis=0)  # (n_win, m, n_w)
+    c1 = np.zeros((2 * n_w, m))
+    c2 = np.zeros((2 * n_w, m))
+    for a in range(0, n_win, n_w):
+        nb = min(n_w, n_win - a)
+        seg = x[a:a + nb + n_w - 1] - x[a + n_w - 1]
+        np.cumsum(seg, axis=0, out=c1[1:nb + n_w])
+        np.cumsum(seg * seg, axis=0, out=c2[1:nb + n_w])
+        s1 = c1[n_w:nb + n_w] - c1[:nb]
+        var = (c2[n_w:nb + n_w] - c2[:nb] - s1 * s1 / n_w) / n_w
+        ti, ji = np.nonzero(c2[n_w:nb + n_w] > 1e3 * n_w * var)
+        if ti.size:
+            w = windows[a + ti, ji]
+            dev = w - w.mean(axis=1, keepdims=True)
+            var[ti, ji] = np.einsum("iw,iw->i", dev, dev) / n_w
+        out[a:a + nb] = np.sqrt(np.maximum(var, 0.0))
     return out
 
 

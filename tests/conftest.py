@@ -4,6 +4,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# Property tests replay the same examples on every run, so Tier-1 stays deterministic.
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          max_examples=60, deadline=None)
+settings.load_profile("deterministic")
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 if SRC not in sys.path:

@@ -163,6 +163,7 @@ def test_coverage_uses_config_reflector(tmp_path, minimal_config, monkeypatch):
     ("[experiment]", "[radio]\nsnr_db = nan\n\n[experiment]"),
     ("[experiment]", "[radio]\nsnr_db = -inf\n\n[experiment]"),
     ("[experiment]", "[defense]\nupdate_rate = 0\n\n[experiment]"),
+    ("[experiment]", "[defense]\nupdate_rate = 1e9\n\n[experiment]"),
     ("seed = 42", "seed = 42\nwalk_speed = nan"),
     ("seed = 42", "seed = 42\nwalk_dwell = nan"),
     ("seed = 42", "seed = 42\nreflector_rpm = nan"),
@@ -179,6 +180,12 @@ def test_invalid_config_value_exits_3(tmp_path, minimal_config, edit):
     assert invoke("simulate", "--config", cfg, "--motion", "none", "--defense", "off",
                   "--duration", 2, "--out", tmp_path / "x") == 3
     assert not (tmp_path / "x").exists()
+
+
+def test_simulate_duration_over_memory_exits_3(tmp_path, minimal_config, capsys):
+    assert invoke("simulate", "--config", minimal_config, "--motion", "none", "--defense", "off",
+                  "--duration", 1e12, "--out", tmp_path / "x") == 3
+    assert "duration 1e+12 s needs" in capsys.readouterr().err
 
 
 def test_ingest_trace_without_sample_rate_rejected(tmp_path, capsys):

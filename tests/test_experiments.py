@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,33 @@ def test_reference_and_selection_misspelled_scheduler_keyword():
 def test_run_session_validates_scheduler_with_defense_off():
     with pytest.raises(ValueError, match="hold_prob"):
         ex.run_session(quiet_scenario(), False, None, 2.0, hold_prob=1.0)
+
+
+def test_schedule_rejects_over_100_ticks_per_frame(monkeypatch):
+    monkeypatch.setattr(ir, "step", lambda state: pytest.fail("scheduler stepped"))
+    with pytest.raises(ValueError, match="update_rate must be at most 100 ticks per frame"):
+        ex.run_session(quiet_scenario(), True, None, 2.0, update_rate=1e9)
+    with pytest.raises(ValueError, match="update_rate"):
+        ex._schedule(4, True, np.arange(2) / 70.0, 70.0, ir.SchedulerParams(update_rate=7000.001),
+                     None, np.random.default_rng(0))
+
+
+def test_schedule_accepts_100_ticks_per_frame():
+    configs, cfg_index, _ = ex._schedule(4, True, np.arange(2) / 70.0, 70.0,
+                                         ir.SchedulerParams(update_rate=7000.0, hold_prob=0.0),
+                                         None, np.random.default_rng(0))
+    assert configs.shape == (2, 4) and list(cfg_index) == [0, 1]
+
+
+def test_session_larger_than_memory_rejected_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="duration 1e\\+12 s needs"):
+            ex.run_session(quiet_scenario(), False, None, 1e12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 # --- Trajectory ------------------------------------------------------------

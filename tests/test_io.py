@@ -130,6 +130,7 @@ def test_missing_required_position(tmp_path):
     ("blocking_radius = nan", "experiment.blocking_radius"),
     ("c = nan", "experiment.c"),
     ("reference_s = -5", "experiment.reference_s"),
+    ("[defense]\nupdate_rate = 7001", "defense.update_rate"),
 ])
 def test_invalid_experiment_value_names_key(tmp_path, minimal_config, line, key):
     text = minimal_config.read_text() + line + "\n"

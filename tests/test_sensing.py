@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from obfusense import sensing as sn
 from obfusense.channel import CsiFrame
@@ -138,6 +140,40 @@ def test_sliding_std_matches_brute_force():
         assert np.allclose(sn.sliding_std(x, w), brute, rtol=1e-12)
 
 
+def test_sliding_std_step_matches_per_window_std():
+    # a FLIP-like step of 1e4 noise stds, off the 70-sample block grid
+    rng = np.random.default_rng(15)
+    for step in (2101, 2135, 2169):
+        x = np.where(np.arange(4200) < step, 1.0, 11.0) + 1e-3 * rng.normal(size=4200)
+        want = np.array([np.std(x[i:i + 70]) for i in range(4200 - 70 + 1)])
+        np.testing.assert_allclose(sn.sliding_std(x, 70), want, rtol=1e-12, atol=0)
+
+
+@st.composite
+def step_columns(draw, max_t=150, cols=None):
+    """(x, n_w): piecewise-constant columns plus noise at a random magnitude scale."""
+    t = draw(st.integers(2, max_t))
+    n_w = draw(st.integers(2, t))
+    cols = cols or draw(st.integers(1, 4))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    noise = 10.0 ** -draw(st.integers(1, 4))
+    n_steps = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    levels = rng.uniform(1.0, 10.0, size=(n_steps + 1, cols))
+    edges = np.sort(rng.integers(0, t, size=(n_steps, 1, cols)), axis=0)
+    segment = (np.arange(t)[None, :, None] >= edges).sum(axis=0)  # (t, cols)
+    x = np.take_along_axis(levels, segment, axis=0) + noise * rng.normal(size=(t, cols))
+    return scale * np.abs(x), n_w
+
+
+@given(step_columns())
+def test_sliding_std_property_matches_brute_force(case):
+    x, n_w = case
+    for col in x.T:
+        want = brute_force_observe(col[:, None, None, None], n_w)
+        np.testing.assert_allclose(sn.sliding_std(col, n_w), want, rtol=1e-12, atol=0)
+
+
 # --- observe ---------------------------------------------------------------
 
 def test_observe_static_channel_is_zero():
@@ -173,6 +209,16 @@ def test_observe_matches_brute_force_random():
         n_w = int(rng.integers(2, t + 1))
         obs = sn.observe(frames_from_array(arr), n_w / 70.0, 70.0)
         assert np.allclose(obs.values, brute_force_observe(arr, n_w), rtol=1e-12)
+
+
+@given(st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(1, 2)), st.data())
+def test_observe_property_matches_brute_force(shape, data):
+    x, n_w = data.draw(step_columns(max_t=80, cols=int(np.prod(shape))))
+    phase = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).uniform(
+        0, 2 * np.pi, size=x.shape)
+    arr = (x * np.exp(1j * phase)).reshape(x.shape[0], *shape)
+    obs = sn.observe(arr, n_w / 70.0, 70.0)
+    np.testing.assert_allclose(obs.values, brute_force_observe(arr, n_w), rtol=1e-12, atol=0)
 
 
 def test_observe_subcarrier_selection():
