@@ -79,14 +79,13 @@ def _parse_values(text: str):
 
 def cmd_simulate(args):
     scenario, cfg = _load(args)
-    out = _out_dir(args)
     motion = {"none": None, "walk": cfg.walk, "reflector": cfg.reflector}[args.motion]
     person = cfg.person() if args.motion == "walk" else None
     obs, frames = experiments.run_session(
         scenario, args.defense == "on", motion, args.duration, window_s=cfg.window_s,
         stream=args.stream, person_template=person, keep_frames=True, **cfg.settings())
-    csi = [oio.CsiFrame(t_index=i, values=frames[i]) for i in range(frames.shape[0])]
-    oio.export_trace(csi, out / "trace.csv",
+    out = _out_dir(args)
+    oio.export_trace(frames, out / "trace.csv",
                      oio.TraceHeader(scenario.n_subcarriers, scenario.n_rx, scenario.n_tx,
                                      scenario.sample_rate))
     oio.export_observation(obs, out / "observation.csv")
@@ -96,7 +95,6 @@ def cmd_simulate(args):
 
 
 def cmd_attack(args):
-    out = _out_dir(args)
     reference = oio.load_observation(args.reference)
     motion = oio.load_observation(args.motion)
     report = sensing.attack_report(reference, motion,
@@ -108,6 +106,7 @@ def cmd_attack(args):
         "motion_sha256": _sha256(args.motion),
         "threshold_rule": "max_reference" if args.max_ref else f"median+{args.C}*mad",
     }
+    out = _out_dir(args)
     oio.export_report(report, out / "report.json", provenance)
     _write_manifest(out, args)
     print(f"threshold={report.threshold:.6g} detection_rate={report.detection_rate:.4f} "
@@ -117,7 +116,6 @@ def cmd_attack(args):
 
 def cmd_coverage(args):
     scenario, cfg = _load(args)
-    out = _out_dir(args)
     try:
         nx, ny = oio.parse_grid(args.grid)
     except ValueError as exc:
@@ -129,6 +127,7 @@ def cmd_coverage(args):
         session_s=args.session_s, rpm=cfg.reflector.rpm,
         reflector_gain_db=cfg.reflector.peak_scatter_gain_db, window_s=cfg.window_s,
         n_select=cfg.n_select, jobs=args.jobs, **cfg.settings())
+    out = _out_dir(args)
     with open(out / "coverage.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# schema_version={oio.SCHEMA_VERSION}\n")
         fh.write("x,y,detection_rate,detection_rate_maxref\n")
@@ -165,7 +164,6 @@ def _write_sweep_csv(result, path):
 
 def cmd_sweep(args):
     scenario, cfg = _load(args)
-    out = _out_dir(args)
     values = _parse_values(args.values)
     kwargs = dict(c=cfg.c, window_s=cfg.window_s, session_s=args.duration, **cfg.settings())
     if args.var == "size":
@@ -174,6 +172,7 @@ def cmd_sweep(args):
         result = experiments.sweep_irs_distance(scenario, values, **kwargs)
     else:
         result = experiments.sweep_irs_orientation(scenario, values, **kwargs)
+    out = _out_dir(args)
     _write_sweep_csv(result, out / "sweep.csv")
     _write_manifest(out, args, config_path=args.config, seed=scenario.seed,
                     extra={"sweep_var": result.sweep_var, "cells": len(result.cells)})
@@ -183,12 +182,12 @@ def cmd_sweep(args):
 
 def cmd_paramstudy(args):
     scenario, cfg = _load(args)
-    out = _out_dir(args)
     r_values = [float(v) for v in args.R.split(",")]
     p_values = [float(v) for v in args.P.split(",")]
     cells = experiments.parameter_study(scenario, r_values, p_values, args.duration,
                                         c=cfg.c, window_s=cfg.window_s,
                                         update_rate=cfg.update_rate)
+    out = _out_dir(args)
     with open(out / "paramstudy.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# schema_version={oio.SCHEMA_VERSION}\n")
         fh.write("progression_rate,hold_prob,median,mad,threshold,euclidean_norm,coherence_time_s\n")
@@ -203,12 +202,11 @@ def cmd_paramstudy(args):
 
 
 def cmd_ingest(args):
-    out = _out_dir(args)
-    header = oio.read_trace_header(args.trace)
-    frames = list(oio.ingest_trace(args.trace, header))
-    if not frames:
+    frames, header = oio.ingest_trace(args.trace)
+    if not len(frames):
         raise oio.IngestError(f"{args.trace}: no frames")
     obs = sensing.observe(frames, args.window, header.sample_rate)
+    out = _out_dir(args)
     oio.export_observation(obs, out / "observation.csv")
     _write_manifest(out, args, extra={"trace_sha256": _sha256(args.trace)})
     print(f"wrote {out / 'observation.csv'} ({len(obs)} samples)")

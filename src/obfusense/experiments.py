@@ -293,6 +293,8 @@ def run_session(scenario: Scenario, defense_on: bool, motion, duration_s: float,
     the irs.SchedulerParams keywords, validated even when the defense is off.
     keep_frames also returns the raw frame array.
     """
+    if not (0 < duration_s < math.inf):
+        raise ValueError(f"duration_s must be finite and > 0, got {duration_s!r}")
     params = irsmod.SchedulerParams(**scheduler)
     n_w = sensing.window_samples(window_s, scenario.sample_rate)
     if int(round(duration_s * scenario.sample_rate)) < max(n_w, 2):

@@ -14,11 +14,14 @@ from __future__ import annotations
 import configparser
 import json
 import math
+import re
+import warnings
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
-from .channel import CsiFrame, PersonState, Scenario, _unit, rect_room
+from .channel import PersonState, Scenario, _unit, rect_room
 from .experiments import RotatingReflector, Trajectory, check_update_rate
 from .irs import SchedulerParams
 from .sensing import DetectionReport, ObservationSeries
@@ -256,13 +259,17 @@ class TraceHeader:
     sample_rate: float = 70.0
 
 
-def export_trace(frames, path, header: TraceHeader | None = None):
-    """Write frames as the canonical trace CSV (rows sorted by t, k, rx, tx)."""
-    frames = list(frames)
-    if not frames:
-        raise ValueError("no frames to export")
-    shape = frames[0].values.shape
-    hdr = header or TraceHeader(n_subcarriers=shape[0], n_rx=shape[1], n_tx=shape[2])
+def export_trace(values, path, header: TraceHeader | None = None):
+    """Write a (T, K, n_rx, n_tx) array as the canonical trace CSV: row i is frame t = i,
+    cells in (k, rx, tx) order."""
+    values = np.asarray(values, dtype=complex)
+    if values.ndim != 4 or not values.shape[0]:
+        raise ValueError(f"expected a (T, K, n_rx, n_tx) array with T >= 1, got shape {values.shape}")
+    shape = values.shape[1:]
+    hdr = header or TraceHeader(*shape)
+    if (hdr.n_subcarriers, hdr.n_rx, hdr.n_tx) != shape:
+        raise ValueError(f"header dimensions do not match frame shape {shape}")
+    cells = [f"{k},{rx},{tx}," for k, rx, tx in np.ndindex(shape)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n")
         fh.write(f"# n_subcarriers={hdr.n_subcarriers}\n")
@@ -270,13 +277,9 @@ def export_trace(frames, path, header: TraceHeader | None = None):
         fh.write(f"# n_tx={hdr.n_tx}\n")
         fh.write(f"# sample_rate={repr(float(hdr.sample_rate))}\n")
         fh.write("t,k,rx,tx,re,im\n")
-        for f in frames:
-            v = f.values
-            for k in range(hdr.n_subcarriers):
-                for rx in range(hdr.n_rx):
-                    for tx in range(hdr.n_tx):
-                        z = v[k, rx, tx]
-                        fh.write(f"{f.t_index},{k},{rx},{tx},{repr(float(z.real))},{repr(float(z.imag))}\n")
+        for t, v in enumerate(values.reshape(values.shape[0], -1)):
+            fh.write("".join([f"{t},{c}{real},{imag}\n" for c, real, imag in zip(
+                cells, map(repr, v.real.tolist()), map(repr, v.imag.tolist()))]))
 
 
 def _read_meta_lines(fh):
@@ -303,11 +306,7 @@ def _check_schema(meta: dict, path):
         raise IngestError(f"{path}: schema_version {major} is newer than supported {SCHEMA_VERSION}")
 
 
-def read_trace_header(path) -> TraceHeader:
-    """Dimensions and sample rate from a trace CSV's `# key=value` lines."""
-    with open(path, "r", encoding="utf-8") as fh:
-        meta = _read_meta_lines(fh)
-    _check_schema(meta, path)
+def _header_from_meta(meta: dict, path) -> TraceHeader:
     try:
         return TraceHeader(n_subcarriers=int(meta["n_subcarriers"]), n_rx=int(meta["n_rx"]),
                            n_tx=int(meta["n_tx"]), sample_rate=float(meta["sample_rate"]))
@@ -315,20 +314,81 @@ def read_trace_header(path) -> TraceHeader:
         raise IngestError(f"{path}: missing header key {exc}") from None
 
 
+def read_trace_header(path) -> TraceHeader:
+    """Dimensions and sample rate from a trace CSV's `# key=value` lines."""
+    with open(path, "r", encoding="utf-8") as fh:
+        meta = _read_meta_lines(fh)
+    _check_schema(meta, path)
+    return _header_from_meta(meta, path)
+
+
 def ingest_trace(path, header: TraceHeader | None = None):
-    """Yield CsiFrames from a trace CSV.
+    """Read a trace CSV; returns (values (T, K, n_rx, n_tx), header).
 
     Without `header`, the file's own header is used (see read_trace_header).
     The (t, k, rx, tx) lattice must be complete for every frame and frame
-    indices must not go backwards; row order inside one frame is free.
+    indices must not go backwards; row order inside one frame is free. Row i
+    of values is the i-th frame in the file. Canonical files (export_trace's
+    rows) are parsed in blocks of whole frames; any other file is re-read row
+    by row, which accepts the same files, returns the same values and names
+    the first bad row.
     """
-    header = header or read_trace_header(path)
     with open(path, "r", encoding="utf-8") as fh:
-        _check_schema(_read_meta_lines(fh), path)
+        meta = _read_meta_lines(fh)
+        _check_schema(meta, path)
+        header = header or _header_from_meta(meta, path)
         first = fh.readline().strip()
         if first != "t,k,rx,tx,re,im":
             raise IngestError(f"{path}: expected header row 't,k,rx,tx,re,im', got {first!r}")
-        yield from _frames_from_rows(fh, header, path)
+        shape = (header.n_subcarriers, header.n_rx, header.n_tx)
+        if min(shape) < 1:
+            raise IngestError(f"{path}: header dimensions {shape} must all be >= 1")
+        start = fh.tell()
+        values = _frames_from_blocks(fh, shape)
+        if values is None:
+            fh.seek(start)
+            frames = list(_frames_from_rows(fh, header, path))
+            values = np.stack(frames) if frames else np.zeros((0, *shape), dtype=complex)
+    return values, header
+
+
+# Rows of a canonical block: four unsigned indices and two plain decimal
+# numbers. np.fromstring ignores line ends, so this is what keeps a short row
+# and a long row from re-aligning into two valid ones; possessive quantifiers
+# make a mismatch fail without backtracking.
+_CANONICAL_ROWS = re.compile(
+    r"(?:[0-9]++,[0-9]++,[0-9]++,[0-9]++,[-+.0-9eE]++,[-+.0-9eE]++\n)*+")
+_BLOCK_ROWS = 8192
+
+
+def _frames_from_blocks(fh, shape):
+    """Frames t = 0, 1, ... with cells in canonical order, parsed a block of whole
+    frames at a time; None as soon as a block is not exactly that."""
+    n_cells = math.prod(shape)
+    block_rows = max(1, _BLOCK_ROWS // n_cells) * n_cells
+    lattice = np.indices(shape).reshape(3, -1).T
+    blocks, n_frames = [], 0
+    while text := "".join(islice(fh, block_rows)):
+        if not _CANONICAL_ROWS.fullmatch(text):
+            return None
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.fromstring(text.replace("\n", ","), sep=",")
+        except (ValueError, Warning):
+            return None
+        if rows.size % (6 * n_cells):
+            return None
+        rows = rows.reshape(-1, n_cells, 6)
+        t = np.arange(n_frames, n_frames + rows.shape[0])[:, None]
+        if not ((rows[:, :, 0] == t).all() and (rows[:, :, 1:4] == lattice).all()
+                and np.isfinite(rows[:, :, 4:]).all()):
+            return None
+        block = np.empty(rows.shape[:2], dtype=complex)
+        block.real, block.imag = rows[:, :, 4], rows[:, :, 5]
+        blocks.append(block)
+        n_frames += rows.shape[0]
+    return np.concatenate(blocks or [np.zeros((0, n_cells), dtype=complex)]).reshape(-1, *shape)
 
 
 def _frames_from_rows(fh, header: TraceHeader, path):
@@ -342,7 +402,7 @@ def _frames_from_rows(fh, header: TraceHeader, path):
         if missing.size:
             k, rx, tx = missing[0]
             raise IngestError(f"{path}: frame t={current_t} missing cell (k={k}, rx={rx}, tx={tx})")
-        return CsiFrame(t_index=current_t, values=values)
+        return values
 
     for lineno, line in enumerate(fh, start=1):
         line = line.strip()

@@ -7,6 +7,7 @@ its maximum), and ROC/AUC quantify separability.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,6 +155,8 @@ def _sliding_std_columns(x: np.ndarray, n_w: int) -> np.ndarray:
 
 
 def window_samples(window_s: float, sample_rate: float) -> int:
+    if not (0 < window_s < math.inf):
+        raise ValueError(f"window_s must be finite and > 0, got {window_s!r}")
     return int(round(window_s * sample_rate))
 
 

@@ -50,7 +50,7 @@ def _simulate(tmp: Path, motion: str, defense: str) -> dict:
         rc = cli.main(["simulate", "--config", str(cfg), "--seed", "1", "--motion", motion,
                        "--defense", defense, "--duration", "2", "--out", str(out)])
     assert rc == 0
-    mags = np.abs(np.stack([f.values for f in oio.ingest_trace(out / "trace.csv")]))
+    mags = np.abs(oio.ingest_trace(out / "trace.csv")[0])
     mags = mags.reshape(mags.shape[0], -1)
     return {
         "observation": oio.load_observation(out / "observation.csv").values,

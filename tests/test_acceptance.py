@@ -300,11 +300,10 @@ def test_criterion_13_cli_determinism(tmp_path):
 def test_criterion_14_io_roundtrip(tmp_path):
     scn = oio.default_scenario(seed=4)
     obs, frames = ex.run_session(scn, True, None, 5.0, keep_frames=True)
-    csi = [ch.CsiFrame(t_index=i, values=frames[i]) for i in range(frames.shape[0])]
     path = tmp_path / "trace.csv"
-    oio.export_trace(csi, path, oio.TraceHeader(scn.n_subcarriers, scn.n_rx, scn.n_tx,
-                                                scn.sample_rate))
-    back = list(oio.ingest_trace(path))
+    oio.export_trace(frames, path, oio.TraceHeader(scn.n_subcarriers, scn.n_rx, scn.n_tx,
+                                                   scn.sample_rate))
+    back, _ = oio.ingest_trace(path)
     recomputed = sn.observe(back, obs.window_s, scn.sample_rate)
     exact = np.array_equal(recomputed.values, obs.values)
     announce(14, "io round trip", exact,

@@ -188,10 +188,32 @@ def test_simulate_duration_over_memory_exits_3(tmp_path, minimal_config, capsys)
     assert "duration 1e+12 s needs" in capsys.readouterr().err
 
 
+def test_rejected_simulate_leaves_no_out_dir(tmp_path, minimal_config):
+    assert invoke("simulate", "--config", minimal_config, "--motion", "none", "--defense", "off",
+                  "--duration", 1e12, "--out", tmp_path / "x") == 3
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_simulate_non_finite_duration_named(tmp_path, minimal_config, capsys, value):
+    assert invoke("simulate", "--config", minimal_config, "--motion", "none", "--defense", "off",
+                  "--duration", value, "--out", tmp_path / "x") == 3
+    assert "duration_s must be finite and > 0" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_ingest_non_finite_window_named(tmp_path, capsys, value):
+    trace = tmp_path / "trace.csv"
+    oio.export_trace(np.ones((4, 2, 1, 1), dtype=complex), trace)
+    assert invoke("ingest", "--trace", trace, "--window", value, "--out", tmp_path / "ing") == 3
+    assert "window_s must be finite and > 0" in capsys.readouterr().err
+    assert not (tmp_path / "ing").exists()
+
+
 def test_ingest_trace_without_sample_rate_rejected(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
-    frames = [oio.CsiFrame(t_index=i, values=np.full((2, 1, 1), 1.0 + i, dtype=complex))
-              for i in range(4)]
+    frames = np.stack([np.full((2, 1, 1), 1.0 + i, dtype=complex) for i in range(4)])
     oio.export_trace(frames, trace)
     lines = trace.read_text().splitlines(keepends=True)
     trace.write_text("".join(ln for ln in lines if not ln.startswith("# sample_rate=")))

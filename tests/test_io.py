@@ -1,7 +1,13 @@
 import json
+import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from obfusense import channel as ch
 from obfusense import io as oio
@@ -171,19 +177,17 @@ def test_default_reflector_is_midpoint(minimal_config):
 
 def small_frames(n=3, k=2, rx=1, tx=1, seed=0):
     rng = np.random.default_rng(seed)
-    vals = rng.normal(size=(n, k, rx, tx)) + 1j * rng.normal(size=(n, k, rx, tx))
-    return [ch.CsiFrame(t_index=i, values=vals[i]) for i in range(n)]
+    return rng.normal(size=(n, k, rx, tx)) + 1j * rng.normal(size=(n, k, rx, tx))
 
 
 def test_trace_roundtrip_values(tmp_path):
     frames = small_frames()
     path = tmp_path / "trace.csv"
     oio.export_trace(frames, path)
-    back = list(oio.ingest_trace(path))
+    back, _ = oio.ingest_trace(path)
     assert len(back) == len(frames)
-    for a, b in zip(frames, back):
-        assert a.t_index == b.t_index
-        assert np.array_equal(a.values, b.values)
+    for i, b in enumerate(back):  # row i of the ingested array is frame t = i
+        assert np.array_equal(frames[i], b)
 
 
 def test_trace_reexport_byte_identical(tmp_path):
@@ -191,7 +195,7 @@ def test_trace_reexport_byte_identical(tmp_path):
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
     oio.export_trace(frames, p1)
-    oio.export_trace(list(oio.ingest_trace(p1)), p2)
+    oio.export_trace(oio.ingest_trace(p1)[0], p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -204,9 +208,9 @@ def test_trace_shuffled_rows_within_frame(tmp_path):
     per_frame = len(rows) // 2
     shuffled = rows[:per_frame][::-1] + rows[per_frame:][::-1]
     path.write_text("\n".join(head + shuffled) + "\n")
-    back = list(oio.ingest_trace(path))
+    back, _ = oio.ingest_trace(path)
     for a, b in zip(frames, back):
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
 
 def test_trace_missing_cell_names_gap(tmp_path):
@@ -217,7 +221,7 @@ def test_trace_missing_cell_names_gap(tmp_path):
     dropped = [ln for ln in lines if not ln.startswith("1,1,0,0")]
     path.write_text("\n".join(dropped) + "\n")
     with pytest.raises(oio.IngestError, match=r"t=1 missing cell \(k=1"):
-        list(oio.ingest_trace(path))
+        oio.ingest_trace(path)
 
 
 def test_trace_nonmonotone_t_rejected(tmp_path):
@@ -228,7 +232,7 @@ def test_trace_nonmonotone_t_rejected(tmp_path):
     lines[6:] = lines[6:][::-1]  # frames now descend in t
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(oio.IngestError, match="backwards"):
-        list(oio.ingest_trace(path))
+        oio.ingest_trace(path)
 
 
 def test_trace_duplicate_cell_rejected(tmp_path):
@@ -238,7 +242,7 @@ def test_trace_duplicate_cell_rejected(tmp_path):
     with open(path, "a") as fh:
         fh.write("0,0,0,0,1.0,2.0\n")
     with pytest.raises(oio.IngestError, match="duplicate"):
-        list(oio.ingest_trace(path))
+        oio.ingest_trace(path)
 
 
 def test_trace_newer_schema_rejected(tmp_path):
@@ -248,7 +252,7 @@ def test_trace_newer_schema_rejected(tmp_path):
     text = path.read_text().replace("schema_version=1", "schema_version=2")
     path.write_text(text)
     with pytest.raises(oio.IngestError, match="newer"):
-        list(oio.ingest_trace(path))
+        oio.ingest_trace(path)
 
 
 def test_trace_header_override(tmp_path):
@@ -256,7 +260,7 @@ def test_trace_header_override(tmp_path):
     path = tmp_path / "trace.csv"
     oio.export_trace(frames, path)
     hdr = oio.TraceHeader(n_subcarriers=2, n_rx=1, n_tx=1, sample_rate=50.0)
-    back = list(oio.ingest_trace(path, header=hdr))
+    back, _ = oio.ingest_trace(path, header=hdr)
     assert len(back) == 2
 
 
@@ -268,7 +272,7 @@ def test_trace_missing_sample_rate_named(tmp_path):
     with pytest.raises(oio.IngestError, match="missing header key 'sample_rate'"):
         oio.read_trace_header(path)
     with pytest.raises(oio.IngestError, match="sample_rate"):
-        list(oio.ingest_trace(path))
+        oio.ingest_trace(path)
 
 
 @pytest.mark.parametrize("row, message", [
@@ -284,7 +288,143 @@ def test_trace_bad_row_named(tmp_path, row, message):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:6] + [row]) + "\n")
     with pytest.raises(oio.IngestError, match=message):
-        list(oio.ingest_trace(path))
+        oio.ingest_trace(path)
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
+                1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308]
+
+
+@given(shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 3),
+                       st.integers(1, 3)),
+       data=st.data())
+def test_trace_roundtrip_property(shape, data):
+    n = 2 * math.prod(shape)
+    flat = data.draw(st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS),
+                                        st.floats(allow_nan=False, allow_infinity=False)),
+                              min_size=n, max_size=n))
+    values = np.empty(shape, dtype=complex)
+    values.real = np.reshape(flat[:n // 2], shape)
+    values.imag = np.reshape(flat[n // 2:], shape)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(oio, "_frames_from_rows", side_effect=AssertionError("fell back")):
+        p1, p2 = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+        oio.export_trace(values, p1)
+        back, header = oio.ingest_trace(p1)
+        assert back.shape == values.shape
+        assert back.tobytes() == values.tobytes()  # bit-identical, signed zeros included
+        oio.export_trace(back, p2, header)
+        assert p1.read_bytes() == p2.read_bytes()
+
+
+# 455 * 2 * 3 = 2730 cells per frame, so a block holds 3 frames (8190 rows) and
+# the 4-frame trace crosses one block seam, between rows 8189 and 8190.
+LONG_SHAPE, SEAM = (4, 455, 2, 3), 8190
+
+
+def _trace_rows(tmp_path, shape):
+    path = tmp_path / "trace.csv"
+    oio.export_trace(small_frames(*shape, seed=9), path)
+    lines = path.read_text().splitlines()
+    return path, lines[:6], lines[6:]
+
+
+def _set_field(row, i, text):
+    fields = row.split(",")
+    fields[i] = text
+    return ",".join(fields)
+
+
+def _split_5_7(rows, i):
+    fields = (rows[i] + "," + rows[i + 1]).split(",")
+    return rows[:i] + [",".join(fields[:5]), ",".join(fields[5:])] + rows[i + 2:]
+
+
+def _relabel_frame(rows, first, n_cells, t):
+    return rows[:first] + [_set_field(r, 0, str(t)) for r in rows[first:first + n_cells]] \
+        + rows[first + n_cells:]
+
+
+def _swap(rows, i):
+    rows = list(rows)
+    rows[i], rows[i + 1] = rows[i + 1], rows[i]
+    return rows
+
+
+MUTATIONS = {
+    "drop row": lambda rows, i: rows[:i] + rows[i + 1:],
+    "duplicate row": lambda rows, i: rows[:i + 1] + rows[i:],
+    "split into 5 + 7 fields": _split_5_7,
+    "index 1.0": lambda rows, i: rows[:i] + [_set_field(rows[i], 0, "1.0")] + rows[i + 1:],
+    "index 1e0": lambda rows, i: rows[:i] + [_set_field(rows[i], 2, "1e0")] + rows[i + 1:],
+    "index +1": lambda rows, i: rows[:i] + [_set_field(rows[i], 0, "+" + rows[i].split(",")[0])]
+    + rows[i + 1:],
+    "trailing comma": lambda rows, i: rows[:i] + [rows[i] + ","] + rows[i + 1:],
+    "blank line": lambda rows, i: rows[:i] + [""] + rows[i:],
+    "nan value": lambda rows, i: rows[:i] + [_set_field(rows[i], 4, "nan")] + rows[i + 1:],
+    "inf value": lambda rows, i: rows[:i] + [_set_field(rows[i], 5, "inf")] + rows[i + 1:],
+    "overflowing value": lambda rows, i: rows[:i] + [_set_field(rows[i], 5, "-1e999")]
+    + rows[i + 1:],
+    "hex value": lambda rows, i: rows[:i] + [_set_field(rows[i], 4, "0x1p3")] + rows[i + 1:],
+    "long decimal value": lambda rows, i: rows[:i]
+    + [_set_field(rows[i], 4, "0.1000000000000000055511151231257827021181583404541015625e1")]
+    + rows[i + 1:],
+    "swap rows in frame": lambda rows, i: _swap(rows, i - 2),
+}
+
+
+def _per_row(path):
+    """Reference result: today's row parser on the whole file."""
+    header = oio.read_trace_header(path)
+    with open(path, encoding="utf-8") as fh:
+        oio._read_meta_lines(fh)
+        fh.readline()
+        return np.stack(list(oio._frames_from_rows(fh, header, path)))
+
+
+def _outcome(read, path):
+    try:
+        values = read(path)
+    except oio.IngestError as exc:
+        return "error", str(exc)
+    return "values", values.shape, values.tobytes()
+
+
+def _assert_same_as_rows(path):
+    assert _outcome(lambda p: oio.ingest_trace(p)[0], path) == _outcome(_per_row, path)
+
+
+@pytest.mark.parametrize("name", MUTATIONS)
+@pytest.mark.parametrize("shape, row", [((3, 2, 2, 1), 6), (LONG_SHAPE, SEAM - 1),
+                                        (LONG_SHAPE, SEAM)])
+def test_ingest_matches_row_parser_under_mutation(tmp_path, name, shape, row):
+    path, head, rows = _trace_rows(tmp_path, shape)
+    path.write_text("\n".join(head + MUTATIONS[name](rows, row)) + "\n")
+    _assert_same_as_rows(path)
+
+
+@pytest.mark.parametrize("t", [1, 4, 2])  # backwards, a gap, a repeated t
+def test_ingest_matches_row_parser_on_relabelled_frame(tmp_path, t):
+    path, head, rows = _trace_rows(tmp_path, LONG_SHAPE)
+    n_cells = math.prod(LONG_SHAPE[1:])
+    path.write_text("\n".join(head + _relabel_frame(rows, 3 * n_cells, n_cells, t)) + "\n")
+    _assert_same_as_rows(path)
+
+
+def test_ingest_without_final_newline_matches_row_parser(tmp_path):
+    path, head, rows = _trace_rows(tmp_path, (3, 2, 2, 1))
+    path.write_text("\n".join(head + rows))
+    _assert_same_as_rows(path)
+
+
+def test_ingest_canonical_trace_skips_row_parser(tmp_path, monkeypatch):
+    frames = small_frames(*LONG_SHAPE, seed=9)
+    path = tmp_path / "trace.csv"
+    oio.export_trace(frames, path)
+    monkeypatch.setattr(oio, "_frames_from_rows",
+                        lambda *args: pytest.fail("fell back to the row parser"))
+    back, _ = oio.ingest_trace(path)
+    assert back.tobytes() == frames.tobytes()
 
 
 # --- observation CSV -------------------------------------------------------
