@@ -8,7 +8,7 @@ Frames are MIMO-OFDM channel estimates with calibrated additive noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -19,9 +19,6 @@ LOS = "los"
 WALL = "wall"
 IRS = "irs"
 SCATTER = "scatter"
-
-# Sub-stream tag for per-frame noise generators (see frame_noise_rng).
-_NOISE_TAG = 0x0E
 
 
 class ScenarioError(ValueError):
@@ -149,47 +146,55 @@ class PersonState:
 
 
 @dataclass
-class Path:
-    """One propagation route with its frequency-dependent complex gain.
+class Paths:
+    """Propagation paths as arrays, one row per path.
 
-    Its gain at frequency f is
-    amp_coeff * (c/f)**lambda_exp * exp(-2j*pi*f*length/c), so amp_coeff
-    carries every frequency-independent factor (reflection loss, obliquity
-    cosines, product path-loss denominator, scatter scaling).
+    Path p's gain at frequency f is
+    amp[p] * (c/f)**lambda_exp[p] * exp(-2j*pi*f*length[p]/c), so amp carries
+    every frequency-independent factor (reflection loss, obliquity cosines,
+    product path-loss denominator, scatter scaling). dep and arr are the unit
+    directions of the route's first and last segments. The route of path p is
+    the segments seg_a[i] -> seg_b[i] from seg_start[p] up to the next path's
+    start: one segment for LOS, two for every bounce.
     """
 
-    kind: str
-    segment_points: np.ndarray  # (n, 2) route vertices, anchor first, eve last
-    length: float
-    amp_coeff: complex
-    lambda_exp: int
-    base_gain: complex = 0.0 + 0.0j  # gain evaluated at the carrier frequency
-    blocked_atten: float = 1.0
-    element: int | None = None
-
-
-class PathSet:
-    """Ordered collection of propagation paths."""
-
-    def __init__(self, paths):
-        self.paths = list(paths)
+    kind: np.ndarray        # (P,) LOS, WALL, IRS or SCATTER
+    length: np.ndarray      # (P,)
+    amp: np.ndarray         # (P,) complex
+    lambda_exp: np.ndarray  # (P,)
+    dep: np.ndarray         # (P, 2)
+    arr: np.ndarray         # (P, 2)
+    seg_a: np.ndarray       # (S, 2)
+    seg_b: np.ndarray       # (S, 2)
+    seg_start: np.ndarray   # (P,)
 
     def __len__(self):
-        return len(self.paths)
-
-    def __iter__(self):
-        return iter(self.paths)
-
-    def __getitem__(self, i):
-        return self.paths[i]
+        return self.length.shape[0]
 
 
-@dataclass
-class CsiFrame:
-    """One channel estimate: complex values indexed (subcarrier, rx, tx)."""
+def _units(v) -> np.ndarray:
+    n = np.hypot(v[:, 0], v[:, 1])
+    if np.any(n < 1e-12):
+        raise ScenarioError("zero-length direction vector")
+    return v / n[:, None]
 
-    t_index: int
-    values: np.ndarray
+
+def _routes(kind: str, length, amp, lambda_exp: int, points) -> Paths:
+    """Paths along routes of equal vertex count, points (P, n, 2), anchor first."""
+    p, n = points.shape[:2]
+    return Paths(kind=np.full(p, kind), length=np.asarray(length, dtype=float),
+                 amp=np.asarray(amp, dtype=complex), lambda_exp=np.full(p, lambda_exp),
+                 dep=_units(points[:, 1] - points[:, 0]), arr=_units(points[:, -1] - points[:, -2]),
+                 seg_a=points[:, :-1].reshape(-1, 2), seg_b=points[:, 1:].reshape(-1, 2),
+                 seg_start=np.arange(p) * (n - 1))
+
+
+def _join(first: Paths, second: Paths) -> Paths:
+    """The rows of first, then those of second."""
+    parts = {f.name: np.concatenate([getattr(first, f.name), getattr(second, f.name)])
+             for f in fields(Paths)}
+    parts["seg_start"][len(first):] += len(first.seg_a)
+    return Paths(**parts)
 
 
 @dataclass
@@ -208,7 +213,10 @@ class IrsLayout:
 
 
 def grid_layout(scenario: Scenario) -> IrsLayout:
-    """Element layout for the scenario's panel grid, centered on irs_pos."""
+    """Element layout for the scenario's panel grid, centered on irs_pos.
+
+    Element m = i * nx + j sits in row i and column j of the grid.
+    """
     if scenario.irs_pos is None:
         raise ScenarioError("scenario has no reflecting surface")
     nx, ny = scenario.irs_grid
@@ -216,208 +224,137 @@ def grid_layout(scenario: Scenario) -> IrsLayout:
     tangent = _perp(_unit(scenario.irs_normal))
     u = ((np.arange(nx) + 0.5) / nx - 0.5) * width
     v = ((np.arange(ny) + 0.5) / ny - 0.5) * height
-    pos = np.empty((nx * ny, 2))
-    hgt = np.empty(nx * ny)
     center = np.asarray(scenario.irs_pos, dtype=float)
-    for i in range(ny):
-        for j in range(nx):
-            m = i * nx + j
-            pos[m] = center + u[j] * tangent
-            hgt[m] = v[i]
-    return IrsLayout(positions=pos, heights=hgt)
+    return IrsLayout(positions=center + np.tile(u, ny)[:, None] * tangent,
+                     heights=np.repeat(v, nx))
 
 
 # ---------------------------------------------------------------------------
-# 2D segment geometry
+# 2D segment geometry, each function over an array of walls a -> b (W, 2)
 
 _EPS = 1e-9
 
 
-def _orient(a, b, c) -> float:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+def _orient(a, b, c) -> np.ndarray:
+    return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+            - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
 
 
-def _on_segment(a, b, c) -> bool:
-    return (min(a[0], b[0]) - _EPS <= c[0] <= max(a[0], b[0]) + _EPS
-            and min(a[1], b[1]) - _EPS <= c[1] <= max(a[1], b[1]) + _EPS)
+def _on_segment(a, b, c) -> np.ndarray:
+    lo, hi = np.minimum(a, b) - _EPS, np.maximum(a, b) + _EPS
+    return np.all((lo <= c) & (c <= hi), axis=-1)
 
 
-def _segments_intersect(p1, p2, q1, q2) -> bool:
-    d1 = _orient(q1, q2, p1)
-    d2 = _orient(q1, q2, p2)
-    d3 = _orient(p1, p2, q1)
-    d4 = _orient(p1, p2, q2)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
-        return True
-    scale = max(abs(p2[0] - p1[0]), abs(p2[1] - p1[1]), abs(q2[0] - q1[0]), abs(q2[1] - q1[1]), 1.0)
-    tol = _EPS * scale
-    if abs(d1) <= tol and _on_segment(q1, q2, p1):
-        return True
-    if abs(d2) <= tol and _on_segment(q1, q2, p2):
-        return True
-    if abs(d3) <= tol and _on_segment(p1, p2, q1):
-        return True
-    if abs(d4) <= tol and _on_segment(p1, p2, q2):
-        return True
-    return False
+def _crossed(p1, p2, a, b) -> np.ndarray:
+    """Whether the segment p1 -> p2 touches each wall."""
+    d1 = _orient(a, b, p1)
+    d2 = _orient(a, b, p2)
+    d3 = _orient(p1, p2, a)
+    d4 = _orient(p1, p2, b)
+    proper = (((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+              & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0))
+    tol = _EPS * np.maximum(np.abs(p2 - p1).max(), np.maximum(np.abs(b - a).max(axis=1), 1.0))
+    return (proper | ((np.abs(d1) <= tol) & _on_segment(a, b, p1))
+            | ((np.abs(d2) <= tol) & _on_segment(a, b, p2))
+            | ((np.abs(d3) <= tol) & _on_segment(p1, p2, a))
+            | ((np.abs(d4) <= tol) & _on_segment(p1, p2, b)))
 
 
-def _mirror(p, a, b) -> np.ndarray:
-    d = _unit(np.asarray(b) - np.asarray(a))
-    ap = np.asarray(p, dtype=float) - np.asarray(a, dtype=float)
-    along = np.dot(ap, d) * d
-    return np.asarray(a, dtype=float) + along - (ap - along)
-
-
-def _reflection_point(anchor, eve, a, b):
-    """Specular bounce point of anchor->wall->eve, or None if geometry invalid."""
+def _reflection_points(anchor, eve, a, b):
+    """Specular bounce points of anchor -> wall -> eve (W, 2), and a mask (W,)
+    of the walls whose bounce lies strictly inside them, both ends on one side."""
     s1 = _orient(a, b, anchor)
     s2 = _orient(a, b, eve)
-    if abs(s1) < _EPS or abs(s2) < _EPS or (s1 > 0) != (s2 > 0):
-        return None
-    img = _mirror(anchor, a, b)
-    r = np.asarray(eve, dtype=float) - img
-    s = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
-    denom = r[0] * s[1] - r[1] * s[0]
-    if abs(denom) < _EPS:
-        return None
-    w = np.asarray(a, dtype=float) - img
-    t = (w[0] * s[1] - w[1] * s[0]) / denom
-    u = (w[0] * r[1] - w[1] * r[0]) / denom
-    if not (_EPS < t < 1.0 - _EPS and _EPS < u < 1.0 - _EPS):
-        return None
-    return img + t * r
+    s = b - a
+    with np.errstate(divide="ignore", invalid="ignore"):  # masked walls may divide by 0
+        d = s / np.hypot(s[:, 0], s[:, 1])[:, None]
+        ap = anchor - a
+        along = np.vecdot(ap, d)[:, None] * d
+        img = a + along - (ap - along)  # anchor mirrored in the wall line
+        r = eve - img
+        denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
+        w = a - img
+        t = (w[:, 0] * s[:, 1] - w[:, 1] * s[:, 0]) / denom
+        u = (w[:, 0] * r[:, 1] - w[:, 1] * r[:, 0]) / denom
+        ok = ((np.abs(s1) >= _EPS) & (np.abs(s2) >= _EPS) & ((s1 > 0) == (s2 > 0))
+              & (np.abs(denom) >= _EPS)
+              & (_EPS < t) & (t < 1.0 - _EPS) & (_EPS < u) & (u < 1.0 - _EPS))
+        return img + t[:, None] * r, ok
 
 
 # ---------------------------------------------------------------------------
 # Path construction
 
-def build_static_paths(scenario: Scenario) -> PathSet:
+def _endpoints(scenario: Scenario):
+    return np.asarray(scenario.anchor_pos, dtype=float), np.asarray(scenario.eve_pos, dtype=float)
+
+
+def _bounces(anchor, eve, points) -> np.ndarray:
+    """Routes anchor -> points[p] -> eve as vertex arrays (P, 3, 2)."""
+    return np.stack(np.broadcast_arrays(anchor, points, eve), axis=1)
+
+
+def build_static_paths(scenario: Scenario) -> Paths:
     """LOS (when unobstructed) plus one first-order bounce per wall segment."""
-    anchor = np.asarray(scenario.anchor_pos, dtype=float)
-    eve = np.asarray(scenario.eve_pos, dtype=float)
+    anchor, eve = _endpoints(scenario)
     if np.hypot(*(anchor - eve)) < 1e-9:
         raise ScenarioError("anchor and eavesdropper positions coincide")
-    fc = scenario.carrier_freq
-    lam = scenario.wavelength
-    paths = []
+    walls = np.asarray(scenario.room, dtype=float).reshape(-1, 2, 2)
+    a, b = walls[:, 0], walls[:, 1]
+    los = np.array([[anchor, eve]])[[not _crossed(anchor, eve, a, b).any()]]
+    d = np.hypot(*(los[:, 1] - los[:, 0]).T)
+    los = _routes(LOS, d, 1.0 / (4.0 * np.pi * d), 1, los)
 
-    blocked = any(_segments_intersect(anchor, eve, np.asarray(w[0], float), np.asarray(w[1], float))
-                  for w in scenario.room)
-    if not blocked:
-        d = float(np.hypot(*(eve - anchor)))
-        amp = 1.0 / (4.0 * np.pi * d)
-        paths.append(Path(
-            kind=LOS,
-            segment_points=np.array([anchor, eve]),
-            length=d,
-            amp_coeff=complex(amp),
-            lambda_exp=1,
-            base_gain=complex(amp) * lam * np.exp(-2j * np.pi * fc * d / C_LIGHT),
-        ))
-
+    pts, ok = _reflection_points(anchor, eve, a, b)
+    pts = pts[ok]
+    to_pt, to_eve = pts - anchor, eve - pts
+    d = np.hypot(to_pt[:, 0], to_pt[:, 1]) + np.hypot(to_eve[:, 0], to_eve[:, 1])
     gamma = 10.0 ** (-scenario.wall_reflection_loss_db / 20.0)
-    for a, b in scenario.room:
-        pt = _reflection_point(anchor, eve, np.asarray(a, float), np.asarray(b, float))
-        if pt is None:
-            continue
-        d = float(np.hypot(*(pt - anchor)) + np.hypot(*(eve - pt)))
-        amp = gamma / (4.0 * np.pi * d)
-        paths.append(Path(
-            kind=WALL,
-            segment_points=np.array([anchor, pt, eve]),
-            length=d,
-            amp_coeff=complex(amp),
-            lambda_exp=1,
-            base_gain=complex(amp) * lam * np.exp(-2j * np.pi * fc * d / C_LIGHT),
-        ))
-    return PathSet(paths)
+    return _join(los, _routes(WALL, d, gamma / (4.0 * np.pi * d), 1, _bounces(anchor, eve, pts)))
 
 
-def build_irs_paths(scenario: Scenario, irs_layout: IrsLayout) -> PathSet:
-    """One element path per surface element, anchor -> element -> eve.
+def build_irs_paths(scenario: Scenario, irs_layout: IrsLayout) -> Paths:
+    """One element path per surface element, anchor -> element -> eve; row m is element m.
 
     Gain is the product path loss lambda^2 / ((4 pi)^2 d1 d2) with cosine
     obliquity factors for incidence and departure; elements facing away from
     an endpoint keep their path with zero gain.
     """
-    anchor = np.asarray(scenario.anchor_pos, dtype=float)
-    eve = np.asarray(scenario.eve_pos, dtype=float)
+    anchor, eve = _endpoints(scenario)
     normal = np.asarray(scenario.irs_normal, dtype=float)
-    fc = scenario.carrier_freq
-    lam = scenario.wavelength
-    paths = []
-    for m in range(len(irs_layout)):
-        elem = irs_layout.positions[m]
-        h = float(irs_layout.heights[m])
-        v1 = anchor - elem
-        v2 = eve - elem
-        d1 = float(math.sqrt(v1[0] ** 2 + v1[1] ** 2 + h * h))
-        d2 = float(math.sqrt(v2[0] ** 2 + v2[1] ** 2 + h * h))
-        if d1 < 1e-9 or d2 < 1e-9:
-            raise ScenarioError("surface element coincides with an endpoint")
-        cos1 = max(0.0, float(np.dot(normal, v1)) / d1)
-        cos2 = max(0.0, float(np.dot(normal, v2)) / d2)
-        length = d1 + d2
-        amp = cos1 * cos2 / ((4.0 * np.pi) ** 2 * d1 * d2)
-        paths.append(Path(
-            kind=IRS,
-            segment_points=np.array([anchor, elem, eve]),
-            length=length,
-            amp_coeff=complex(amp),
-            lambda_exp=2,
-            base_gain=complex(amp) * lam ** 2 * np.exp(-2j * np.pi * fc * length / C_LIGHT),
-            element=m,
-        ))
-    return PathSet(paths)
+    elem = irs_layout.positions
+    hh = irs_layout.heights * irs_layout.heights
+    v1 = anchor - elem
+    v2 = eve - elem
+    d1 = np.sqrt(v1[:, 0] ** 2 + v1[:, 1] ** 2 + hh)
+    d2 = np.sqrt(v2[:, 0] ** 2 + v2[:, 1] ** 2 + hh)
+    if np.any(d1 < 1e-9) or np.any(d2 < 1e-9):
+        raise ScenarioError("surface element coincides with an endpoint")
+    # vecdot rounds as np.dot of one element's vectors does; @, einsum and
+    # (v * n).sum(1) differ in the last bit, which moves every trace byte
+    cos1 = np.maximum(0.0, np.vecdot(v1, normal) / d1)
+    cos2 = np.maximum(0.0, np.vecdot(v2, normal) / d2)
+    amp = cos1 * cos2 / ((4.0 * np.pi) ** 2 * d1 * d2)
+    return _routes(IRS, d1 + d2, amp, 2, _bounces(anchor, eve, elem))
 
 
-def scatter_path(scenario: Scenario, position, gain_factor: complex) -> Path:
-    """Single-bounce scatter route anchor -> position -> eve.
+def scatter_paths(scenario: Scenario, positions, gains) -> Paths:
+    """Single-bounce scatter routes anchor -> position -> eve, one per row of
+    positions (T, 2).
 
-    `gain_factor` scales the product path loss; it may be complex (used for
-    modulated reflectors).
+    `gains` (scalar or (T,)) scale the product path loss; they may be complex
+    (used for modulated reflectors).
     """
-    anchor = np.asarray(scenario.anchor_pos, dtype=float)
-    eve = np.asarray(scenario.eve_pos, dtype=float)
-    p = np.asarray(position, dtype=float)
-    d1 = float(np.hypot(*(p - anchor)))
-    d2 = float(np.hypot(*(eve - p)))
-    if d1 < 1e-9 or d2 < 1e-9:
+    anchor, eve = _endpoints(scenario)
+    positions = np.asarray(positions, dtype=float)
+    to_p = positions - anchor
+    to_eve = eve - positions
+    d1 = np.hypot(to_p[:, 0], to_p[:, 1])
+    d2 = np.hypot(to_eve[:, 0], to_eve[:, 1])
+    if np.any(d1 < 1e-9) or np.any(d2 < 1e-9):
         raise ScenarioError("scatter point coincides with an endpoint")
-    length = d1 + d2
-    amp = complex(gain_factor) / ((4.0 * np.pi) ** 2 * d1 * d2)
-    return Path(
-        kind=SCATTER,
-        segment_points=np.array([anchor, p, eve]),
-        length=length,
-        amp_coeff=amp,
-        lambda_exp=2,
-        base_gain=amp * scenario.wavelength ** 2
-        * np.exp(-2j * np.pi * scenario.carrier_freq * length / C_LIGHT),
-    )
-
-
-def _blocking_atten(path: Path, person: PersonState) -> float:
-    pts = path.segment_points
-    dmin = point_segment_distances(np.array([person.position], dtype=float), pts[:-1], pts[1:]).min()
-    if dmin >= person.blocking_radius:
-        return 1.0
-    s = 1.0 - dmin / person.blocking_radius
-    return 10.0 ** (-person.blocking_depth_db * s / 20.0)
-
-
-def apply_motion(paths: PathSet, person: PersonState | None, scenario: Scenario) -> PathSet:
-    """Attenuate paths blocked by the person and append their scatter path.
-
-    Attenuation ramps linearly inside the blocking radius, reaching the full
-    blocking depth on the route itself.
-    """
-    if person is None or not person.present:
-        return PathSet([replace(p, blocked_atten=1.0) for p in paths])
-    out = [replace(p, blocked_atten=_blocking_atten(p, person)) for p in paths]
-    out.append(scatter_path(scenario, person.position, 10.0 ** (person.scatter_gain_db / 20.0)))
-    return PathSet(out)
+    amp = np.asarray(gains, dtype=complex) / ((4.0 * np.pi) ** 2 * d1 * d2)
+    return _routes(SCATTER, d1 + d2, amp, 2, _bounces(anchor, eve, positions))
 
 
 # ---------------------------------------------------------------------------
@@ -431,20 +368,8 @@ def _antenna_projections(scenario: Scenario):
     return axis, otx, orx
 
 
-def _path_tensors(paths, scenario: Scenario) -> np.ndarray:
-    """Per-path response tensor G[p, k, rx, tx] before weights/attenuation."""
-    routes = [p.segment_points for p in paths]
-    return _tensors(np.array([p.length for p in paths]),
-                    np.array([p.amp_coeff for p in paths], dtype=complex),
-                    np.array([p.lambda_exp for p in paths]),
-                    np.array([_unit(r[1] - r[0]) for r in routes]).reshape(-1, 2),
-                    np.array([_unit(r[-1] - r[-2]) for r in routes]).reshape(-1, 2), scenario)
-
-
-def _tensors(lengths, amps, lexp, dep, arr, scenario: Scenario) -> np.ndarray:
-    """Response tensors G[p, k, rx, tx] from per-path arrays: route length,
-    frequency-independent complex amplitude, wavelength exponent, and unit
-    departure and arrival directions (P, 2).
+def _tensors(paths: Paths, scenario: Scenario) -> np.ndarray:
+    """Per-path response tensors G[p, k, rx, tx] before weights and attenuation.
 
     Antenna offsets perturb each path's length through far-field projection
     onto the departure and arrival directions.
@@ -452,30 +377,22 @@ def _tensors(lengths, amps, lexp, dep, arr, scenario: Scenario) -> np.ndarray:
     freqs = scenario.subcarrier_freqs()
     lam = C_LIGHT / freqs
     axis, otx, orx = _antenna_projections(scenario)
-    proj_dep = dep @ axis
-    proj_arr = arr @ axis
+    proj_dep = paths.dep @ axis
+    proj_arr = paths.arr @ axis
 
     # effective length per (path, rx, tx)
-    d = (lengths[:, None, None]
+    d = (paths.length[:, None, None]
          + proj_arr[:, None, None] * orx[None, :, None]
          - proj_dep[:, None, None] * otx[None, None, :])
     phase = np.exp(-2j * np.pi / C_LIGHT * freqs[None, :, None, None] * d[:, None, :, :])
-    ampk = amps[:, None] * np.where(lexp[:, None] == 1, lam[None, :], lam[None, :] ** 2)
+    ampk = paths.amp[:, None] * np.where(paths.lambda_exp[:, None] == 1, lam[None, :],
+                                         lam[None, :] ** 2)
     return ampk[:, :, None, None] * phase
 
 
 def _scatter_tensors(scenario: Scenario, positions) -> np.ndarray:
-    """Unit-gain scatter responses (T, K, n_rx, n_tx) for bounces at positions
-    (T, 2): _path_tensors of scatter_path(scenario, position, 1.0) for each."""
-    to_p = positions - np.asarray(scenario.anchor_pos, dtype=float)
-    to_eve = np.asarray(scenario.eve_pos, dtype=float) - positions
-    d1 = np.hypot(to_p[:, 0], to_p[:, 1])
-    d2 = np.hypot(to_eve[:, 0], to_eve[:, 1])
-    if np.any(d1 < 1e-9) or np.any(d2 < 1e-9):
-        raise ScenarioError("scatter point coincides with an endpoint")
-    amps = (1.0 / ((4.0 * np.pi) ** 2 * d1 * d2)).astype(complex)
-    return _tensors(d1 + d2, amps, np.full(len(d1), 2), to_p / d1[:, None],
-                    to_eve / d2[:, None], scenario)
+    """Unit-gain scatter responses (T, K, n_rx, n_tx) for bounces at positions (T, 2)."""
+    return _tensors(scatter_paths(scenario, positions, 1.0), scenario)
 
 
 def point_segment_distances(points, seg_a, seg_b) -> np.ndarray:
@@ -489,17 +406,6 @@ def point_segment_distances(points, seg_a, seg_b) -> np.ndarray:
                     points[:, 1:] - (seg_a[:, 1] + t * ab[:, 1]))
 
 
-def _sum_response(paths, weights, scenario: Scenario) -> np.ndarray:
-    g = _path_tensors(paths, scenario)
-    w = np.asarray(weights, dtype=complex)
-    return np.tensordot(w, g, axes=(0, 0))
-
-
-def frame_noise_rng(seed: int, t_index: int) -> np.random.Generator:
-    """Canonical per-frame noise generator; keyed so frames replay exactly."""
-    return np.random.default_rng((seed, _NOISE_TAG, t_index))
-
-
 def noise_std(scenario: Scenario, h_env: np.ndarray) -> float:
     """Per-entry complex noise std calibrated on h_env, the noiseless
     unblocked, surface-off frame (K, n_rx, n_tx)."""
@@ -509,79 +415,32 @@ def noise_std(scenario: Scenario, h_env: np.ndarray) -> float:
     return math.sqrt(p_sig * 10.0 ** (-scenario.snr_db / 10.0))
 
 
-def channel_response(static_paths: PathSet, irs_paths: PathSet, irs_config, person,
-                     scenario: Scenario, t_index: int) -> CsiFrame:
-    """One noisy MIMO-OFDM frame for the given environment and surface state.
-
-    irs_config maps bits {0,1} to reflection coefficients {-1,+1}; None turns
-    the surface contribution off (zero coefficients). The noise stream is
-    derived from (scenario.seed, t_index), so a frame regenerates bit-identically.
-    """
-    from .irs import map_config  # local import to avoid a module cycle
-
-    irs_list = list(irs_paths) if irs_paths is not None else []
-    n_elem = sum(1 for p in irs_list if p.kind == IRS)
-    if irs_config is not None and len(irs_config.bits) != n_elem:
-        raise ValueError(
-            f"surface config length {len(irs_config.bits)} does not match {n_elem} element paths")
-
-    moved = apply_motion(PathSet(list(static_paths) + irs_list), person, scenario)
-    coeffs = map_config(irs_config) if irs_config is not None else None
-    weights = np.empty(len(moved), dtype=complex)
-    for i, p in enumerate(moved):
-        if p.kind == IRS:
-            weights[i] = 0.0 if coeffs is None else coeffs[p.element]
-        else:
-            weights[i] = 1.0
-        weights[i] *= p.blocked_atten
-    values = _sum_response(list(moved), weights, scenario)
-
-    if not math.isinf(scenario.snr_db):
-        sigma = noise_std(scenario, _sum_response(list(static_paths), np.ones(len(static_paths)),
-                                                  scenario))
-        rng = frame_noise_rng(scenario.seed, t_index)
-        shape = values.shape
-        values = values + (sigma / math.sqrt(2.0)) * (rng.standard_normal(shape)
-                                                      + 1j * rng.standard_normal(shape))
-    if not np.all(np.isfinite(values)):
-        raise ScenarioError("non-finite channel values")
-    return CsiFrame(t_index=t_index, values=values)
-
-
 class FrameSimulator:
     """Array frame engine for long frame streams.
 
-    Produces frames equal to channel_response() for the same inputs, but
-    builds the path tensors and segment geometry once and synthesises many
-    frames per call.
+    Builds the path tensors and route segments once and synthesises many
+    frames per call. `paths` holds the environment's paths (build_static_paths)
+    followed by one path per surface element (build_irs_paths).
     """
 
-    def __init__(self, scenario: Scenario, static_paths: PathSet | None = None,
-                 irs_paths: PathSet | None = None):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        env = list(static_paths if static_paths is not None else build_static_paths(scenario))
-        if irs_paths is None and scenario.irs_pos is not None:
-            irs_paths = build_irs_paths(scenario, grid_layout(scenario))
-        irs = list(irs_paths if irs_paths is not None else [])
-        self._g_env = _path_tensors(env, scenario)
-        self._g_irs = _path_tensors(irs, scenario)
-        self._irs_elements = np.array([p.element for p in irs], dtype=int)
+        env = build_static_paths(scenario)
+        irs = (build_irs_paths(scenario, grid_layout(scenario)) if scenario.irs_pos is not None
+               else _routes(IRS, (), (), 2, np.empty((0, 3, 2))))
+        self._g_env = _tensors(env, scenario)
+        self._g_irs = _tensors(irs, scenario)
         self._n_env = len(env)
         self.n_elements = len(irs)
+        self.paths = _join(env, irs)
         self.h_env = np.tensordot(np.ones(len(env), dtype=complex), self._g_env, axes=(0, 0))
         self.noise_std = noise_std(scenario, self.h_env)
 
-        # route segments of every path, environment first; path i owns the
-        # segments from _seg_start[i] up to the next path's start
-        routes = [p.segment_points for p in env + irs]
-        self._seg_a = np.concatenate([r[:-1] for r in routes] + [np.zeros((0, 2))])
-        self._seg_b = np.concatenate([r[1:] for r in routes] + [np.zeros((0, 2))])
-        self._seg_start = np.cumsum([0] + [len(r) - 1 for r in routes])[:-1]
-
     def _attenuations(self, person: PersonState, positions) -> np.ndarray:
         """Blocking attenuation (T, paths) with the person at each of positions (T, 2)."""
-        dmin = np.minimum.reduceat(point_segment_distances(positions, self._seg_a, self._seg_b),
-                                   self._seg_start, axis=1)
+        p = self.paths
+        dmin = np.minimum.reduceat(point_segment_distances(positions, p.seg_a, p.seg_b),
+                                   p.seg_start, axis=1)
         s = np.clip(1.0 - dmin / person.blocking_radius, 0.0, 1.0)
         return np.where(s > 0.0, 10.0 ** (-person.blocking_depth_db * s / 20.0), 1.0)
 
@@ -607,7 +466,7 @@ class FrameSimulator:
             atten = self._attenuations(person, positions)
             h = np.tensordot(atten[:, :self._n_env].astype(complex), self._g_env, axes=(1, 0))
             if configs is not None:
-                w = configs[cfg_index][:, self._irs_elements] * atten[:, self._n_env:]
+                w = configs[cfg_index] * atten[:, self._n_env:]
                 h = h + np.tensordot(w.astype(complex), self._g_irs, axes=(1, 0))
             gain = 10.0 ** (person.scatter_gain_db / 20.0)
             h = h + gain * _scatter_tensors(self.scenario, positions)

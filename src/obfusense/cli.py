@@ -165,13 +165,8 @@ def _write_sweep_csv(result, path):
 def cmd_sweep(args):
     scenario, cfg = _load(args)
     values = _parse_values(args.values)
-    kwargs = dict(c=cfg.c, window_s=cfg.window_s, session_s=args.duration, **cfg.settings())
-    if args.var == "size":
-        result = experiments.sweep_irs_size(scenario, [int(v) for v in values], **kwargs)
-    elif args.var == "distance":
-        result = experiments.sweep_irs_distance(scenario, values, **kwargs)
-    else:
-        result = experiments.sweep_irs_orientation(scenario, values, **kwargs)
+    result = experiments.sweep(scenario, args.var, values, c=cfg.c, window_s=cfg.window_s,
+                               session_s=args.duration, **cfg.settings())
     out = _out_dir(args)
     _write_sweep_csv(result, out / "sweep.csv")
     _write_manifest(out, args, config_path=args.config, seed=scenario.seed,

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import irs as irsmod
 from . import sensing
-from .channel import FrameSimulator, PersonState, Scenario, ScenarioError, point_segment_distances
+from .channel import FrameSimulator, PersonState, Scenario, ScenarioError
 
 _NOISE_STREAM = 11
 _IRS_STREAM = 23
@@ -165,6 +165,14 @@ def _irs_rng(scenario: Scenario, stream: int) -> np.random.Generator:
     return np.random.default_rng((scenario.seed, _IRS_STREAM, stream))
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory; inf where the platform does not report it."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
 def check_update_rate(update_rate: float, sample_rate: float) -> None:
     """Raise ValueError above 100 scheduler ticks per frame.
 
@@ -174,6 +182,26 @@ def check_update_rate(update_rate: float, sample_rate: float) -> None:
     if update_rate > 100 * sample_rate:
         raise ValueError(f"update_rate must be at most 100 ticks per frame ({100 * sample_rate:g} "
                          f"at sample_rate {sample_rate:g}), got {update_rate:g}")
+
+
+def check_surface_size(scenario: Scenario) -> None:
+    """Raise ValueError when the surface's response tensors would not fit in
+    physical memory.
+
+    Building them holds two complex (M, K, n_rx, n_tx) arrays at once (the
+    phase and its exponential, then the exponential and the weighted product)
+    and the (M, K) amplitudes: 2.11 times the tensor by this count, 2.19
+    measured on a 16x16 surface.
+    """
+    if scenario.irs_pos is None:
+        return
+    k, n_rx, n_tx = scenario.n_subcarriers, scenario.n_rx, scenario.n_tx
+    need = 16.0 * scenario.n_elements * k * (2 * n_rx * n_tx + 1)
+    memory = _physical_memory()
+    if need > memory:
+        raise ValueError(f"irs_grid {scenario.irs_grid[0]}x{scenario.irs_grid[1]} needs "
+                         f"{need / 2**30:.3g} GiB for its surface tensors, more than the "
+                         f"{memory / 2**30:.3g} GiB of physical memory")
 
 
 def _schedule(n_elements, defense_on, times, sample_rate, scheduler: irsmod.SchedulerParams,
@@ -207,14 +235,6 @@ def _schedule(n_elements, defense_on, times, sample_rate, scheduler: irsmod.Sche
             tick += 1
     cfg_index = np.searchsorted(list(configs), np.arange(len(times)), side="right") - 1
     return np.array(list(configs.values())), cfg_index, change_frames
-
-
-def _physical_memory() -> float:
-    """Bytes of physical memory; inf where the platform does not report it."""
-    try:
-        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
-    except (AttributeError, ValueError, OSError):
-        return math.inf
 
 
 def _session_magnitudes(scenario, defense_on, motion, duration_s,
@@ -395,95 +415,70 @@ def _sweep_cell_stats(value, obs, c=11.0) -> SweepCell:
                      threshold=sensing.calibrate_threshold(obs, c))
 
 
-def sweep_irs_size(scenario: Scenario, active_counts, *, session_s: float = 120.0,
-                   c: float = 11.0, window_s: float = 1.0, stream: int = 0,
-                   **scheduler) -> SweepResult:
-    """Obfuscation strength versus the number of actively scheduled elements.
+_SWEEP_VARS = {"size": "active_elements", "distance": "distance_m", "orientation": "angle_deg"}
 
-    Inactive elements stay frozen at their initial random bits; the active
-    subset for each count is drawn once from a count-keyed stream.
+
+def sweep(scenario: Scenario, var: str, values, *, session_s: float = 120.0, c: float = 11.0,
+          window_s: float = 1.0, stream: int = 0, **scheduler) -> SweepResult:
+    """Obfuscation strength versus one surface variable, one defended session per value.
+
+    var "size": the number of actively scheduled elements (values truncated
+    to integers). Inactive elements stay frozen at their initial random bits;
+    the active subset for each count is drawn once from a count-keyed stream.
+    var "distance": metres from the anchor along the anchor->surface axis.
+    var "orientation": degrees the surface orbits the anchor. The panel and
+    its normal rotate rigidly around the anchor; 0 degrees is the scenario's
+    own placement (facing the eavesdropper side).
+    Only the size sweep leaves the geometry alone, so only it reuses one simulator.
     """
-    sim = FrameSimulator(scenario)
-    m = sim.n_elements
+    if var not in _SWEEP_VARS:
+        raise ValueError(f"sweep variable must be one of {', '.join(_SWEEP_VARS)}, got {var!r}")
+    if var == "size":
+        sim = FrameSimulator(scenario)
+        m = sim.n_elements
+    else:
+        if scenario.irs_pos is None:
+            raise ScenarioError("scenario has no reflecting surface")
+        anchor = np.asarray(scenario.anchor_pos, dtype=float)
+        offset = np.asarray(scenario.irs_pos, dtype=float) - anchor
+        dist = np.hypot(offset[0], offset[1])
+        if dist < 1e-9:
+            raise ScenarioError("surface sits on the anchor; "
+                                f"{'axis' if var == 'distance' else 'orientation'} undefined")
+        radial = offset / dist
     cells = []
-    for count in active_counts:
-        count = int(count)
-        if count < 0 or count > m:
-            raise ValueError(f"active count {count} out of range for {m} elements")
-        if count == m:
+    for value in values:
+        scn, session = scenario, {"defense_on": True}
+        if var == "size":
+            value = int(value)
+            if value < 0 or value > m:
+                raise ValueError(f"active count {value} out of range for {m} elements")
             active = None  # identical code path to a plain defense-on session
+            if value < m:
+                pick_rng = np.random.default_rng((scenario.seed, _SUBSET_STREAM, value))
+                active = np.sort(pick_rng.choice(m, size=value, replace=False))
+            session = {"defense_on": value > 0, "active_elements": active, "simulator": sim}
+        elif var == "distance":
+            if value <= 0:
+                raise ValueError("distances must be > 0")
+            pos = anchor + float(value) * radial
+            if scenario.room:
+                pts = np.asarray([p for w in scenario.room for p in w], dtype=float)
+                if not np.all((pts.min(axis=0) <= pos) & (pos <= pts.max(axis=0))):
+                    raise ScenarioError(f"surface at distance {value} m falls outside the room")
+            scn = replace(scenario, irs_pos=(float(pos[0]), float(pos[1])))
         else:
-            pick_rng = np.random.default_rng((scenario.seed, _SUBSET_STREAM, count))
-            active = np.sort(pick_rng.choice(m, size=count, replace=False))
-        obs = run_session(scenario, count > 0, None, session_s, window_s=window_s, stream=stream,
-                          active_elements=active, simulator=sim, **scheduler)
-        cells.append(_sweep_cell_stats(count, obs, c))
-    return SweepResult(sweep_var="active_elements", cells=cells)
-
-
-def _room_bbox(scenario: Scenario):
-    pts = np.asarray([p for w in scenario.room for p in w], dtype=float)
-    return pts[:, 0].min(), pts[:, 0].max(), pts[:, 1].min(), pts[:, 1].max()
-
-
-def sweep_irs_distance(scenario: Scenario, distances, *, session_s: float = 120.0,
-                       c: float = 11.0, window_s: float = 1.0, stream: int = 0,
-                       **scheduler) -> SweepResult:
-    """Obfuscation strength versus surface distance along the anchor->surface axis."""
-    if scenario.irs_pos is None:
-        raise ScenarioError("scenario has no reflecting surface")
-    anchor = np.asarray(scenario.anchor_pos, dtype=float)
-    axis = np.asarray(scenario.irs_pos, dtype=float) - anchor
-    norm = np.hypot(axis[0], axis[1])
-    if norm < 1e-9:
-        raise ScenarioError("surface sits on the anchor; axis undefined")
-    axis = axis / norm
-    cells = []
-    for d in distances:
-        if d <= 0:
-            raise ValueError("distances must be > 0")
-        pos = anchor + float(d) * axis
-        if scenario.room:
-            x0, x1, y0, y1 = _room_bbox(scenario)
-            if not (x0 <= pos[0] <= x1 and y0 <= pos[1] <= y1):
-                raise ScenarioError(f"surface at distance {d} m falls outside the room")
-        scn = replace(scenario, irs_pos=(float(pos[0]), float(pos[1])))
-        obs = run_session(scn, True, None, session_s, window_s=window_s, stream=stream,
-                          **scheduler)
-        cells.append(_sweep_cell_stats(d, obs, c))
-    return SweepResult(sweep_var="distance_m", cells=cells)
-
-
-def sweep_irs_orientation(scenario: Scenario, angles_deg, *, session_s: float = 60.0,
-                          c: float = 11.0, window_s: float = 1.0, stream: int = 0,
-                          **scheduler) -> SweepResult:
-    """Obfuscation strength as the surface orbits the anchor.
-
-    The panel and its normal rotate rigidly around the anchor; 0 degrees is
-    the scenario's own placement (facing the eavesdropper side).
-    """
-    if scenario.irs_pos is None:
-        raise ScenarioError("scenario has no reflecting surface")
-    anchor = np.asarray(scenario.anchor_pos, dtype=float)
-    offset = np.asarray(scenario.irs_pos, dtype=float) - anchor
-    dist = np.hypot(offset[0], offset[1])
-    if dist < 1e-9:
-        raise ScenarioError("surface sits on the anchor; orientation undefined")
-    radial = offset / dist
-    normal = np.asarray(scenario.irs_normal, dtype=float)
-    cells = []
-    for ang in angles_deg:
-        a = math.radians(float(ang))
-        rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
-        pos = anchor + dist * (rot @ radial)
-        nrm = rot @ normal
-        nrm = nrm / np.hypot(nrm[0], nrm[1])
-        scn = replace(scenario, irs_pos=(float(pos[0]), float(pos[1])),
-                      irs_normal=(float(nrm[0]), float(nrm[1])))
-        obs = run_session(scn, True, None, session_s, window_s=window_s, stream=stream,
-                          **scheduler)
-        cells.append(_sweep_cell_stats(ang, obs, c))
-    return SweepResult(sweep_var="angle_deg", cells=cells)
+            a = math.radians(float(value))
+            rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+            pos = anchor + dist * (rot @ radial)
+            nrm = rot @ np.asarray(scenario.irs_normal, dtype=float)
+            nrm = nrm / np.hypot(nrm[0], nrm[1])
+            scn = replace(scenario, irs_pos=(float(pos[0]), float(pos[1])),
+                          irs_normal=(float(nrm[0]), float(nrm[1])))
+        obs = run_session(scn, motion=None, duration_s=session_s, window_s=window_s,
+                          stream=stream, **session, **scheduler)
+        cells.append(_sweep_cell_stats(value, obs, c))
+    return SweepResult(sweep_var=_SWEEP_VARS[var], cells=cells)
 
 
 def coherence_time(series, sample_rate: float) -> float:
@@ -527,16 +522,3 @@ def parameter_study(scenario: Scenario, r_values, p_values, duration_s: float, *
                 euclidean_norm=float(np.linalg.norm(obs.values)),
                 coherence_time_s=coherence_time(obs.values, scenario.sample_rate)))
     return cells
-
-
-def blocked_flags(scenario: Scenario, positions: np.ndarray, radius: float) -> np.ndarray:
-    """Per-frame flags: person within `radius` of the anchor-eve segment."""
-    return point_segment_distances(np.asarray(positions, dtype=float),
-                                   np.array([scenario.anchor_pos], dtype=float),
-                                   np.array([scenario.eve_pos], dtype=float))[:, 0] <= radius
-
-
-def window_any(flags: np.ndarray, n_w: int) -> np.ndarray:
-    """Observation-sample flags: any frame flag inside each trailing window."""
-    c = np.concatenate([[0], np.cumsum(flags.astype(int))])
-    return (c[n_w:] - c[:-n_w]) > 0

@@ -22,7 +22,7 @@ from itertools import islice
 import numpy as np
 
 from .channel import PersonState, Scenario, _unit, rect_room
-from .experiments import RotatingReflector, Trajectory, check_update_rate
+from .experiments import RotatingReflector, Trajectory, check_surface_size, check_update_rate
 from .irs import SchedulerParams
 from .sensing import DetectionReport, ObservationSeries
 
@@ -230,6 +230,7 @@ def load_scenario(path):
             reflector=RotatingReflector(**{"position": midpoint, **values[RotatingReflector]}),
             **values[ExperimentConfig])
         check_update_rate(cfg.update_rate, scenario.sample_rate)
+        check_surface_size(scenario)
     except ValueError as exc:
         raise ConfigError(_named(str(exc))) from None
     if elements is not None and elements != scenario.n_elements:

@@ -83,13 +83,6 @@ def initial_state(m: int, rng: np.random.Generator, **scheduler) -> IrsAlgState:
     return IrsAlgState(cfg=IrsConfig(bits), next_state=RAND, rng=rng, **scheduler)
 
 
-def map_coefficient(bit: int) -> float:
-    """Element reflection coefficient: bit 0 -> -1, bit 1 -> +1."""
-    if bit not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
-    return -1.0 if bit == 0 else 1.0
-
-
 def map_config(cfg: IrsConfig) -> np.ndarray:
     """Vector of per-element reflection coefficients in {-1, +1}."""
     return cfg.bits.astype(float) * 2.0 - 1.0
@@ -118,34 +111,3 @@ def step(state: IrsAlgState, disable_inversion: bool = False):
             bits ^= 1
         nxt = RAND
     return replace(state, cfg=IrsConfig(bits), next_state=nxt), True
-
-
-def hamming_distance(a: IrsConfig, b: IrsConfig) -> int:
-    if len(a) != len(b):
-        raise ValueError(f"config lengths differ: {len(a)} vs {len(b)}")
-    return int(np.count_nonzero(a.bits != b.bits))
-
-
-def hamming_trace(m: int, n_steps: int, n_ensemble: int, *, hold_prob: float = 0.0,
-                  seed: int = 0, include_inversion: bool = True, **scheduler) -> np.ndarray:
-    """Ensemble-mean Hamming distance to the starting configuration per tick.
-
-    Every tick steps (hold_prob 0) unless told otherwise. Returns n_steps + 1
-    values; index 0 is the distance at the start (zero).
-    """
-    if n_ensemble < 1:
-        raise ValueError("n_ensemble must be >= 1")
-    totals = np.zeros(n_steps + 1)
-    for run in range(n_ensemble):
-        rng = np.random.default_rng((seed, run))
-        state = initial_state(m, rng, hold_prob=hold_prob, **scheduler)
-        start = IrsConfig(state.cfg.bits.copy())
-        for t in range(1, n_steps + 1):
-            state, _ = step(state, disable_inversion=not include_inversion)
-            totals[t] += hamming_distance(state.cfg, start)
-    return totals / n_ensemble
-
-
-def serialize_config(cfg: IrsConfig) -> str:
-    """Hex rendering of the configuration word (little-endian bit order)."""
-    return np.packbits(cfg.bits, bitorder="little").tobytes().hex()

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CsiFrame
-
 
 @dataclass
 class ObservationSeries:
@@ -60,24 +58,13 @@ def _component_order(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr.transpose(0, 1, 3, 2)).reshape(arr.shape[0], -1)
 
 
-def vectorize(frame: CsiFrame) -> np.ndarray:
-    """Flatten one frame into component order, like one row of magnitude_matrix."""
-    return _component_order(frame.values[None])[0]
-
-
-def stack_frames(frames) -> np.ndarray:
-    """Frames as a (time, K, n_rx, n_tx) array; an array passes through as is."""
-    if isinstance(frames, np.ndarray):
-        return frames
-    return np.stack([f.values for f in frames])
-
-
 def magnitude_matrix(frames) -> np.ndarray:
-    """Per-component magnitude time series, shape (time, K * n_rx * n_tx).
+    """Per-component magnitude time series, shape (time, K * n_rx * n_tx), of a
+    (time, K, n_rx, n_tx) array.
 
     Frames may be complex or magnitudes already: |x| of a magnitude is itself.
     """
-    return np.abs(_component_order(stack_frames(frames)))
+    return np.abs(_component_order(np.asarray(frames)))
 
 
 def select_subcarriers(reference_frames, k: int) -> list:
@@ -88,7 +75,7 @@ def select_subcarriers(reference_frames, k: int) -> list:
     best win, ties broken toward lower indices. Zero-variance series
     correlate as 0 by definition. Frames may be complex or magnitudes.
     """
-    arr = stack_frames(reference_frames)
+    arr = np.asarray(reference_frames)
     if arr.shape[0] < 2:
         raise ValueError("need at least 2 reference frames")
     n_sub = arr.shape[1]
@@ -168,7 +155,7 @@ def observe(frames, window_s: float, sample_rate: float, subcarriers=None,
     magnitude series is run through the sliding standard deviation and the
     component mean is the observation.
     """
-    arr = stack_frames(frames)
+    arr = np.asarray(frames)
     if subcarriers is not None:
         arr = arr[:, np.asarray(subcarriers, dtype=int), :, :]
     n_w = window_samples(window_s, sample_rate)

@@ -74,7 +74,7 @@ def compute() -> dict:
     cases["coverage_2x2"] = {"rates": cov.rates, "rates_maxref": cov.rates_maxref,
                              "thresholds": [cov.threshold, cov.threshold_maxref]}
 
-    sweep = experiments.sweep_irs_size(scenario, [64, 256], session_s=2.0)
+    sweep = experiments.sweep(scenario, "size", [64, 256], session_s=2.0)
     cases["sweep_size"] = {stat: [getattr(c, stat) for c in sweep.cells]
                            for stat in ("median", "p01", "p99", "threshold")}
 

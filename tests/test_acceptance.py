@@ -17,6 +17,8 @@ from obfusense import io as oio
 from obfusense import irs as ir
 from obfusense import sensing as sn
 
+import oracle as orc
+
 SEEDS = (1, 2, 3, 4, 5)
 CANONICAL = 1
 
@@ -72,7 +74,7 @@ def walk_data():
             per_seed[defense] = entry
         n_w = sn.window_samples(1.0, scn.sample_rate)
         xy = per_seed[False]["obs"].meta["person_xy"]
-        per_seed["mask"] = ex.window_any(ex.blocked_flags(scn, xy, person.blocking_radius), n_w)
+        per_seed["mask"] = orc.window_any(orc.blocked_flags(scn, xy, person.blocking_radius), n_w)
         data["sessions"][seed] = per_seed
         data["runtimes"][seed] = time.perf_counter() - t0
     return data
@@ -89,8 +91,7 @@ def test_criterion_01_sliding_std_oracle():
         n_tx = int(rng.integers(1, 3))
         arr = rng.normal(size=(t, k, n_rx, n_tx)) + 1j * rng.normal(size=(t, k, n_rx, n_tx))
         n_w = int(rng.integers(2, t + 1))
-        frames = [ch.CsiFrame(i, arr[i]) for i in range(t)]
-        got = sn.observe(frames, n_w / 70.0, 70.0).values
+        got = sn.observe(arr, n_w / 70.0, 70.0).values
         want = brute_force_observe(arr, n_w)
         worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
     elapsed = time.perf_counter() - t0
@@ -113,13 +114,13 @@ def test_criterion_02_threshold_formula():
 
 def test_criterion_03_inversion_identity():
     scn = oio.default_scenario(seed=7, snr_db=float("inf"))
-    static = ch.build_static_paths(scn)
-    irsp = ch.build_irs_paths(scn, ch.grid_layout(scn))
-    h0 = ch.channel_response(static, irsp, ir.IrsConfig(np.zeros(256, np.uint8)),
-                             None, scn, 0).values
-    h1 = ch.channel_response(static, irsp, ir.IrsConfig(np.ones(256, np.uint8)),
-                             None, scn, 0).values
-    henv = ch.channel_response(static, irsp, None, None, scn, 0).values
+    static = orc.records(ch.build_static_paths(scn), scn)
+    irsp = orc.records(ch.build_irs_paths(scn, ch.grid_layout(scn)), scn)
+    h0 = orc.channel_response(static, irsp, ir.IrsConfig(np.zeros(256, np.uint8)),
+                              None, scn, 0).values
+    h1 = orc.channel_response(static, irsp, ir.IrsConfig(np.ones(256, np.uint8)),
+                              None, scn, 0).values
+    henv = orc.channel_response(static, irsp, None, None, scn, 0).values
     err = float(np.max(np.abs(h0 + h1 - 2 * henv)))
     announce(3, "inversion identity", err < 1e-10, f"max abs err {err:.2e}")
 
@@ -132,7 +133,7 @@ def test_criterion_04_scheduler_structure():
         prev = state.cfg
         state, changed = ir.step(state)
         assert changed
-        deltas.append(ir.hamming_distance(state.cfg, prev))
+        deltas.append(orc.hamming_distance(state.cfg, prev))
     alternates = deltas == [13, 256] * 500
 
     state = ir.initial_state(256, np.random.default_rng(1005), progression_rate=0.05,
@@ -150,8 +151,8 @@ def test_criterion_04_scheduler_structure():
 def test_criterion_05_hamming_trace_shape():
     t0 = time.perf_counter()
     n_ens = 500
-    disabled = ir.hamming_trace(256, 40, n_ens, progression_rate=0.5, hold_prob=0.0,
-                                seed=1006, include_inversion=False)
+    disabled = orc.hamming_trace(256, 40, n_ens, progression_rate=0.5, hold_prob=0.0,
+                                 seed=1006, include_inversion=False)
     # the expectation is monotone; at equilibrium per-run distances are
     # binomial (std 8), so allow dips of 4 standard errors of the mean diff
     slack = 4.0 * 8.0 * math.sqrt(2.0 / n_ens)
@@ -161,8 +162,8 @@ def test_criterion_05_hamming_trace_shape():
     # with inversion, branch separation is transient (distance to the start
     # mean-reverts to M/2), so the windows cover the pre-mixing regime the
     # trace is about: 16 executed steps at P_hold = 0
-    enabled = ir.hamming_trace(256, 16, 500, progression_rate=0.05, hold_prob=0.0,
-                               seed=1007, include_inversion=True)
+    enabled = orc.hamming_trace(256, 16, 500, progression_rate=0.05, hold_prob=0.0,
+                                seed=1007, include_inversion=True)
     windows_ok = True
     for j in range(1, len(enabled) - 9):
         win = enabled[j:j + 10]
@@ -214,7 +215,7 @@ def test_criterion_09_size_monotonicity():
     rhos = []
     for seed in SEEDS:
         scn = oio.default_scenario(seed=seed)
-        res = ex.sweep_irs_size(scn, counts, session_s=40.0)
+        res = ex.sweep(scn, "size", counts, session_s=40.0)
         rhos.append(spearman(res.values, res.medians))
     mean_rho = float(np.mean(rhos))
     announce(9, "size monotonicity", mean_rho >= 0.9,
@@ -226,7 +227,7 @@ def test_criterion_10_distance_decay():
     medians = []
     for seed in SEEDS:
         scn = oio.default_scenario(seed=seed)
-        res = ex.sweep_irs_distance(scn, [0.15, 1.5], session_s=30.0)
+        res = ex.sweep(scn, "distance", [0.15, 1.5], session_s=30.0)
         wins += res.cells[0].median > res.cells[1].median
         medians.append((res.cells[0].median, res.cells[1].median))
     announce(10, "distance decay", wins >= 4,
@@ -238,7 +239,7 @@ def test_criterion_11_orientation():
     back_positive = True
     for seed in SEEDS:
         scn = oio.default_scenario(seed=seed)
-        res = ex.sweep_irs_orientation(scn, [0.0, 180.0], session_s=30.0)
+        res = ex.sweep(scn, "orientation", [0.0, 180.0], session_s=30.0)
         wins += res.cells[0].median >= res.cells[1].median
         back_positive = back_positive and res.cells[1].median > 0.0
     announce(11, "orientation", wins >= 4 and back_positive,

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from obfusense import channel as ch
 from obfusense import io as oio
 from obfusense import irs as ir
+
+import oracle as orc
 
 C = ch.C_LIGHT
 
@@ -54,7 +58,8 @@ def test_scenario_accepts_infinite_or_negative_snr(snr_db):
 
 
 def test_los_only():
-    paths = ch.build_static_paths(simple_scenario())
+    scn = simple_scenario()
+    paths = orc.records(ch.build_static_paths(scn), scn)
     assert len(paths) == 1
     assert paths[0].kind == ch.LOS
     assert paths[0].length == pytest.approx(5.0, abs=0)
@@ -63,7 +68,7 @@ def test_los_only():
 def test_wall_reflection_image_geometry():
     # wall parallel to the LOS at 2 m offset; image method gives the length by hand
     scn = simple_scenario(room=[((-1.0, 2.0), (6.0, 2.0))])
-    paths = ch.build_static_paths(scn)
+    paths = orc.records(ch.build_static_paths(scn), scn)
     assert len(paths) == 2
     refl = [p for p in paths if p.kind == ch.WALL][0]
     assert refl.length == pytest.approx(2.0 * np.sqrt(2.5 ** 2 + 2.0 ** 2), rel=1e-12)
@@ -73,7 +78,7 @@ def test_wall_reflection_image_geometry():
 
 def test_wall_crossing_blocks_los():
     scn = simple_scenario(room=[((2.5, -1.0), (2.5, 1.0))])
-    paths = ch.build_static_paths(scn)
+    paths = orc.records(ch.build_static_paths(scn), scn)
     assert all(p.kind != ch.LOS for p in paths)
     # that wall cannot produce a same-side reflection either
     assert len(paths) == 0
@@ -83,8 +88,35 @@ def test_wall_behind_no_reflection():
     # anchor and eve on opposite sides of the wall line: no specular bounce
     scn = simple_scenario(anchor_pos=(0.0, -1.0), eve_pos=(5.0, 1.0),
                           room=[((2.0, 0.0), (3.0, 0.0))])
-    paths = ch.build_static_paths(scn)
+    paths = orc.records(ch.build_static_paths(scn), scn)
     assert [p.kind for p in paths] == []
+
+
+# points of a 5 x 5 lattice make walls that touch the endpoints, overlap and
+# run collinear with the LOS or with each other
+lattice = st.integers(0, 4).map(float)
+point = st.tuples(lattice, lattice)
+
+
+@given(room=st.lists(st.tuples(point, point), max_size=6), anchor=point, eve=point)
+# a wall through the anchor, through eve, ending on the LOS from either end
+@example(room=[((1.0, 0.0), (1.0, 2.0))], anchor=(1.0, 1.0), eve=(3.0, 1.0))
+@example(room=[((3.0, 0.0), (3.0, 2.0))], anchor=(1.0, 1.0), eve=(3.0, 1.0))
+@example(room=[((2.0, 1.0), (2.0, 3.0))], anchor=(1.0, 1.0), eve=(3.0, 1.0))
+@example(room=[((2.0, 3.0), (2.0, 1.0))], anchor=(1.0, 1.0), eve=(3.0, 1.0))
+# the specular point on either end of a wall
+@example(room=[((2.0, 2.0), (4.0, 2.0)), ((0.0, 2.0), (2.0, 2.0))], anchor=(1.0, 1.0),
+         eve=(3.0, 1.0))
+def test_static_paths_match_wall_by_wall_image_method(room, anchor, eve):
+    if anchor == eve:
+        return
+    scn = simple_scenario(anchor_pos=anchor, eve_pos=eve, room=room)
+    want = orc.static_routes(scn)
+    got = orc.records(ch.build_static_paths(scn), scn)
+    assert [len(p.segment_points) for p in got] == [len(r) for r in want]
+    for p, route in zip(got, want):
+        assert p.kind == (ch.LOS if len(route) == 2 else ch.WALL)
+        assert np.array_equal(p.segment_points, route)
 
 
 def test_degenerate_geometry_rejected():
@@ -94,7 +126,7 @@ def test_degenerate_geometry_rejected():
 
 def test_los_base_gain_formula():
     scn = simple_scenario()
-    p = ch.build_static_paths(scn)[0]
+    p = orc.records(ch.build_static_paths(scn), scn)[0]
     lam = scn.wavelength
     expected = lam / (4 * np.pi * 5.0) * np.exp(-2j * np.pi * scn.carrier_freq * 5.0 / C)
     assert p.base_gain == pytest.approx(expected, rel=1e-12)
@@ -102,7 +134,7 @@ def test_los_base_gain_formula():
 
 def test_wall_gain_includes_reflection_loss():
     scn = simple_scenario(room=[((-1.0, 2.0), (6.0, 2.0))], wall_reflection_loss_db=6.0)
-    refl = [p for p in ch.build_static_paths(scn) if p.kind == ch.WALL][0]
+    refl = [p for p in orc.records(ch.build_static_paths(scn), scn) if p.kind == ch.WALL][0]
     gamma = 10 ** (-6.0 / 20.0)
     assert abs(refl.base_gain) == pytest.approx(
         gamma * scn.wavelength / (4 * np.pi * refl.length), rel=1e-12)
@@ -111,7 +143,7 @@ def test_wall_gain_includes_reflection_loss():
 def test_irs_midpoint_element():
     scn = simple_scenario(irs_pos=(2.5, 0.0), irs_normal=(-1.0, 0.0))
     layout = ch.IrsLayout(positions=np.array([[2.5, 0.0]]), heights=np.zeros(1))
-    paths = ch.build_irs_paths(scn, layout)
+    paths = orc.records(ch.build_irs_paths(scn, layout), scn)
     assert len(paths) == 1
     p = paths[0]
     assert p.length == pytest.approx(5.0, rel=1e-12)  # d1 + d2 equals the LOS length
@@ -124,7 +156,7 @@ def test_irs_midpoint_element():
 def test_irs_offset_element_hand_formula():
     scn = simple_scenario(eve_pos=(4.0, 0.0), irs_pos=(2.0, 1.0), irs_normal=(0.0, -1.0))
     layout = ch.IrsLayout(positions=np.array([[2.0, 1.0]]), heights=np.zeros(1))
-    p = ch.build_irs_paths(scn, layout)[0]
+    p = orc.records(ch.build_irs_paths(scn, layout), scn)[0]
     d1 = np.sqrt(4.0 + 1.0)
     d2 = np.sqrt(4.0 + 1.0)
     cos1 = 1.0 / np.sqrt(5.0)
@@ -137,7 +169,7 @@ def test_irs_offset_element_hand_formula():
 def test_irs_element_height_lengthens_path():
     scn = simple_scenario(eve_pos=(4.0, 0.0), irs_pos=(2.0, 1.0), irs_normal=(0.0, -1.0))
     layout = ch.IrsLayout(positions=np.array([[2.0, 1.0]]), heights=np.array([0.1]))
-    p = ch.build_irs_paths(scn, layout)[0]
+    p = orc.records(ch.build_irs_paths(scn, layout), scn)[0]
     assert p.length == pytest.approx(2 * np.sqrt(5.0 + 0.01), rel=1e-12)
 
 
@@ -145,7 +177,7 @@ def test_irs_orthogonal_normal_zero_gain():
     # normal orthogonal to both arrival directions -> |gain| = 0, path kept
     scn = simple_scenario(irs_pos=(2.5, 0.0), irs_normal=(0.0, 1.0))
     layout = ch.IrsLayout(positions=np.array([[2.5, 0.0]]), heights=np.zeros(1))
-    paths = ch.build_irs_paths(scn, layout)
+    paths = orc.records(ch.build_irs_paths(scn, layout), scn)
     assert len(paths) == 1
     assert abs(paths[0].base_gain) == 0.0
 
@@ -153,7 +185,7 @@ def test_irs_orthogonal_normal_zero_gain():
 def test_irs_grid_cardinality():
     scn = oio.default_scenario(seed=1)
     layout = ch.grid_layout(scn)
-    paths = ch.build_irs_paths(scn, layout)
+    paths = orc.records(ch.build_irs_paths(scn, layout), scn)
     assert len(paths) == 256
     assert sorted(p.element for p in paths) == list(range(256))
     # panel footprint spans the configured width along the tangent
@@ -164,9 +196,9 @@ def test_irs_grid_cardinality():
 
 def test_apply_motion_absent_is_identity():
     scn = simple_scenario(room=[((-1.0, 2.0), (6.0, 2.0))])
-    paths = ch.build_static_paths(scn)
+    paths = orc.records(ch.build_static_paths(scn), scn)
     person = ch.PersonState(position=(2.5, 0.0), present=False)
-    out = ch.apply_motion(paths, person, scn)
+    out = orc.apply_motion(paths, person, scn)
     assert len(out) == len(paths)
     assert all(p.blocked_atten == 1.0 for p in out)
     assert all(p.kind != ch.SCATTER for p in out)
@@ -174,18 +206,18 @@ def test_apply_motion_absent_is_identity():
 
 def test_apply_motion_blocking_depth_on_route():
     scn = simple_scenario()
-    paths = ch.build_static_paths(scn)
+    paths = orc.records(ch.build_static_paths(scn), scn)
     person = ch.PersonState(position=(2.5, 0.0), blocking_depth_db=10.0)
-    out = ch.apply_motion(paths, person, scn)
+    out = orc.apply_motion(paths, person, scn)
     los = [p for p in out if p.kind == ch.LOS][0]
     assert los.blocked_atten == pytest.approx(10 ** (-10 / 20), rel=1e-12)  # ~0.3162
 
 
 def test_apply_motion_linear_ramp():
     scn = simple_scenario()
-    paths = ch.build_static_paths(scn)
+    paths = orc.records(ch.build_static_paths(scn), scn)
     person = ch.PersonState(position=(2.5, 0.2), blocking_radius=0.4, blocking_depth_db=10.0)
-    out = ch.apply_motion(paths, person, scn)
+    out = orc.apply_motion(paths, person, scn)
     los = [p for p in out if p.kind == ch.LOS][0]
     s = 1.0 - 0.2 / 0.4
     assert los.blocked_atten == pytest.approx(10 ** (-10.0 * s / 20.0), rel=1e-12)
@@ -193,9 +225,9 @@ def test_apply_motion_linear_ramp():
 
 def test_apply_motion_far_person_only_scatters():
     scn = simple_scenario()
-    paths = ch.build_static_paths(scn)
+    paths = orc.records(ch.build_static_paths(scn), scn)
     person = ch.PersonState(position=(2.5, 4.0), blocking_radius=0.4)
-    out = ch.apply_motion(paths, person, scn)
+    out = orc.apply_motion(paths, person, scn)
     assert all(p.blocked_atten == 1.0 for p in out if p.kind != ch.SCATTER)
     scat = [p for p in out if p.kind == ch.SCATTER]
     assert len(scat) == 1
@@ -207,36 +239,38 @@ def test_apply_motion_far_person_only_scatters():
 
 def test_single_los_magnitude_all_subcarriers():
     scn = simple_scenario(n_subcarriers=8)
-    paths = ch.build_static_paths(scn)
-    frame = ch.channel_response(paths, ch.PathSet([]), None, None, scn, 0)
+    paths = orc.records(ch.build_static_paths(scn), scn)
+    frame = orc.channel_response(paths, [], None, None, scn, 0)
     lam_k = C / scn.subcarrier_freqs()
     assert np.allclose(np.abs(frame.values[:, 0, 0]), lam_k / (4 * np.pi * 5.0), rtol=1e-13)
 
 
 def test_inversion_identity():
     scn = oio.default_scenario(seed=7, snr_db=float("inf"))
-    static = ch.build_static_paths(scn)
-    irsp = ch.build_irs_paths(scn, ch.grid_layout(scn))
-    h0 = ch.channel_response(static, irsp, ir.IrsConfig(np.zeros(256, np.uint8)), None, scn, 0).values
-    h1 = ch.channel_response(static, irsp, ir.IrsConfig(np.ones(256, np.uint8)), None, scn, 0).values
-    henv = ch.channel_response(static, irsp, None, None, scn, 0).values
+    static = orc.records(ch.build_static_paths(scn), scn)
+    irsp = orc.records(ch.build_irs_paths(scn, ch.grid_layout(scn)), scn)
+    h0 = orc.channel_response(static, irsp, ir.IrsConfig(np.zeros(256, np.uint8)),
+                              None, scn, 0).values
+    h1 = orc.channel_response(static, irsp, ir.IrsConfig(np.ones(256, np.uint8)),
+                              None, scn, 0).values
+    henv = orc.channel_response(static, irsp, None, None, scn, 0).values
     assert np.max(np.abs(h0 + h1 - 2 * henv)) < 1e-10
 
 
 def test_config_length_mismatch_rejected():
     scn = oio.default_scenario(seed=7, snr_db=float("inf"))
-    static = ch.build_static_paths(scn)
-    irsp = ch.build_irs_paths(scn, ch.grid_layout(scn))
+    static = orc.records(ch.build_static_paths(scn), scn)
+    irsp = orc.records(ch.build_irs_paths(scn, ch.grid_layout(scn)), scn)
     with pytest.raises(ValueError, match="does not match"):
-        ch.channel_response(static, irsp, ir.IrsConfig(np.zeros(8, np.uint8)), None, scn, 0)
+        orc.channel_response(static, irsp, ir.IrsConfig(np.zeros(8, np.uint8)), None, scn, 0)
 
 
 def test_frame_determinism_same_seed_and_index():
     scn = simple_scenario(snr_db=20.0, n_subcarriers=4)
-    paths = ch.build_static_paths(scn)
-    a = ch.channel_response(paths, ch.PathSet([]), None, None, scn, 5).values
-    b = ch.channel_response(paths, ch.PathSet([]), None, None, scn, 5).values
-    c = ch.channel_response(paths, ch.PathSet([]), None, None, scn, 6).values
+    paths = orc.records(ch.build_static_paths(scn), scn)
+    a = orc.channel_response(paths, [], None, None, scn, 5).values
+    b = orc.channel_response(paths, [], None, None, scn, 5).values
+    c = orc.channel_response(paths, [], None, None, scn, 6).values
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -244,27 +278,28 @@ def test_frame_determinism_same_seed_and_index():
 def test_superposition():
     scn = simple_scenario(room=[((-1.0, 2.0), (6.0, 2.0)), ((-1.0, -3.0), (6.0, -3.0))],
                           n_tx=2, n_rx=2)
-    paths = list(ch.build_static_paths(scn))
+    paths = orc.records(ch.build_static_paths(scn), scn)
     assert len(paths) >= 3
     half_a, half_b = paths[:2], paths[2:]
-    full = ch.channel_response(ch.PathSet(paths), ch.PathSet([]), None, None, scn, 0).values
-    part_a = ch.channel_response(ch.PathSet(half_a), ch.PathSet([]), None, None, scn, 0).values
-    part_b = ch.channel_response(ch.PathSet(half_b), ch.PathSet([]), None, None, scn, 0).values
+    full = orc.channel_response(paths, [], None, None, scn, 0).values
+    part_a = orc.channel_response(half_a, [], None, None, scn, 0).values
+    part_b = orc.channel_response(half_b, [], None, None, scn, 0).values
     assert np.allclose(full, part_a + part_b, rtol=1e-12)
 
 
 def test_pathloss_halves_when_distance_doubles():
-    near = ch.channel_response(ch.build_static_paths(simple_scenario(eve_pos=(2.0, 0.0))),
-                               ch.PathSet([]), None, None, simple_scenario(eve_pos=(2.0, 0.0)), 0)
-    far = ch.channel_response(ch.build_static_paths(simple_scenario(eve_pos=(4.0, 0.0))),
-                              ch.PathSet([]), None, None, simple_scenario(eve_pos=(4.0, 0.0)), 0)
+    near_scn, far_scn = simple_scenario(eve_pos=(2.0, 0.0)), simple_scenario(eve_pos=(4.0, 0.0))
+    near = orc.channel_response(orc.records(ch.build_static_paths(near_scn), near_scn),
+                                [], None, None, near_scn, 0)
+    far = orc.channel_response(orc.records(ch.build_static_paths(far_scn), far_scn),
+                               [], None, None, far_scn, 0)
     assert np.allclose(np.abs(near.values), 2 * np.abs(far.values), rtol=1e-12)
 
 
 def test_noise_calibration_matches_snr():
     scn = ch.Scenario(anchor_pos=(0, 0), eve_pos=(4, 0), room=[((-1, 1.5), (5, 1.5))],
                       n_tx=1, n_rx=1, n_subcarriers=4, snr_db=20.0, seed=9)
-    sim = ch.FrameSimulator(scn, irs_paths=ch.PathSet([]))
+    sim = ch.FrameSimulator(scn)
     rng = np.random.default_rng(1)
     h0 = sim.h_env
     acc = 0.0
@@ -277,21 +312,21 @@ def test_noise_calibration_matches_snr():
 
 def test_simulator_matches_channel_response():
     scn = oio.default_scenario(seed=5, snr_db=float("inf"))
-    static = ch.build_static_paths(scn)
-    irsp = ch.build_irs_paths(scn, ch.grid_layout(scn))
-    sim = ch.FrameSimulator(scn, static, irsp)
+    static = orc.records(ch.build_static_paths(scn), scn)
+    irsp = orc.records(ch.build_irs_paths(scn, ch.grid_layout(scn)), scn)
+    sim = ch.FrameSimulator(scn)
     rng = np.random.default_rng(0)
     for _ in range(5):
         cfg = ir.IrsConfig(rng.integers(0, 2, 256).astype(np.uint8))
         person = ch.PersonState(position=(float(rng.uniform(1, 6)), float(rng.uniform(0.5, 5))))
-        ref = ch.channel_response(static, irsp, cfg, person, scn, 0).values
+        ref = orc.channel_response(static, irsp, cfg, person, scn, 0).values
         fast = sim.frame(coeffs=ir.map_config(cfg), person=person)
         assert np.allclose(fast, ref, rtol=1e-12, atol=1e-18)
 
 
 def test_scatter_path_modulation_factor_is_complex():
     scn = simple_scenario()
-    p = ch.scatter_path(scn, (2.0, 1.0), 0.5j)
+    p = orc.scatter_path(scn, (2.0, 1.0), 0.5j)
     assert p.kind == ch.SCATTER
     # the complex factor's phase rides on the frequency-independent coefficient
     assert np.angle(p.amp_coeff) == pytest.approx(np.pi / 2, rel=1e-9)

@@ -188,6 +188,15 @@ def test_simulate_duration_over_memory_exits_3(tmp_path, minimal_config, capsys)
     assert "duration 1e+12 s needs" in capsys.readouterr().err
 
 
+def test_surface_over_memory_exits_3_naming_grid(tmp_path, minimal_config, capsys, monkeypatch):
+    # the default 16x16 surface's tensors take about 4 MB; pretend the machine has 1 MB
+    monkeypatch.setattr(experiments, "_physical_memory", lambda: float(2 ** 20))
+    assert invoke("simulate", "--config", minimal_config, "--motion", "none", "--defense", "off",
+                  "--duration", 2, "--out", tmp_path / "x") == 3
+    assert capsys.readouterr().err.startswith("error: irs.grid: irs_grid 16x16 needs")
+    assert not (tmp_path / "x").exists()
+
+
 def test_rejected_simulate_leaves_no_out_dir(tmp_path, minimal_config):
     assert invoke("simulate", "--config", minimal_config, "--motion", "none", "--defense", "off",
                   "--duration", 1e12, "--out", tmp_path / "x") == 3

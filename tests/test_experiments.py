@@ -4,12 +4,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from obfusense import channel as ch
 from obfusense import experiments as ex
 from obfusense import io as oio
 from obfusense import irs as ir
 from obfusense import sensing as sn
+
+import oracle as orc
 
 
 def quiet_scenario(seed=3, **kw):
@@ -213,14 +217,41 @@ def test_walk_session_metadata():
     assert obs.meta["moving"].all()
 
 
+# --- scheduler pass --------------------------------------------------------
+
+@given(data=st.data(), n_elements=st.integers(1, 48), n_frames=st.integers(1, 120),
+       sample_rate=st.floats(1.0, 100.0), rate_share=st.floats(0.01, 1.0),
+       progression_rate=st.floats(0.0, 0.5, exclude_min=True), hold_prob=st.floats(0.0, 0.9),
+       defense_on=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_schedule_changes_alternate_rand_and_flip(data, n_elements, n_frames, sample_rate,
+                                                  rate_share, progression_rate, hold_prob,
+                                                  defense_on, seed):
+    # at most one tick per frame, so every executed step starts its own configuration
+    active = data.draw(st.none() | st.sets(st.integers(0, n_elements - 1)))
+    params = ir.SchedulerParams(progression_rate=progression_rate, hold_prob=hold_prob,
+                                update_rate=rate_share * sample_rate)
+    times = np.arange(n_frames) / sample_rate
+    configs, cfg_index, change_frames = ex._schedule(
+        n_elements, defense_on, times, sample_rate, params, active, np.random.default_rng(seed))
+    assert len(configs) == 1 + len(change_frames) <= n_frames
+    assert cfg_index.shape == (n_frames,)
+    on = np.zeros(n_elements, dtype=bool)
+    on[list(range(n_elements)) if active is None else sorted(active)] = True
+    assert np.all(configs[:, ~on] == configs[0, ~on])  # inactive elements never change
+    n_active = int(on.sum())
+    for k in range(len(configs) - 1):
+        differ = int(np.count_nonzero(configs[k + 1] != configs[k]))
+        assert differ == (math.ceil(progression_rate * n_active) if k % 2 == 0 else n_active)
+
+
 # --- frame engine against the per-frame oracle ------------------------------
 
 def oracle_frames(scn, motion, duration_s, stream, person=None, **scheduler):
     """Noiseless reference frames, one channel_response per frame, with the
     scheduler stepped tick by tick on the session's surface stream."""
     params = ir.SchedulerParams(**scheduler)
-    static = ch.build_static_paths(scn)
-    irsp = ch.build_irs_paths(scn, ch.grid_layout(scn))
+    static = orc.records(ch.build_static_paths(scn), scn)
+    irsp = orc.records(ch.build_irs_paths(scn, ch.grid_layout(scn)), scn)
     rng = ex._irs_rng(scn, stream)
     state = ir.IrsAlgState(cfg=ir.IrsConfig(rng.integers(0, 2, size=scn.n_elements, dtype=np.uint8)),
                            rng=rng, **params.settings())
@@ -233,10 +264,10 @@ def oracle_frames(scn, motion, duration_s, stream, person=None, **scheduler):
         if isinstance(motion, ex.Trajectory):
             pos, _ = motion.locate(t)
             here = replace(person, position=(float(pos[0]), float(pos[1])))
-            out.append(ch.channel_response(static, irsp, state.cfg, here, scn, i).values)
+            out.append(orc.channel_response(static, irsp, state.cfg, here, scn, i).values)
         else:
-            unit = ch._path_tensors([ch.scatter_path(scn, motion.position, 1.0)], scn)[0]
-            out.append(ch.channel_response(static, irsp, state.cfg, None, scn, i).values
+            unit = orc.path_response(orc.scatter_path(scn, motion.position, 1.0), scn)
+            out.append(orc.channel_response(static, irsp, state.cfg, None, scn, i).values
                        + motion.factor(t) * unit)
     return np.array(out)
 
@@ -275,13 +306,13 @@ def test_chunked_noise_matches_per_frame_draws():
 
 def test_sweep_size_zero_elements_noiseless():
     scn = quiet_scenario(snr_db=float("inf"))
-    res = ex.sweep_irs_size(scn, [0], session_s=3.0)
+    res = ex.sweep(scn, "size", [0], session_s=3.0)
     assert res.cells[0].median == 0.0
 
 
 def test_sweep_size_full_count_equals_plain_session():
     scn = quiet_scenario()
-    res = ex.sweep_irs_size(scn, [256], session_s=3.0, stream=5)
+    res = ex.sweep(scn, "size", [256], session_s=3.0, stream=5)
     plain = ex.run_session(scn, True, None, 3.0, stream=5)
     assert res.cells[0].median == np.median(plain.values)
     assert res.cells[0].threshold == sn.calibrate_threshold(plain, 11.0)
@@ -289,14 +320,14 @@ def test_sweep_size_full_count_equals_plain_session():
 
 def test_sweep_cells_ordered_percentiles():
     scn = quiet_scenario()
-    res = ex.sweep_irs_size(scn, [64, 128], session_s=3.0)
+    res = ex.sweep(scn, "size", [64, 128], session_s=3.0)
     for cell in res.cells:
         assert cell.p01 <= cell.median <= cell.p99
 
 
 def test_sweep_distance_single_value():
     scn = quiet_scenario()
-    res = ex.sweep_irs_distance(scn, [0.3], session_s=3.0)
+    res = ex.sweep(scn, "distance", [0.3], session_s=3.0)
     assert len(res.cells) == 1
     assert res.sweep_var == "distance_m"
 
@@ -304,7 +335,13 @@ def test_sweep_distance_single_value():
 def test_sweep_distance_outside_room_rejected():
     scn = quiet_scenario()
     with pytest.raises(ch.ScenarioError):
-        ex.sweep_irs_distance(scn, [50.0], session_s=3.0)
+        ex.sweep(scn, "distance", [50.0], session_s=3.0)
+
+
+def test_sweep_unknown_variable_rejected():
+    with pytest.raises(ValueError, match="sweep variable must be one of size, distance, "
+                                         "orientation, got 'height'"):
+        ex.sweep(quiet_scenario(), "height", [1.0], session_s=3.0)
 
 
 def test_irs_gain_halves_when_leg_product_doubles():
@@ -316,20 +353,21 @@ def test_irs_gain_halves_when_leg_product_doubles():
                      irs_pos=(1.0, 1.0), irs_normal=(0.0, -1.0), **base)
     s2 = ch.Scenario(anchor_pos=(0.0, 0.0), eve_pos=(6.0 * s, 0.0),
                      irs_pos=(s, s), irs_normal=(0.0, -1.0), **base)
-    g1 = ch.build_irs_paths(s1, ch.IrsLayout(np.array([[1.0, 1.0]]), np.zeros(1)))[0]
-    g2 = ch.build_irs_paths(s2, ch.IrsLayout(np.array([[s, s]]), np.zeros(1)))[0]
+    g1 = orc.records(ch.build_irs_paths(s1, ch.IrsLayout(np.array([[1.0, 1.0]]), np.zeros(1))),
+                     s1)[0]
+    g2 = orc.records(ch.build_irs_paths(s2, ch.IrsLayout(np.array([[s, s]]), np.zeros(1))), s2)[0]
     assert abs(g1.base_gain) == pytest.approx(2.0 * abs(g2.base_gain), rel=1e-12)
 
 
 def test_sweep_orientation_empty():
     scn = quiet_scenario()
-    res = ex.sweep_irs_orientation(scn, [], session_s=3.0)
+    res = ex.sweep(scn, "orientation", [], session_s=3.0)
     assert res.cells == []
 
 
 def test_sweep_orientation_front_beats_back():
     scn = quiet_scenario()
-    res = ex.sweep_irs_orientation(scn, [0.0, 180.0], session_s=10.0)
+    res = ex.sweep(scn, "orientation", [0.0, 180.0], session_s=10.0)
     assert res.cells[0].median >= res.cells[1].median
     assert res.cells[1].median > 0.0
 
@@ -433,6 +471,6 @@ def test_coverage_defense_reduces_rates():
 def test_blocked_flags_and_window_any():
     scn = quiet_scenario()
     positions = np.array([[4.0, 2.75], [4.0, 2.80], [4.0, 5.0]])
-    flags = ex.blocked_flags(scn, positions, 0.4)
+    flags = orc.blocked_flags(scn, positions, 0.4)
     assert flags.tolist() == [True, True, False]
-    assert ex.window_any(np.array([False, True, False, False]), 2).tolist() == [True, True, False]
+    assert orc.window_any(np.array([False, True, False, False]), 2).tolist() == [True, True, False]

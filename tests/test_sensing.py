@@ -4,11 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from obfusense import sensing as sn
-from obfusense.channel import CsiFrame
-
-
-def frames_from_array(arr):
-    return [CsiFrame(t_index=i, values=arr[i]) for i in range(arr.shape[0])]
 
 
 def brute_force_observe(arr, n_w):
@@ -27,29 +22,29 @@ def brute_force_observe(arr, n_w):
     return out
 
 
-# --- vectorize -------------------------------------------------------------
+# --- component order -------------------------------------------------------
 
-def test_vectorize_single_entry():
-    f = CsiFrame(0, np.array([[[3 + 4j]]]))
-    assert np.array_equal(sn.vectorize(f), [3 + 4j])
-
-
-def test_vectorize_length():
-    f = CsiFrame(0, np.zeros((28, 3, 3), dtype=complex))
-    assert sn.vectorize(f).shape == (252,)
+def test_component_order_single_entry():
+    v = np.array([[[3 + 4j]]])
+    assert np.array_equal(sn._component_order(v[None])[0], [3 + 4j])
 
 
-def test_vectorize_ordering():
+def test_component_order_length():
+    v = np.zeros((28, 3, 3), dtype=complex)
+    assert sn.magnitude_matrix(v[None])[0].shape == (252,)
+
+
+def test_component_order_ordering():
     # marker at k=1 (0-based), rx=0, tx=0 must land at index 1 * 9 + 0
     v = np.zeros((3, 3, 3), dtype=complex)
     v[1, 0, 0] = 7.0
-    out = sn.vectorize(CsiFrame(0, v))
+    out = sn.magnitude_matrix(v[None])[0]
     assert out[9] == 7.0
     # column-major inside one subcarrier: (rx=1, tx=0) precedes (rx=0, tx=1)
     v2 = np.zeros((1, 2, 2), dtype=complex)
     v2[0, 1, 0] = 1.0
     v2[0, 0, 1] = 2.0
-    out2 = sn.vectorize(CsiFrame(0, v2))
+    out2 = sn._component_order(v2[None])[0]
     assert out2[1] == 1.0 and out2[2] == 2.0
 
 
@@ -59,7 +54,7 @@ def test_select_identical_series_tiebreak():
     rng = np.random.default_rng(0)
     base = rng.uniform(1, 2, size=50)
     arr = np.repeat(base[:, None, None, None], 8, axis=1).astype(complex)
-    picked = sn.select_subcarriers(frames_from_array(arr), 5)
+    picked = sn.select_subcarriers(arr, 5)
     assert picked == [0, 1, 2, 3, 4]
 
 
@@ -69,7 +64,7 @@ def test_select_excludes_noise_subcarrier():
     arr = np.repeat(base[:, None], 8, axis=1)
     arr[:, 3] = rng.uniform(1, 2, size=200)  # independent noise series
     frames = arr[:, :, None, None].astype(complex)
-    picked = sn.select_subcarriers(frames_from_array(frames), 7)
+    picked = sn.select_subcarriers(frames, 7)
     assert 3 not in picked
     assert len(picked) == 7
     # brute-force correlation oracle agrees on the loser
@@ -81,7 +76,7 @@ def test_select_excludes_noise_subcarrier():
 def test_select_all_returns_sorted():
     rng = np.random.default_rng(2)
     arr = rng.uniform(1, 2, size=(30, 6, 1, 1)).astype(complex)
-    assert sn.select_subcarriers(frames_from_array(arr), 6) == list(range(6))
+    assert sn.select_subcarriers(arr, 6) == list(range(6))
 
 
 def test_select_constant_series_scores_zero():
@@ -90,7 +85,7 @@ def test_select_constant_series_scores_zero():
     arr = np.repeat(base[:, None], 4, axis=1).astype(complex)
     arr[:, 2] = 1.5  # zero variance scores 0, the co-varying rest score ~1
     frames = arr[:, :, None, None]
-    picked = sn.select_subcarriers(frames_from_array(frames), 3)
+    picked = sn.select_subcarriers(frames, 3)
     assert picked == [0, 1, 3]
 
 
@@ -178,7 +173,7 @@ def test_sliding_std_property_matches_brute_force(case):
 
 def test_observe_static_channel_is_zero():
     arr = np.ones((50, 2, 2, 2), dtype=complex) * (0.3 - 0.4j)
-    obs = sn.observe(frames_from_array(arr), 0.1, 70.0)
+    obs = sn.observe(arr, 0.1, 70.0)
     assert np.array_equal(obs.values, np.zeros(50 - 7 + 1))
 
 
@@ -186,7 +181,7 @@ def test_observe_single_component_equals_sliding_std():
     rng = np.random.default_rng(6)
     x = rng.uniform(0.5, 2.0, size=80)
     arr = x[:, None, None, None].astype(complex)
-    obs = sn.observe(frames_from_array(arr), 10 / 70, 70.0)
+    obs = sn.observe(arr, 10 / 70, 70.0)
     assert np.allclose(obs.values, sn.sliding_std(x, 10), rtol=1e-12)
 
 
@@ -195,7 +190,7 @@ def test_observe_two_components_mean():
     a = rng.uniform(0.5, 2.0, size=60)
     b = rng.uniform(0.5, 2.0, size=60)
     arr = np.stack([a, b], axis=1)[:, :, None, None].astype(complex)
-    obs = sn.observe(frames_from_array(arr), 8 / 70, 70.0)
+    obs = sn.observe(arr, 8 / 70, 70.0)
     expected = (sn.sliding_std(a, 8) + sn.sliding_std(b, 8)) / 2
     assert np.allclose(obs.values, expected, rtol=1e-12)
 
@@ -207,7 +202,7 @@ def test_observe_matches_brute_force_random():
         k = int(rng.integers(1, 4))
         arr = (rng.normal(size=(t, k, 2, 2)) + 1j * rng.normal(size=(t, k, 2, 2)))
         n_w = int(rng.integers(2, t + 1))
-        obs = sn.observe(frames_from_array(arr), n_w / 70.0, 70.0)
+        obs = sn.observe(arr, n_w / 70.0, 70.0)
         assert np.allclose(obs.values, brute_force_observe(arr, n_w), rtol=1e-12)
 
 
@@ -224,8 +219,8 @@ def test_observe_property_matches_brute_force(shape, data):
 def test_observe_subcarrier_selection():
     rng = np.random.default_rng(9)
     arr = rng.uniform(0.5, 2.0, size=(40, 4, 1, 1)).astype(complex)
-    obs_all = sn.observe(frames_from_array(arr), 5 / 70, 70.0, subcarriers=[1, 3])
-    manual = sn.observe(frames_from_array(arr[:, [1, 3]]), 5 / 70, 70.0)
+    obs_all = sn.observe(arr, 5 / 70, 70.0, subcarriers=[1, 3])
+    manual = sn.observe(arr[:, [1, 3]], 5 / 70, 70.0)
     assert np.array_equal(obs_all.values, manual.values)
 
 
@@ -305,8 +300,8 @@ def test_scale_equivariance():
     rng = np.random.default_rng(13)
     arr = (rng.normal(size=(60, 2, 2, 2)) + 1j * rng.normal(size=(60, 2, 2, 2)))
     a = 3.7
-    obs = sn.observe(frames_from_array(arr), 10 / 70, 70.0)
-    obs_scaled = sn.observe(frames_from_array(a * arr), 10 / 70, 70.0)
+    obs = sn.observe(arr, 10 / 70, 70.0)
+    obs_scaled = sn.observe(a * arr, 10 / 70, 70.0)
     assert np.allclose(obs_scaled.values, a * obs.values, rtol=1e-12)
     u = sn.calibrate_threshold(obs, 11.0)
     u_scaled = sn.calibrate_threshold(obs_scaled, 11.0)
