@@ -8,6 +8,7 @@ Frames are MIMO-OFDM channel estimates with calibrated additive noise.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -384,10 +385,14 @@ def _tensors(paths: Paths, scenario: Scenario) -> np.ndarray:
     d = (paths.length[:, None, None]
          + proj_arr[:, None, None] * orx[None, :, None]
          - proj_dep[:, None, None] * otx[None, None, :])
-    phase = np.exp(-2j * np.pi / C_LIGHT * freqs[None, :, None, None] * d[:, None, :, :])
+    # exp(1j * theta): the real phase theta goes into g.imag, then its cos and sin
+    g = np.empty((len(paths), len(freqs)) + d.shape[1:], dtype=complex)
+    theta = np.multiply((-2.0 * np.pi / C_LIGHT * freqs)[:, None, None], d[:, None], out=g.imag)
+    np.cos(theta, out=g.real)
+    np.sin(theta, out=theta)
     ampk = paths.amp[:, None] * np.where(paths.lambda_exp[:, None] == 1, lam[None, :],
                                          lam[None, :] ** 2)
-    return ampk[:, :, None, None] * phase
+    return np.multiply(ampk[:, :, None, None], g, out=g)
 
 
 def _scatter_tensors(scenario: Scenario, positions) -> np.ndarray:
@@ -415,6 +420,33 @@ def noise_std(scenario: Scenario, h_env: np.ndarray) -> float:
     return math.sqrt(p_sig * 10.0 ** (-scenario.snr_db / 10.0))
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory; inf where the platform does not report it."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+def check_surface_size(scenario: Scenario) -> None:
+    """Raise ValueError when the surface's response tensors would not fit in
+    physical memory.
+
+    Building them holds the complex (M, K, n_rx, n_tx) tensor (its imaginary
+    half first holds the real phase) and 64 B per (element, subcarrier) for
+    the amplitudes: 1.44 times the tensor with 3x3 antennas; tracemalloc
+    measured 1.37 for a whole FrameSimulator build on a 16x16 surface.
+    """
+    if scenario.irs_pos is None:
+        return
+    need = 16 * scenario.n_elements * scenario.n_subcarriers * (scenario.n_rx * scenario.n_tx + 4)
+    memory = _physical_memory()
+    if need > memory:
+        raise ValueError(f"irs_grid {scenario.irs_grid[0]}x{scenario.irs_grid[1]} needs "
+                         f"{need / 2**30:.3g} GiB for its surface tensors, more than the "
+                         f"{memory / 2**30:.3g} GiB of physical memory")
+
+
 class FrameSimulator:
     """Array frame engine for long frame streams.
 
@@ -424,17 +456,20 @@ class FrameSimulator:
     """
 
     def __init__(self, scenario: Scenario):
+        check_surface_size(scenario)
         self.scenario = scenario
         env = build_static_paths(scenario)
         irs = (build_irs_paths(scenario, grid_layout(scenario)) if scenario.irs_pos is not None
                else _routes(IRS, (), (), 2, np.empty((0, 3, 2))))
-        self._g_env = _tensors(env, scenario)
-        self._g_irs = _tensors(irs, scenario)
+        g_env = _tensors(env, scenario)
         self._n_env = len(env)
         self.n_elements = len(irs)
         self.paths = _join(env, irs)
-        self.h_env = np.tensordot(np.ones(len(env), dtype=complex), self._g_env, axes=(0, 0))
+        self.h_env = np.tensordot(np.ones(len(env), dtype=complex), g_env, axes=(0, 0))
         self.noise_std = noise_std(scenario, self.h_env)
+        # real (paths, 2 * K * n_rx * n_tx) views: real weights @ view = the complex sum
+        self._g_env = g_env.reshape(len(env), self.h_env.size).view(float)
+        self._g_irs = _tensors(irs, scenario).reshape(len(irs), self.h_env.size).view(float)
 
     def _attenuations(self, person: PersonState, positions) -> np.ndarray:
         """Blocking attenuation (T, paths) with the person at each of positions (T, 2)."""
@@ -462,26 +497,26 @@ class FrameSimulator:
                 f"coefficient vector length {configs.shape[1]} != {self.n_elements} elements")
         if self.noise_std > 0.0 and rng is None:
             raise ValueError("rng required for noisy frames")
+        shape = self.h_env.shape
         if person is not None:
             atten = self._attenuations(person, positions)
-            h = np.tensordot(atten[:, :self._n_env].astype(complex), self._g_env, axes=(1, 0))
+            h = atten[:, :self._n_env] @ self._g_env
             if configs is not None:
-                w = configs[cfg_index] * atten[:, self._n_env:]
-                h = h + np.tensordot(w.astype(complex), self._g_irs, axes=(1, 0))
+                h += (configs[cfg_index] * atten[:, self._n_env:]) @ self._g_irs
+            h = h.view(complex).reshape((n,) + shape)
             gain = 10.0 ** (person.scatter_gain_db / 20.0)
-            h = h + gain * _scatter_tensors(self.scenario, positions)
+            h += gain * _scatter_tensors(self.scenario, positions)
         elif configs is not None:
-            h_irs = np.stack([np.tensordot(c.astype(complex), self._g_irs, axes=(0, 0))
-                              for c in configs])
-            h = self.h_env + h_irs[cfg_index]
+            h = (configs @ self._g_irs).view(complex).reshape((len(configs),) + shape)[cfg_index]
+            h += self.h_env
         else:
             h = np.repeat(self.h_env[None], n, axis=0)
         for position, factors in scatters:
             unit = _scatter_tensors(self.scenario, np.array([position], dtype=float))
-            h = h + np.asarray(factors, dtype=complex)[:, None, None, None] * unit
+            h += np.asarray(factors, dtype=complex)[:, None, None, None] * unit
         if self.noise_std > 0.0:
-            z = rng.standard_normal((n, 2) + self.h_env.shape)
-            h = h + (self.noise_std / math.sqrt(2.0)) * (z[:, 0] + 1j * z[:, 1])
+            z = rng.standard_normal((n, 2) + shape)
+            h += (self.noise_std / math.sqrt(2.0)) * (z[:, 0] + 1j * z[:, 1])
         return h
 
     def frame(self, coeffs: np.ndarray | None = None, person: PersonState | None = None,

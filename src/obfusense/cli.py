@@ -117,10 +117,10 @@ def cmd_attack(args):
 def cmd_coverage(args):
     scenario, cfg = _load(args)
     try:
-        nx, ny = oio.parse_grid(args.grid)
+        grid = experiments.coverage_grid_positions(scenario, *oio.parse_grid(args.grid),
+                                                   session_s=args.session_s)
     except ValueError as exc:
         raise ValueError(f"--grid: {exc}") from None
-    grid = experiments.coverage_grid_positions(scenario, nx, ny)
     result = experiments.run_coverage_grid(
         scenario, grid, args.defense == "on", cfg.c,
         reference_s=args.reference_s if args.reference_s is not None else cfg.reference_s,

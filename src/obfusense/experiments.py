@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import channel
 from . import irs as irsmod
 from . import sensing
 from .channel import FrameSimulator, PersonState, Scenario, ScenarioError
@@ -50,40 +51,35 @@ class Trajectory:
         if not np.all(np.isfinite(pts)):
             raise ValueError(f"waypoints must be finite, got {self.waypoints!r}")
         seg = np.diff(pts, axis=0)
-        seglen = np.hypot(seg[:, 0], seg[:, 1])
-        if np.any(seglen == 0):
-            raise ValueError("repeated consecutive waypoints")
         self._pts = pts
-        self._cum = np.concatenate([[0.0], np.cumsum(seglen)])
+        self._cum = np.concatenate([[0.0], np.cumsum(np.hypot(seg[:, 0], seg[:, 1]))])
+        if np.any(np.diff(self._cum) == 0):  # also a leg too short to lengthen the pass
+            raise ValueError("repeated consecutive waypoints")
 
     @property
     def pass_length(self) -> float:
         return float(self._cum[-1])
 
-    def locate(self, t: float):
-        """(position, moving) at time t of the ping-pong patrol."""
+    def positions(self, times):
+        """Positions (T, 2) and moving flags (T,) at times (T,) of the ping-pong patrol."""
         leg_t = self.pass_length / self.speed
-        cycle = 2.0 * (leg_t + self.dwell)
-        tc = t % cycle
-        if tc < self.dwell:
-            return self._pts[0].copy(), False
-        tc -= self.dwell
-        if tc < leg_t:
-            return self._at_distance(self.speed * tc), True
-        tc -= leg_t
-        if tc < self.dwell:
-            return self._pts[-1].copy(), False
-        tc -= self.dwell
-        return self._at_distance(self.pass_length - self.speed * tc), True
+        tc = np.mod(np.asarray(times, dtype=float), 2.0 * (leg_t + self.dwell))
+        out = tc - self.dwell  # time into the outbound leg
+        far = out - leg_t  # time since reaching the far end
+        start, outbound = tc < self.dwell, out < leg_t
+        end = ~outbound & (far < self.dwell)
+        s = np.where(outbound, self.speed * out, self.pass_length - self.speed * (far - self.dwell))
+        s = np.minimum(np.maximum(s, 0.0), self.pass_length)  # distance along the polyline
+        i = np.minimum(np.searchsorted(self._cum, s, side="right") - 1, len(self._cum) - 2)
+        frac = (s - self._cum[i]) / (self._cum[i + 1] - self._cum[i])
+        pos = self._pts[i] + frac[:, None] * (self._pts[i + 1] - self._pts[i])
+        pos[start], pos[end] = self._pts[0], self._pts[-1]
+        return pos, ~(start | end)
 
-    def _at_distance(self, s: float) -> np.ndarray:
-        s = min(max(s, 0.0), self.pass_length)
-        i = int(np.searchsorted(self._cum, s, side="right")) - 1
-        i = min(i, len(self._cum) - 2)
-        seg = self._pts[i + 1] - self._pts[i]
-        seglen = self._cum[i + 1] - self._cum[i]
-        frac = 0.0 if seglen == 0 else (s - self._cum[i]) / seglen
-        return self._pts[i] + frac * seg
+    def locate(self, t: float):
+        """(position, moving) at time t: positions() at one time."""
+        pos, moving = self.positions([t])
+        return pos[0], bool(moving[0])
 
 
 @dataclass
@@ -107,9 +103,15 @@ class RotatingReflector:
             raise ValueError(f"peak_scatter_gain_db must be below +inf, got "
                              f"{self.peak_scatter_gain_db!r}")
 
+    def factors(self, times) -> np.ndarray:
+        """Complex bounce factors (T,) at times (T,): the peak gain times cos(theta) e^(j theta)."""
+        theta = 2.0 * math.pi * (self.rpm / 60.0) * np.asarray(times, dtype=float)
+        cos = np.cos(theta)
+        return 10.0 ** (self.peak_scatter_gain_db / 20.0) * cos * (cos + 1j * np.sin(theta))
+
     def factor(self, t: float) -> complex:
-        theta = 2.0 * math.pi * (self.rpm / 60.0) * t
-        return 10.0 ** (self.peak_scatter_gain_db / 20.0) * math.cos(theta) * complex(math.cos(theta), math.sin(theta))
+        """factors() at one time."""
+        return complex(self.factors([t])[0])
 
 
 @dataclass
@@ -165,14 +167,6 @@ def _irs_rng(scenario: Scenario, stream: int) -> np.random.Generator:
     return np.random.default_rng((scenario.seed, _IRS_STREAM, stream))
 
 
-def _physical_memory() -> float:
-    """Bytes of physical memory; inf where the platform does not report it."""
-    try:
-        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
-    except (AttributeError, ValueError, OSError):
-        return math.inf
-
-
 def check_update_rate(update_rate: float, sample_rate: float) -> None:
     """Raise ValueError above 100 scheduler ticks per frame.
 
@@ -182,26 +176,6 @@ def check_update_rate(update_rate: float, sample_rate: float) -> None:
     if update_rate > 100 * sample_rate:
         raise ValueError(f"update_rate must be at most 100 ticks per frame ({100 * sample_rate:g} "
                          f"at sample_rate {sample_rate:g}), got {update_rate:g}")
-
-
-def check_surface_size(scenario: Scenario) -> None:
-    """Raise ValueError when the surface's response tensors would not fit in
-    physical memory.
-
-    Building them holds two complex (M, K, n_rx, n_tx) arrays at once (the
-    phase and its exponential, then the exponential and the weighted product)
-    and the (M, K) amplitudes: 2.11 times the tensor by this count, 2.19
-    measured on a 16x16 surface.
-    """
-    if scenario.irs_pos is None:
-        return
-    k, n_rx, n_tx = scenario.n_subcarriers, scenario.n_rx, scenario.n_tx
-    need = 16.0 * scenario.n_elements * k * (2 * n_rx * n_tx + 1)
-    memory = _physical_memory()
-    if need > memory:
-        raise ValueError(f"irs_grid {scenario.irs_grid[0]}x{scenario.irs_grid[1]} needs "
-                         f"{need / 2**30:.3g} GiB for its surface tensors, more than the "
-                         f"{memory / 2**30:.3g} GiB of physical memory")
 
 
 def _schedule(n_elements, defense_on, times, sample_rate, scheduler: irsmod.SchedulerParams,
@@ -248,7 +222,7 @@ def _session_magnitudes(scenario, defense_on, motion, duration_s,
     cells = scenario.n_subcarriers * scenario.n_rx * scenario.n_tx
     # float64 |H|, plus the complex128 frames when they are kept
     need = duration_s * scenario.sample_rate * cells * (24 if keep_frames else 8)
-    memory = _physical_memory()
+    memory = channel._physical_memory()
     if not need <= memory:  # also rejects a NaN or infinite duration
         raise ValueError(f"duration {duration_s:g} s needs {need / 2**30:.3g} GiB for its "
                          f"frames, more than the {memory / 2**30:.3g} GiB of physical memory")
@@ -268,9 +242,9 @@ def _session_magnitudes(scenario, defense_on, motion, duration_s,
     person = person_xy = moving = factors = None
     if isinstance(motion, Trajectory):
         person = person_template if person_template is not None else PersonState(position=(0.0, 0.0))
-        person_xy, moving = (np.array(v) for v in zip(*map(motion.locate, times.tolist())))
+        person_xy, moving = motion.positions(times)
     elif isinstance(motion, RotatingReflector):
-        factors = np.array([motion.factor(t) for t in times.tolist()])
+        factors = motion.factors(times)
 
     shape = (n_frames, scenario.n_subcarriers, scenario.n_rx, scenario.n_tx)
     mags = np.empty(shape)
@@ -284,7 +258,7 @@ def _session_magnitudes(scenario, defense_on, motion, duration_s,
                        rng=rng_noise)
         if keep_frames:
             frames[a:b] = h
-        mags[a:b] = np.abs(h)
+        np.abs(h, out=mags[a:b])
 
     meta = {
         "seed": scenario.seed,
@@ -348,8 +322,14 @@ def reference_and_selection(scenario: Scenario, defense_on: bool, reference_s: f
 
 
 def coverage_grid_positions(scenario: Scenario, nx: int = 5, ny: int = 4,
-                            margin: float = 0.75) -> np.ndarray:
-    """Uniform nx-by-ny grid over the room interior."""
+                            margin: float = 0.75, *, session_s: float = 60.0) -> np.ndarray:
+    """Uniform nx-by-ny grid over the room interior; ValueError when the
+    observations of its session_s sessions (8 B per frame) exceed physical memory."""
+    need = 8.0 * nx * ny * np.round(session_s * scenario.sample_rate)
+    memory = channel._physical_memory()
+    if need > memory:
+        raise ValueError(f"grid {nx}x{ny} of {session_s:g} s sessions needs {need / 2**30:.3g} "
+                         f"GiB, more than the {memory / 2**30:.3g} GiB of physical memory")
     if scenario.room:
         pts = np.asarray([p for w in scenario.room for p in w], dtype=float)
     else:

@@ -21,8 +21,8 @@ from itertools import islice
 
 import numpy as np
 
-from .channel import PersonState, Scenario, _unit, rect_room
-from .experiments import RotatingReflector, Trajectory, check_surface_size, check_update_rate
+from .channel import PersonState, Scenario, _unit, check_surface_size, rect_room
+from .experiments import RotatingReflector, Trajectory, check_update_rate
 from .irs import SchedulerParams
 from .sensing import DetectionReport, ObservationSeries
 

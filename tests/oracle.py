@@ -213,6 +213,40 @@ def channel_response(static_paths, irs_paths, irs_config, person, scenario: ch.S
 
 
 # ---------------------------------------------------------------------------
+# Motion, one time at a time
+
+def locate(walk, t: float):
+    """(position, moving) of a Trajectory at time t, one phase of the patrol
+    after another: dwell at the start, outbound leg, dwell at the end, return."""
+    def at_distance(s):
+        s = min(max(s, 0.0), walk.pass_length)
+        i = min(int(np.searchsorted(walk._cum, s, side="right")) - 1, len(walk._cum) - 2)
+        seglen = walk._cum[i + 1] - walk._cum[i]
+        frac = 0.0 if seglen == 0 else (s - walk._cum[i]) / seglen
+        return walk._pts[i] + frac * (walk._pts[i + 1] - walk._pts[i])
+
+    leg_t = walk.pass_length / walk.speed
+    tc = t % (2.0 * (leg_t + walk.dwell))
+    if tc < walk.dwell:
+        return walk._pts[0].copy(), False
+    tc -= walk.dwell
+    if tc < leg_t:
+        return at_distance(walk.speed * tc), True
+    tc -= leg_t
+    if tc < walk.dwell:
+        return walk._pts[-1].copy(), False
+    tc -= walk.dwell
+    return at_distance(walk.pass_length - walk.speed * tc), True
+
+
+def reflector_factor(reflector, t: float) -> complex:
+    """A RotatingReflector's complex bounce factor at time t, in scalar math."""
+    theta = 2.0 * math.pi * (reflector.rpm / 60.0) * t
+    return (10.0 ** (reflector.peak_scatter_gain_db / 20.0) * math.cos(theta)
+            * complex(math.cos(theta), math.sin(theta)))
+
+
+# ---------------------------------------------------------------------------
 # Scheduler and session helpers
 
 def map_coefficient(bit: int) -> float:

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -333,3 +336,92 @@ def test_scatter_path_modulation_factor_is_complex():
     d1 = np.hypot(2.0, 1.0)
     d2 = np.hypot(3.0, 1.0)
     assert abs(p.amp_coeff) == pytest.approx(0.5 / ((4 * np.pi) ** 2 * d1 * d2), rel=1e-12)
+
+
+def _oracle_frame(scn, bits, person, position=None):
+    """channel_response for surface bits (None: surface off) with the person at position."""
+    static = orc.records(ch.build_static_paths(scn), scn)
+    irsp = ([] if scn.irs_pos is None
+            else orc.records(ch.build_irs_paths(scn, ch.grid_layout(scn)), scn))
+    here = None if person is None else replace(person, position=tuple(position))
+    cfg = None if bits is None else ir.IrsConfig(np.asarray(bits, dtype=np.uint8))
+    return orc.channel_response(static, irsp, cfg, here, scn, 0).values
+
+
+def test_frames_without_person_match_oracle_per_configuration():
+    scn = oio.default_scenario(seed=5, snr_db=float("inf"))
+    sim = ch.FrameSimulator(scn)
+    bits = np.random.default_rng(4).integers(0, 2, size=(4, 256)).astype(np.uint8)
+    cfg_index = np.array([0, 2, 2, 1, 3, 0, 3])
+    got = sim.frames(bits.astype(np.int8) * 2 - 1, cfg_index)
+    assert got.shape == (7, 56, 3, 3)
+    for t, c in enumerate(cfg_index):
+        assert np.allclose(got[t], _oracle_frame(scn, bits[c], None), rtol=1e-12, atol=1e-18)
+
+
+@pytest.mark.parametrize("grid", [None, (1, 1)])
+@pytest.mark.parametrize("with_person", [False, True])
+def test_frames_on_tiny_surfaces_match_oracle(grid, with_person):
+    base = oio.default_scenario(seed=6, snr_db=float("inf"))
+    scn = (replace(base, irs_pos=None, irs_normal=None) if grid is None
+           else replace(base, irs_grid=grid))
+    sim = ch.FrameSimulator(scn)
+    assert sim.n_elements == (0 if grid is None else 1)
+    bits = np.array([[1], [0]], dtype=np.uint8)[:, :sim.n_elements]
+    cfg_index = np.array([0, 1, 1])
+    person = ch.PersonState(position=(0.0, 0.0)) if with_person else None
+    positions = np.array([[3.0, 2.5], [3.75, 2.75], [5.5, 1.0]])  # the second on the LOS
+    got = sim.frames(bits.astype(np.int8) * 2 - 1, cfg_index, person=person,
+                     positions=positions if with_person else None)
+    for t, c in enumerate(cfg_index):
+        want = _oracle_frame(scn, None if grid is None else bits[c], person, positions[t])
+        assert np.allclose(got[t], want, rtol=1e-12, atol=1e-18)
+
+
+def test_tensors_match_complex_exponential():
+    scn = replace(oio.default_scenario(seed=2), n_tx=2, n_rx=4, irs_grid=(8, 5))
+    paths = ch._join(ch._join(ch.build_static_paths(scn),
+                              ch.build_irs_paths(scn, ch.grid_layout(scn))),
+                     ch.scatter_paths(scn, [(2.0, 3.0), (4.1, 1.7)], [0.5j, -1.0 + 2.0j]))
+    freqs = scn.subcarrier_freqs()
+    axis, otx, orx = ch._antenna_projections(scn)
+    d = (paths.length[:, None, None] + (paths.arr @ axis)[:, None, None] * orx[:, None]
+         - (paths.dep @ axis)[:, None, None] * otx[None, :])
+    amp = paths.amp[:, None] * (C / freqs[None, :]) ** paths.lambda_exp[:, None]
+    want = amp[:, :, None, None] * np.exp(-2j * np.pi / C * freqs[None, :, None, None]
+                                          * d[:, None])
+    # exact on some CPUs; cos and sin need not round as exp does everywhere
+    assert np.allclose(ch._tensors(paths, scn), want, rtol=1e-14, atol=0.0)
+
+
+def test_simulator_checks_surface_size_before_building(monkeypatch):
+    scn = oio.default_scenario(seed=1)
+    need = 16 * 256 * 56 * (3 * 3 + 4)
+    real_tensors = ch._tensors
+
+    def no_tensors(*args):
+        raise AssertionError("a tensor was built before the size check")
+
+    monkeypatch.setattr(ch, "_tensors", no_tensors)
+    monkeypatch.setattr(ch, "_physical_memory", lambda: float(need - 1))
+    with pytest.raises(ValueError, match=r"^irs_grid 16x16 needs"):
+        ch.FrameSimulator(scn)
+    monkeypatch.setattr(ch, "_tensors", real_tensors)
+    monkeypatch.setattr(ch, "_physical_memory", lambda: float(need))
+    assert ch.FrameSimulator(scn).n_elements == 256
+    # without a surface nothing is checked
+    monkeypatch.setattr(ch, "_physical_memory", lambda: 0.0)
+    assert ch.FrameSimulator(replace(scn, irs_pos=None, irs_normal=None)).n_elements == 0
+
+
+def test_surface_size_estimate_covers_measured_peak():
+    scn = oio.default_scenario(seed=1)
+    ch.FrameSimulator(scn)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ch.FrameSimulator(scn)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 256 * 56 * (3 * 3 + 4)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import run_cli
-from obfusense import cli, experiments
+from obfusense import channel, cli, experiments
 from obfusense import io as oio
 
 
@@ -137,6 +137,14 @@ def test_coverage_bad_grid_names_flag(tmp_path, minimal_config, capsys, grid):
     assert "--grid" in err and "NXxNY" in err
 
 
+def test_coverage_grid_over_memory_exits_3_naming_grid(tmp_path, minimal_config, capsys):
+    assert invoke("coverage", "--config", minimal_config, "--grid", "100000x100000",
+                  "--out", tmp_path / "cov") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: --grid: grid 100000x100000 of 60 s sessions needs")
+    assert not (tmp_path / "cov").exists()
+
+
 def test_coverage_uses_config_reflector(tmp_path, minimal_config, monkeypatch):
     cfg = tmp_path / "rpm.cfg"
     cfg.write_text(minimal_config.read_text() + "reflector_rpm = 40\n")
@@ -189,8 +197,8 @@ def test_simulate_duration_over_memory_exits_3(tmp_path, minimal_config, capsys)
 
 
 def test_surface_over_memory_exits_3_naming_grid(tmp_path, minimal_config, capsys, monkeypatch):
-    # the default 16x16 surface's tensors take about 4 MB; pretend the machine has 1 MB
-    monkeypatch.setattr(experiments, "_physical_memory", lambda: float(2 ** 20))
+    # the default 16x16 surface's tensors take about 3 MB; pretend the machine has 1 MB
+    monkeypatch.setattr(channel, "_physical_memory", lambda: float(2 ** 20))
     assert invoke("simulate", "--config", minimal_config, "--motion", "none", "--defense", "off",
                   "--duration", 2, "--out", tmp_path / "x") == 3
     assert capsys.readouterr().err.startswith("error: irs.grid: irs_grid 16x16 needs")

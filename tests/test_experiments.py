@@ -100,6 +100,49 @@ def test_trajectory_dwell():
     assert np.allclose(pos, [1.0, 0.0]) and not moving
 
 
+@st.composite
+def trajectories(draw):
+    """Polylines of 2 to 5 waypoints on a coarse lattice, with and without dwell."""
+    points = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                           min_size=2, max_size=5).filter(
+        lambda p: all(a != b for a, b in zip(p, p[1:]))))
+    scale = draw(st.sampled_from([1.0, 0.35, 1.7]))
+    return ex.Trajectory(waypoints=[(x * scale, y * scale) for x, y in points],
+                         speed=draw(st.sampled_from([0.45, 1.0, 1.3, 3.0])),
+                         dwell=draw(st.sampled_from([0.0, 0.0, 0.5, 1.25])))
+
+
+@given(walk=trajectories(), extra=st.lists(st.floats(0.0, 200.0), max_size=20))
+def test_positions_match_scalar_locate(walk, extra):
+    leg = walk.pass_length / walk.speed
+    cycle = 2.0 * (leg + walk.dwell)
+    out = walk.dwell + walk._cum / walk.speed  # reaching each waypoint, outbound
+    back = 2.0 * walk.dwell + leg + (walk.pass_length - walk._cum) / walk.speed  # and back
+    edges = np.concatenate([[walk.dwell, walk.dwell + leg, 2.0 * walk.dwell + leg],
+                            out, back, cycle * np.arange(1, 5), out + cycle])
+    # each boundary, the time just before it, then arbitrary and frame times
+    times = np.concatenate([[0.0], edges, np.nextafter(edges, 0.0), extra, np.arange(140) / 70.0])
+    pos, moving = walk.positions(times)
+    assert pos.shape == (len(times), 2) and moving.shape == (len(times),)
+    for i, t in enumerate(times.tolist()):
+        want_pos, want_moving = orc.locate(walk, t)
+        assert pos[i].tobytes() == want_pos.tobytes() and moving[i] == want_moving
+        got_pos, got_moving = walk.locate(t)
+        assert got_pos.tobytes() == want_pos.tobytes() and got_moving is want_moving
+
+
+@given(rpm=st.floats(0.5, 600.0), gain_db=st.floats(-40.0, 40.0) | st.just(-math.inf),
+       times=st.lists(st.floats(0.0, 3600.0), min_size=1, max_size=40))
+def test_factors_match_factor(rpm, gain_db, times):
+    refl = ex.RotatingReflector(position=(1.0, 2.0), rpm=rpm, peak_scatter_gain_db=gain_db)
+    got = refl.factors(times)
+    assert got.shape == (len(times),)
+    assert got.tobytes() == np.array([refl.factor(t) for t in times]).tobytes()
+    # the scalar-math formula, up to the last bits of cos and sin
+    want = np.array([orc.reflector_factor(refl, t) for t in times])
+    assert np.allclose(got, want, rtol=0.0, atol=4e-16 * 10.0 ** (gain_db / 20.0))
+
+
 def test_reflector_modulation():
     refl = ex.RotatingReflector(position=(1.0, 1.0), rpm=30.0, peak_scatter_gain_db=0.0)
     assert refl.factor(0.0) == pytest.approx(1.0)
@@ -406,6 +449,17 @@ def test_coverage_grid_shapes_and_rates():
     assert result.rates.shape == (4,)
     assert np.all((result.rates >= 0) & (result.rates <= 1))
     assert np.all((result.rates_maxref >= 0) & (result.rates_maxref <= 1))
+
+
+def test_coverage_grid_bounded_by_physical_memory(monkeypatch):
+    scn = quiet_scenario()
+    need = 8 * 3 * 2 * 4200  # cells x frames of a 60 s session at 70 Hz x float64
+    monkeypatch.setattr(ch, "_physical_memory", lambda: float(need))
+    assert ex.coverage_grid_positions(scn, 3, 2, session_s=60.0).shape == (6, 2)
+    monkeypatch.setattr(ch, "_physical_memory", lambda: float(need - 1))
+    with pytest.raises(ValueError, match=r"^grid 3x2 of 60 s sessions needs"):
+        ex.coverage_grid_positions(scn, 3, 2, session_s=60.0)
+    assert ex.coverage_grid_positions(scn, 3, 2, session_s=59.99).shape == (6, 2)
 
 
 def test_coverage_grid_empty_rejected():

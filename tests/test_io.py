@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from obfusense import channel as ch
-from obfusense import experiments as ex
 from obfusense import io as oio
 from obfusense import sensing as sn
 
@@ -96,15 +95,15 @@ def test_full_config_roundtrip_values(tmp_path):
 def test_surface_size_checked_against_physical_memory(tmp_path, monkeypatch):
     path = write(tmp_path, FULL_CONFIG)
     scenario, _ = oio.load_scenario(path)
-    # 16 bytes x 256 elements x 56 subcarriers x (2 x 3 x 3 + 1) intermediates
-    need = 16 * 256 * 56 * 19
-    monkeypatch.setattr(ex, "_physical_memory", lambda: float(need))
+    # 16 bytes x 256 elements x 56 subcarriers x (3 x 3 + 4) tensor and amplitude entries
+    need = 16 * 256 * 56 * 13
+    monkeypatch.setattr(ch, "_physical_memory", lambda: float(need))
     assert oio.load_scenario(path)[0] == scenario
-    monkeypatch.setattr(ex, "_physical_memory", lambda: float(need - 1))
+    monkeypatch.setattr(ch, "_physical_memory", lambda: float(need - 1))
     with pytest.raises(oio.ConfigError, match=r"^irs\.grid: irs_grid 16x16 needs"):
         oio.load_scenario(path)
     # a scenario without a surface builds no surface tensors, whatever its grid
-    ex.check_surface_size(ch.Scenario(anchor_pos=(0.0, 0.0), eve_pos=(1.0, 0.0)))
+    ch.check_surface_size(ch.Scenario(anchor_pos=(0.0, 0.0), eve_pos=(1.0, 0.0)))
 
 
 def test_negative_snr_accepted_negative_subcarriers_rejected(tmp_path):
