@@ -11,7 +11,8 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,15 @@ def _out_dir(args) -> Path:
     return path
 
 
+@contextmanager
+def _flag(name: str):
+    """Prefix a ValueError raised inside the block with the flag it came from."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def _parse_values(text: str):
     """Comma list (1,2,3) or start:stop:step range (32:256:32, inclusive)."""
     if ":" in text:
@@ -72,7 +82,7 @@ def _parse_values(text: str):
         n = int(round((stop - start) / step_))
         values = [start + i * step_ for i in range(n + 1) if start + i * step_ <= stop + 1e-9]
         if not values:
-            raise ValueError(f"--values {text!r}: range stop below start gives no values")
+            raise ValueError(f"range {text!r}: stop below start gives no values")
         return values
     return [float(v) for v in text.split(",")]
 
@@ -116,11 +126,9 @@ def cmd_attack(args):
 
 def cmd_coverage(args):
     scenario, cfg = _load(args)
-    try:
+    with _flag("--grid"):
         grid = experiments.coverage_grid_positions(scenario, *oio.parse_grid(args.grid),
                                                    session_s=args.session_s)
-    except ValueError as exc:
-        raise ValueError(f"--grid: {exc}") from None
     result = experiments.run_coverage_grid(
         scenario, grid, args.defense == "on", cfg.c,
         reference_s=args.reference_s if args.reference_s is not None else cfg.reference_s,
@@ -128,11 +136,8 @@ def cmd_coverage(args):
         reflector_gain_db=cfg.reflector.peak_scatter_gain_db, window_s=cfg.window_s,
         n_select=cfg.n_select, jobs=args.jobs, **cfg.settings())
     out = _out_dir(args)
-    with open(out / "coverage.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# schema_version={oio.SCHEMA_VERSION}\n")
-        fh.write("x,y,detection_rate,detection_rate_maxref\n")
-        for pos, r, rm in zip(result.positions, result.rates, result.rates_maxref):
-            fh.write(f"{repr(float(pos[0]))},{repr(float(pos[1]))},{repr(float(r))},{repr(float(rm))}\n")
+    oio.write_csv(out / "coverage.csv", ("x", "y", "detection_rate", "detection_rate_maxref"),
+                  np.column_stack((result.positions, result.rates, result.rates_maxref)))
     summary = {
         "schema_version": oio.SCHEMA_VERSION,
         "threshold": result.threshold,
@@ -152,23 +157,16 @@ def cmd_coverage(args):
     return 0
 
 
-def _write_sweep_csv(result, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# schema_version={oio.SCHEMA_VERSION}\n")
-        fh.write("sweep_var,value,stat,number\n")
-        for cell in result.cells:
-            for stat in ("median", "p01", "p99", "threshold"):
-                fh.write(f"{result.sweep_var},{repr(float(cell.value))},{stat},"
-                         f"{repr(float(getattr(cell, stat)))}\n")
-
-
 def cmd_sweep(args):
     scenario, cfg = _load(args)
-    values = _parse_values(args.values)
+    with _flag("--values"):
+        values = _parse_values(args.values)
     result = experiments.sweep(scenario, args.var, values, c=cfg.c, window_s=cfg.window_s,
                                session_s=args.duration, **cfg.settings())
     out = _out_dir(args)
-    _write_sweep_csv(result, out / "sweep.csv")
+    oio.write_csv(out / "sweep.csv", ("sweep_var", "value", "stat", "number"),
+                  ((result.sweep_var, cell.value, stat, getattr(cell, stat))
+                   for cell in result.cells for stat in ("median", "p01", "p99", "threshold")))
     _write_manifest(out, args, config_path=args.config, seed=scenario.seed,
                     extra={"sweep_var": result.sweep_var, "cells": len(result.cells)})
     print(f"wrote {out / 'sweep.csv'} ({len(result.cells)} cells)")
@@ -177,19 +175,16 @@ def cmd_sweep(args):
 
 def cmd_paramstudy(args):
     scenario, cfg = _load(args)
-    r_values = [float(v) for v in args.R.split(",")]
-    p_values = [float(v) for v in args.P.split(",")]
+    with _flag("--R"):
+        r_values = [float(v) for v in args.R.split(",")]
+    with _flag("--P"):
+        p_values = [float(v) for v in args.P.split(",")]
     cells = experiments.parameter_study(scenario, r_values, p_values, args.duration,
                                         c=cfg.c, window_s=cfg.window_s,
                                         update_rate=cfg.update_rate)
     out = _out_dir(args)
-    with open(out / "paramstudy.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# schema_version={oio.SCHEMA_VERSION}\n")
-        fh.write("progression_rate,hold_prob,median,mad,threshold,euclidean_norm,coherence_time_s\n")
-        for cell in cells:
-            fh.write(",".join(repr(float(v)) for v in (
-                cell.progression_rate, cell.hold_prob, cell.median, cell.mad,
-                cell.threshold, cell.euclidean_norm, cell.coherence_time_s)) + "\n")
+    oio.write_csv(out / "paramstudy.csv", [f.name for f in fields(experiments.ParamStudyCell)],
+                  map(astuple, cells))
     _write_manifest(out, args, config_path=args.config, seed=scenario.seed,
                     extra={"cells": len(cells)})
     print(f"wrote {out / 'paramstudy.csv'} ({len(cells)} cells)")

@@ -190,20 +190,18 @@ def _schedule(n_elements, defense_on, times, sample_rate, scheduler: irsmod.Sche
     """
     check_update_rate(scheduler.update_rate, sample_rate)
     full_bits = rng_irs.integers(0, 2, size=n_elements, dtype=np.uint8)
-    coeffs = full_bits.astype(np.int8) * 2 - 1
+    coeffs = irsmod.coefficients(full_bits)
     configs, change_frames = {0: coeffs.copy()}, []  # first frame -> coefficients
     active = (np.arange(n_elements) if active_elements is None
               else np.asarray(sorted(active_elements), dtype=int))
     if defense_on and active.size:
-        state = irsmod.IrsAlgState(cfg=irsmod.IrsConfig(full_bits[active].copy()),
-                                   rng=rng_irs, **scheduler.settings())
+        state = irsmod.IrsAlgState(bits=full_bits[active], rng=rng_irs, **scheduler.settings())
         t = times + 1e-12
         tick = 1
         while tick / scheduler.update_rate <= t[-1]:
-            state, changed = irsmod.step(state)
-            if changed:
+            if irsmod.step(state):
                 i = int(np.searchsorted(t, tick / scheduler.update_rate))
-                coeffs[active] = state.cfg.bits.astype(np.int8) * 2 - 1
+                coeffs[active] = irsmod.coefficients(state.bits)
                 change_frames.append(i)
                 configs[i] = coeffs.copy()
             tick += 1
@@ -349,7 +347,8 @@ def run_coverage_grid(scenario: Scenario, grid, defense_on: bool, c: float = 11.
 
     One reference calibration, then one session per position; rates are
     reported for the median+C*MAD threshold and for the max-of-reference
-    variant. Cells run in min(jobs, cells, CPU count) worker processes.
+    variant. Cells run in min(jobs, cells, CPU count) worker processes; every
+    cell reuses the reference's simulator.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -363,7 +362,7 @@ def run_coverage_grid(scenario: Scenario, grid, defense_on: bool, c: float = 11.
     u = sensing.calibrate_threshold(ref_obs, c)
     u_max = sensing.max_threshold(ref_obs)
 
-    args = [(scenario, defense_on, tuple(pos), rpm, reflector_gain_db, session_s, window_s,
+    args = [(sim, defense_on, tuple(pos), rpm, reflector_gain_db, session_s, window_s,
              subs, 100 + i, scheduler) for i, pos in enumerate(grid)]
     workers = min(jobs, len(args), os.cpu_count() or 1)
     if workers > 1:
@@ -383,10 +382,10 @@ def run_coverage_grid(scenario: Scenario, grid, defense_on: bool, c: float = 11.
 
 
 def _coverage_cell(args):
-    (scenario, defense_on, pos, rpm, gain_db, session_s, window_s, subs, stream, scheduler) = args
+    (sim, defense_on, pos, rpm, gain_db, session_s, window_s, subs, stream, scheduler) = args
     reflector = RotatingReflector(position=pos, rpm=rpm, peak_scatter_gain_db=gain_db)
-    return run_session(scenario, defense_on, reflector, session_s, window_s=window_s,
-                       subcarriers=subs, stream=stream, **scheduler)
+    return run_session(sim.scenario, defense_on, reflector, session_s, window_s=window_s,
+                       subcarriers=subs, stream=stream, simulator=sim, **scheduler)
 
 
 def _sweep_cell_stats(value, obs, c=11.0) -> SweepCell:

@@ -438,18 +438,25 @@ def _frames_from_rows(fh, header: TraceHeader, path):
 
 
 # ---------------------------------------------------------------------------
-# Observation CSV
+# Observation and result CSVs
+
+def write_csv(path, columns, rows, meta=None):
+    """Write `# schema_version`, a `# key=value` line per meta item, the column
+    row, then one line per row: a str cell as is, any other as repr(float)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
+        for key, value in (meta or {}).items():
+            fh.write(f"# {key}={repr(float(value))}\n")
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(c if isinstance(c, str) else repr(float(c)) for c in row) + "\n"
+                      for row in rows)
+
 
 def export_observation(obs: ObservationSeries, path):
     n_w = int(round(obs.window_s * obs.sample_rate))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
-        fh.write(f"# sample_rate={repr(float(obs.sample_rate))}\n")
-        fh.write(f"# window_s={repr(float(obs.window_s))}\n")
-        fh.write("t_seconds,sigma_bar\n")
-        for i, v in enumerate(obs.values):
-            t = (i + n_w - 1) / obs.sample_rate
-            fh.write(f"{repr(t)},{repr(float(v))}\n")
+    write_csv(path, ("t_seconds", "sigma_bar"),
+              (((i + n_w - 1) / obs.sample_rate, v) for i, v in enumerate(obs.values)),
+              meta={"sample_rate": obs.sample_rate, "window_s": obs.window_s})
 
 
 def load_observation(path) -> ObservationSeries:

@@ -8,29 +8,12 @@ one configuration write at the surface update rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 RAND = "RAND"
 FLIP = "FLIP"
-
-
-@dataclass
-class IrsConfig:
-    """M binary element states."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.uint8)
-        if self.bits.ndim != 1:
-            raise ValueError("config bits must be a 1-D vector")
-        if not np.all((self.bits == 0) | (self.bits == 1)):
-            raise ValueError("config bits must be 0 or 1")
-
-    def __len__(self):
-        return self.bits.shape[0]
 
 
 @dataclass(kw_only=True)
@@ -59,37 +42,38 @@ class SchedulerParams:
         return {f.name: getattr(self, f.name) for f in fields(SchedulerParams)}
 
 
-@dataclass
+@dataclass(kw_only=True)
 class IrsAlgState(SchedulerParams):
-    """Scheduler state: current configuration plus the pending step kind."""
+    """Scheduler state, stepped in place: M element bits plus the pending step kind.
 
-    cfg: IrsConfig
+    bits is copied and checked once here, so step() never writes into the
+    caller's array. rng is required: it is the surface stream of the session.
+    """
+
+    bits: np.ndarray
+    rng: np.random.Generator
     next_state: str = RAND
-    rng: np.random.Generator = None
 
     def __post_init__(self):
         super().__post_init__()
-        if math.ceil(self.progression_rate * len(self.cfg)) < 1:
+        self.bits = np.array(self.bits, dtype=np.uint8)
+        if self.bits.ndim != 1:
+            raise ValueError("config bits must be a 1-D vector")
+        if not np.all(self.bits <= 1):
+            raise ValueError("config bits must be 0 or 1")
+        if math.ceil(self.progression_rate * self.bits.shape[0]) < 1:
             raise ValueError("progression rate selects no elements")
         if self.next_state not in (RAND, FLIP):
             raise ValueError(f"unknown state {self.next_state!r}")
-        if self.rng is None:
-            self.rng = np.random.default_rng()
 
 
-def initial_state(m: int, rng: np.random.Generator, **scheduler) -> IrsAlgState:
-    """Fresh scheduler state with a uniformly random starting configuration."""
-    bits = rng.integers(0, 2, size=m, dtype=np.uint8)
-    return IrsAlgState(cfg=IrsConfig(bits), next_state=RAND, rng=rng, **scheduler)
+def coefficients(bits: np.ndarray) -> np.ndarray:
+    """Per-element reflection coefficients, int8: bit 0 -> -1, bit 1 -> +1."""
+    return np.asarray(bits, dtype=np.int8) * 2 - 1
 
 
-def map_config(cfg: IrsConfig) -> np.ndarray:
-    """Vector of per-element reflection coefficients in {-1, +1}."""
-    return cfg.bits.astype(float) * 2.0 - 1.0
-
-
-def step(state: IrsAlgState, disable_inversion: bool = False):
-    """Advance one tick; returns (new_state, changed).
+def step(state: IrsAlgState, disable_inversion: bool = False) -> bool:
+    """Advance one tick in place; returns whether the configuration changed.
 
     With probability hold_prob nothing happens (the configuration is re-held
     for one tick). Otherwise the pending step executes: RAND flips
@@ -98,16 +82,14 @@ def step(state: IrsAlgState, disable_inversion: bool = False):
     still alternates).
     """
     if state.rng.random() < state.hold_prob:
-        return state, False
-    bits = state.cfg.bits.copy()
-    m = bits.shape[0]
+        return False
     if state.next_state == RAND:
+        m = state.bits.shape[0]
         count = math.ceil(state.progression_rate * m)
-        idx = state.rng.choice(m, size=count, replace=False)
-        bits[idx] ^= 1
-        nxt = FLIP
+        state.bits[state.rng.choice(m, count, False)] ^= 1  # count distinct elements
+        state.next_state = FLIP
     else:
         if not disable_inversion:
-            bits ^= 1
-        nxt = RAND
-    return replace(state, cfg=IrsConfig(bits), next_state=nxt), True
+            state.bits ^= 1
+        state.next_state = RAND
+    return True

@@ -175,22 +175,22 @@ def frame_noise_rng(seed: int, t_index: int) -> np.random.Generator:
     return np.random.default_rng((seed, _NOISE_TAG, t_index))
 
 
-def channel_response(static_paths, irs_paths, irs_config, person, scenario: ch.Scenario,
+def channel_response(static_paths, irs_paths, irs_bits, person, scenario: ch.Scenario,
                      t_index: int) -> CsiFrame:
     """One noisy MIMO-OFDM frame for the given environment and surface state.
 
-    static_paths and irs_paths are lists of Path. irs_config maps bits {0,1}
-    to reflection coefficients {-1,+1}; None turns the surface contribution
-    off (zero coefficients). The noise stream is derived from
-    (scenario.seed, t_index), so a frame regenerates bit-identically.
+    static_paths and irs_paths are lists of Path. irs_bits are the element
+    bits {0,1}, mapped to reflection coefficients {-1,+1}; None turns the
+    surface contribution off (zero coefficients). The noise stream is derived
+    from (scenario.seed, t_index), so a frame regenerates bit-identically.
     """
     n_elem = sum(1 for p in irs_paths if p.kind == ch.IRS)
-    if irs_config is not None and len(irs_config.bits) != n_elem:
+    if irs_bits is not None and len(irs_bits) != n_elem:
         raise ValueError(
-            f"surface config length {len(irs_config.bits)} does not match {n_elem} element paths")
+            f"surface config length {len(irs_bits)} does not match {n_elem} element paths")
 
     moved = apply_motion(list(static_paths) + list(irs_paths), person, scenario)
-    coeffs = ir.map_config(irs_config) if irs_config is not None else None
+    coeffs = ir.coefficients(irs_bits) if irs_bits is not None else None
     weights = np.empty(len(moved), dtype=complex)
     for i, p in enumerate(moved):
         if p.kind == ch.IRS:
@@ -256,10 +256,16 @@ def map_coefficient(bit: int) -> float:
     return -1.0 if bit == 0 else 1.0
 
 
-def hamming_distance(a: ir.IrsConfig, b: ir.IrsConfig) -> int:
+def initial_state(m: int, rng: np.random.Generator, **scheduler) -> ir.IrsAlgState:
+    """Fresh scheduler state with a uniformly random starting configuration."""
+    return ir.IrsAlgState(bits=rng.integers(0, 2, size=m, dtype=np.uint8), rng=rng, **scheduler)
+
+
+def hamming_distance(a: np.ndarray, b: np.ndarray) -> int:
+    """Number of elements whose bits differ between two configurations."""
     if len(a) != len(b):
         raise ValueError(f"config lengths differ: {len(a)} vs {len(b)}")
-    return int(np.count_nonzero(a.bits != b.bits))
+    return int(np.count_nonzero(a != b))
 
 
 def hamming_trace(m: int, n_steps: int, n_ensemble: int, *, hold_prob: float = 0.0,
@@ -274,17 +280,17 @@ def hamming_trace(m: int, n_steps: int, n_ensemble: int, *, hold_prob: float = 0
     totals = np.zeros(n_steps + 1)
     for run in range(n_ensemble):
         rng = np.random.default_rng((seed, run))
-        state = ir.initial_state(m, rng, hold_prob=hold_prob, **scheduler)
-        start = ir.IrsConfig(state.cfg.bits.copy())
+        state = initial_state(m, rng, hold_prob=hold_prob, **scheduler)
+        start = state.bits.copy()
         for t in range(1, n_steps + 1):
-            state, _ = ir.step(state, disable_inversion=not include_inversion)
-            totals[t] += hamming_distance(state.cfg, start)
+            ir.step(state, disable_inversion=not include_inversion)
+            totals[t] += hamming_distance(state.bits, start)
     return totals / n_ensemble
 
 
-def serialize_config(cfg: ir.IrsConfig) -> str:
+def serialize_config(bits: np.ndarray) -> str:
     """Hex rendering of the configuration word (little-endian bit order)."""
-    return np.packbits(cfg.bits, bitorder="little").tobytes().hex()
+    return np.packbits(bits, bitorder="little").tobytes().hex()
 
 
 def blocked_flags(scenario: ch.Scenario, positions: np.ndarray, radius: float) -> np.ndarray:

@@ -116,33 +116,30 @@ def test_criterion_03_inversion_identity():
     scn = oio.default_scenario(seed=7, snr_db=float("inf"))
     static = orc.records(ch.build_static_paths(scn), scn)
     irsp = orc.records(ch.build_irs_paths(scn, ch.grid_layout(scn)), scn)
-    h0 = orc.channel_response(static, irsp, ir.IrsConfig(np.zeros(256, np.uint8)),
-                              None, scn, 0).values
-    h1 = orc.channel_response(static, irsp, ir.IrsConfig(np.ones(256, np.uint8)),
-                              None, scn, 0).values
+    h0 = orc.channel_response(static, irsp, np.zeros(256, np.uint8), None, scn, 0).values
+    h1 = orc.channel_response(static, irsp, np.ones(256, np.uint8), None, scn, 0).values
     henv = orc.channel_response(static, irsp, None, None, scn, 0).values
     err = float(np.max(np.abs(h0 + h1 - 2 * henv)))
     announce(3, "inversion identity", err < 1e-10, f"max abs err {err:.2e}")
 
 
 def test_criterion_04_scheduler_structure():
-    state = ir.initial_state(256, np.random.default_rng(1004), progression_rate=0.05,
-                             hold_prob=0.0)
+    state = orc.initial_state(256, np.random.default_rng(1004), progression_rate=0.05,
+                              hold_prob=0.0)
     deltas = []
     for _ in range(1000):
-        prev = state.cfg
-        state, changed = ir.step(state)
+        prev = state.bits.copy()
+        changed = ir.step(state)
         assert changed
-        deltas.append(orc.hamming_distance(state.cfg, prev))
+        deltas.append(orc.hamming_distance(state.bits, prev))
     alternates = deltas == [13, 256] * 500
 
-    state = ir.initial_state(256, np.random.default_rng(1005), progression_rate=0.05,
-                             hold_prob=0.6)
+    state = orc.initial_state(256, np.random.default_rng(1005), progression_rate=0.05,
+                              hold_prob=0.6)
     held = 0
     n = 100_000
     for _ in range(n):
-        state, changed = ir.step(state)
-        held += not changed
+        held += not ir.step(state)
     frac = held / n
     announce(4, "scheduler structure", alternates and abs(frac - 0.6) <= 0.01,
              f"deltas alternate 13/256: {alternates}, held fraction {frac:.4f}")

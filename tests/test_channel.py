@@ -252,10 +252,8 @@ def test_inversion_identity():
     scn = oio.default_scenario(seed=7, snr_db=float("inf"))
     static = orc.records(ch.build_static_paths(scn), scn)
     irsp = orc.records(ch.build_irs_paths(scn, ch.grid_layout(scn)), scn)
-    h0 = orc.channel_response(static, irsp, ir.IrsConfig(np.zeros(256, np.uint8)),
-                              None, scn, 0).values
-    h1 = orc.channel_response(static, irsp, ir.IrsConfig(np.ones(256, np.uint8)),
-                              None, scn, 0).values
+    h0 = orc.channel_response(static, irsp, np.zeros(256, np.uint8), None, scn, 0).values
+    h1 = orc.channel_response(static, irsp, np.ones(256, np.uint8), None, scn, 0).values
     henv = orc.channel_response(static, irsp, None, None, scn, 0).values
     assert np.max(np.abs(h0 + h1 - 2 * henv)) < 1e-10
 
@@ -265,7 +263,7 @@ def test_config_length_mismatch_rejected():
     static = orc.records(ch.build_static_paths(scn), scn)
     irsp = orc.records(ch.build_irs_paths(scn, ch.grid_layout(scn)), scn)
     with pytest.raises(ValueError, match="does not match"):
-        orc.channel_response(static, irsp, ir.IrsConfig(np.zeros(8, np.uint8)), None, scn, 0)
+        orc.channel_response(static, irsp, np.zeros(8, np.uint8), None, scn, 0)
 
 
 def test_frame_determinism_same_seed_and_index():
@@ -320,10 +318,10 @@ def test_simulator_matches_channel_response():
     sim = ch.FrameSimulator(scn)
     rng = np.random.default_rng(0)
     for _ in range(5):
-        cfg = ir.IrsConfig(rng.integers(0, 2, 256).astype(np.uint8))
+        bits = rng.integers(0, 2, 256).astype(np.uint8)
         person = ch.PersonState(position=(float(rng.uniform(1, 6)), float(rng.uniform(0.5, 5))))
-        ref = orc.channel_response(static, irsp, cfg, person, scn, 0).values
-        fast = sim.frame(coeffs=ir.map_config(cfg), person=person)
+        ref = orc.channel_response(static, irsp, bits, person, scn, 0).values
+        fast = sim.frame(coeffs=ir.coefficients(bits), person=person)
         assert np.allclose(fast, ref, rtol=1e-12, atol=1e-18)
 
 
@@ -344,7 +342,7 @@ def _oracle_frame(scn, bits, person, position=None):
     irsp = ([] if scn.irs_pos is None
             else orc.records(ch.build_irs_paths(scn, ch.grid_layout(scn)), scn))
     here = None if person is None else replace(person, position=tuple(position))
-    cfg = None if bits is None else ir.IrsConfig(np.asarray(bits, dtype=np.uint8))
+    cfg = None if bits is None else np.asarray(bits, dtype=np.uint8)
     return orc.channel_response(static, irsp, cfg, here, scn, 0).values
 
 

@@ -123,6 +123,21 @@ def test_sweep_empty_range_rejected(tmp_path, minimal_config, capsys):
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("sweep", "--values", "1,,2"),
+    ("sweep", "--values", "a:b:c"),
+    ("sweep", "--values", "1:2"),
+    ("paramstudy", "--R", "0.05,x"),
+    ("paramstudy", "--P", "x"),
+])
+def test_bad_value_list_names_flag(tmp_path, minimal_config, capsys, command, flag, value):
+    extra = {"sweep": ["--var", "size"], "paramstudy": ["--R", "0.05", "--P", "0.5"]}[command]
+    out = tmp_path / "out"
+    assert invoke(command, "--config", minimal_config, *extra, flag, value, "--out", out) == 3
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    assert not out.exists()
+
+
 def test_coverage_jobs_below_one_rejected(tmp_path, minimal_config, capsys):
     assert invoke("coverage", "--config", minimal_config, "--jobs", 0,
                   "--out", tmp_path / "cov") == 3

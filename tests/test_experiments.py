@@ -296,21 +296,21 @@ def oracle_frames(scn, motion, duration_s, stream, person=None, **scheduler):
     static = orc.records(ch.build_static_paths(scn), scn)
     irsp = orc.records(ch.build_irs_paths(scn, ch.grid_layout(scn)), scn)
     rng = ex._irs_rng(scn, stream)
-    state = ir.IrsAlgState(cfg=ir.IrsConfig(rng.integers(0, 2, size=scn.n_elements, dtype=np.uint8)),
+    state = ir.IrsAlgState(bits=rng.integers(0, 2, size=scn.n_elements, dtype=np.uint8),
                            rng=rng, **params.settings())
     out, tick = [], 1
     for i in range(int(round(duration_s * scn.sample_rate))):
         t = i / scn.sample_rate
         while tick / params.update_rate <= t + 1e-12:
-            state, _ = ir.step(state)
+            ir.step(state)
             tick += 1
         if isinstance(motion, ex.Trajectory):
             pos, _ = motion.locate(t)
             here = replace(person, position=(float(pos[0]), float(pos[1])))
-            out.append(orc.channel_response(static, irsp, state.cfg, here, scn, i).values)
+            out.append(orc.channel_response(static, irsp, state.bits, here, scn, i).values)
         else:
             unit = orc.path_response(orc.scatter_path(scn, motion.position, 1.0), scn)
-            out.append(orc.channel_response(static, irsp, state.cfg, None, scn, i).values
+            out.append(orc.channel_response(static, irsp, state.bits, None, scn, i).values
                        + motion.factor(t) * unit)
     return np.array(out)
 
@@ -494,6 +494,32 @@ def test_coverage_pool_size_clamped(monkeypatch, cpus, want):
     grid = [(3.0, 2.0), (4.0, 2.0), (5.0, 2.0)]
     ex.run_coverage_grid(quiet_scenario(), grid, False, reference_s=1.5, session_s=1.5, jobs=64)
     assert seen == [want]
+
+
+def test_coverage_real_pool_matches_in_process(monkeypatch):
+    """Two worker processes, each handed the reference's simulator, give the
+    result of running the cells in-process."""
+    import concurrent.futures
+    import os
+
+    started = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    scn, grid = quiet_scenario(), [(3.75, 2.75), (6.8, 4.9)]
+    serial = ex.run_coverage_grid(scn, grid, False, reference_s=3.0, session_s=3.0, jobs=1)
+    pooled = ex.run_coverage_grid(scn, grid, False, reference_s=3.0, session_s=3.0, jobs=2)
+    assert started == [2]
+    assert 0.0 < serial.rates_maxref.max() and serial.rates_maxref.min() < 1.0
+    for name in ("positions", "rates", "rates_maxref"):
+        assert np.array_equal(getattr(pooled, name), getattr(serial, name)), name
+    for name in ("threshold", "threshold_maxref", "c", "meta"):
+        assert getattr(pooled, name) == getattr(serial, name), name
 
 
 def test_coverage_silent_reflector_never_detected():

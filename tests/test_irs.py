@@ -9,7 +9,7 @@ import oracle as orc
 
 
 def fresh_state(m=256, r=0.05, p_hold=0.0, seed=0):
-    return ir.initial_state(m, np.random.default_rng(seed), progression_rate=r, hold_prob=p_hold)
+    return orc.initial_state(m, np.random.default_rng(seed), progression_rate=r, hold_prob=p_hold)
 
 
 def test_map_coefficient():
@@ -21,18 +21,45 @@ def test_map_coefficient():
         orc.map_coefficient(2)
 
 
-def test_map_config_vectorized():
-    cfg = ir.IrsConfig(np.array([0, 1, 1, 0], dtype=np.uint8))
-    assert np.array_equal(ir.map_config(cfg), [-1.0, 1.0, 1.0, -1.0])
+def test_coefficients_vectorized():
+    bits = np.array([0, 1, 1, 0], dtype=np.uint8)
+    assert np.array_equal(ir.coefficients(bits), [-1.0, 1.0, 1.0, -1.0])
 
 
 def test_config_validation():
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        ir.IrsConfig(np.array([0, 2], dtype=np.uint8))
+        ir.IrsAlgState(bits=np.array([0, 2], dtype=np.uint8), rng=rng)
     with pytest.raises(ValueError):
-        ir.IrsAlgState(cfg=ir.IrsConfig(np.zeros(4, np.uint8)), progression_rate=0.6)
+        ir.IrsAlgState(bits=np.zeros(4, np.uint8), rng=rng, progression_rate=0.6)
     with pytest.raises(ValueError):
-        ir.IrsAlgState(cfg=ir.IrsConfig(np.zeros(4, np.uint8)), hold_prob=1.0)
+        ir.IrsAlgState(bits=np.zeros(4, np.uint8), rng=rng, hold_prob=1.0)
+
+
+def test_state_without_rng_is_type_error():
+    # an unseeded fallback stream would be the one draw the session seed does not fix
+    with pytest.raises(TypeError, match="rng"):
+        ir.IrsAlgState(bits=np.zeros(4, np.uint8))
+
+
+def test_step_never_writes_into_the_callers_bits():
+    bits = np.random.default_rng(2).integers(0, 2, size=64, dtype=np.uint8)
+    before = bits.copy()
+    state = ir.IrsAlgState(bits=bits, rng=np.random.default_rng(3), hold_prob=0.0)
+    for _ in range(6):
+        assert ir.step(state)
+    assert np.array_equal(bits, before)
+    assert not np.array_equal(state.bits, before)
+    assert not np.shares_memory(state.bits, bits)
+
+
+def test_step_changes_state_in_place_and_returns_bool():
+    state = fresh_state(m=32, seed=4)
+    bits = state.bits
+    changed = ir.step(state)
+    assert changed is True
+    assert state.bits is bits
+    assert state.next_state == ir.FLIP
 
 
 @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
@@ -50,10 +77,10 @@ def test_step_alternates_rand_and_flip():
     state = fresh_state()
     deltas = []
     for _ in range(12):
-        prev = state.cfg
-        state, changed = ir.step(state)
+        prev = state.bits.copy()
+        changed = ir.step(state)
         assert changed
-        deltas.append(orc.hamming_distance(state.cfg, prev))
+        deltas.append(orc.hamming_distance(state.bits, prev))
     assert deltas == [13, 256] * 6  # ceil(0.05 * 256) = 13 alternating with full flips
 
 
@@ -62,11 +89,11 @@ def test_rand_flips_exact_distinct_count():
     for _ in range(40):
         m = int(rng.integers(2, 400))
         r = float(rng.uniform(1.0 / m, 0.5))
-        state = ir.initial_state(m, np.random.default_rng(int(rng.integers(1 << 30))),
-                                 progression_rate=r, hold_prob=0.0)
-        prev = state.cfg
-        state, _ = ir.step(state)
-        assert orc.hamming_distance(state.cfg, prev) == math.ceil(r * m)
+        state = orc.initial_state(m, np.random.default_rng(int(rng.integers(1 << 30))),
+                                  progression_rate=r, hold_prob=0.0)
+        prev = state.bits.copy()
+        ir.step(state)
+        assert orc.hamming_distance(state.bits, prev) == math.ceil(r * m)
 
 
 def test_rand_then_flip_distance_property():
@@ -75,31 +102,33 @@ def test_rand_then_flip_distance_property():
     for _ in range(25):
         m = int(rng.integers(4, 300))
         r = float(rng.uniform(1.0 / m, 0.5))
-        state = ir.initial_state(m, np.random.default_rng(int(rng.integers(1 << 30))),
-                                 progression_rate=r, hold_prob=0.0)
-        start = ir.IrsConfig(state.cfg.bits.copy())
-        state, _ = ir.step(state)  # RAND
-        state, _ = ir.step(state)  # FLIP
-        assert orc.hamming_distance(state.cfg, start) == m - math.ceil(r * m)
+        state = orc.initial_state(m, np.random.default_rng(int(rng.integers(1 << 30))),
+                                  progression_rate=r, hold_prob=0.0)
+        start = state.bits.copy()
+        ir.step(state)  # RAND
+        ir.step(state)  # FLIP
+        assert orc.hamming_distance(state.bits, start) == m - math.ceil(r * m)
 
 
 def test_flip_involution():
-    state = ir.IrsAlgState(cfg=ir.IrsConfig(np.array([1, 0, 1, 1, 0], np.uint8)),
+    state = ir.IrsAlgState(bits=np.array([1, 0, 1, 1, 0], np.uint8),
                            next_state=ir.FLIP, hold_prob=0.0,
                            rng=np.random.default_rng(0))
-    once, _ = ir.step(state)
-    again = ir.IrsAlgState(cfg=once.cfg, next_state=ir.FLIP, hold_prob=0.0, rng=once.rng)
-    twice, _ = ir.step(again)
-    assert np.array_equal(twice.cfg.bits, state.cfg.bits)
+    start = state.bits.copy()
+    ir.step(state)
+    again = ir.IrsAlgState(bits=state.bits, next_state=ir.FLIP, hold_prob=0.0, rng=state.rng)
+    ir.step(again)
+    assert np.array_equal(again.bits, start)
 
 
 def test_hold_keeps_config_and_state():
     state = fresh_state(p_hold=0.999999, seed=5)
-    before_bits = state.cfg.bits.copy()
-    state2, changed = ir.step(state)
+    before_bits = state.bits.copy()
+    before_state = state.next_state
+    changed = ir.step(state)
     assert not changed
-    assert np.array_equal(state2.cfg.bits, before_bits)
-    assert state2.next_state == state.next_state
+    assert np.array_equal(state.bits, before_bits)
+    assert state.next_state == before_state
 
 
 def test_hold_fraction_monte_carlo():
@@ -109,8 +138,7 @@ def test_hold_fraction_monte_carlo():
     n = 100_000
     changed = 0
     for _ in range(n):
-        state, c = ir.step(state)
-        changed += c
+        changed += ir.step(state)
     sigma = math.sqrt(eps * (1 - eps) / n)
     assert abs(changed / n - eps) < 3 * sigma
 
@@ -119,23 +147,23 @@ def test_determinism_under_fixed_seed():
     a = fresh_state(seed=9, p_hold=0.4)
     b = fresh_state(seed=9, p_hold=0.4)
     for _ in range(200):
-        a, ca = ir.step(a)
-        b, cb = ir.step(b)
+        ca = ir.step(a)
+        cb = ir.step(b)
         assert ca == cb
-        assert np.array_equal(a.cfg.bits, b.cfg.bits)
+        assert np.array_equal(a.bits, b.bits)
 
 
 def test_hamming_distance_basics():
     m = 256
-    zero = ir.IrsConfig(np.zeros(m, np.uint8))
-    one = ir.IrsConfig(np.ones(m, np.uint8))
+    zero = np.zeros(m, np.uint8)
+    one = np.ones(m, np.uint8)
     assert orc.hamming_distance(zero, one) == m
     assert orc.hamming_distance(zero, zero) == 0
-    flipped = zero.bits.copy()
+    flipped = zero.copy()
     flipped[:13] ^= 1
-    assert orc.hamming_distance(zero, ir.IrsConfig(flipped)) == 13
+    assert orc.hamming_distance(zero, flipped) == 13
     with pytest.raises(ValueError):
-        orc.hamming_distance(zero, ir.IrsConfig(np.zeros(8, np.uint8)))
+        orc.hamming_distance(zero, np.zeros(8, np.uint8))
 
 
 def test_hamming_trace_zero_steps():
@@ -160,5 +188,5 @@ def test_hamming_trace_alternates_with_inversion():
 
 
 def test_serialize_config_little_endian_hex():
-    cfg = ir.IrsConfig(np.array([1, 0, 0, 0, 0, 0, 0, 0, 1, 1], np.uint8))
-    assert orc.serialize_config(cfg) == "0103"
+    bits = np.array([1, 0, 0, 0, 0, 0, 0, 0, 1, 1], np.uint8)
+    assert orc.serialize_config(bits) == "0103"
