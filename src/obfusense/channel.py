@@ -395,7 +395,7 @@ def _tensors(paths: Paths, scenario: Scenario) -> np.ndarray:
     return np.multiply(ampk[:, :, None, None], g, out=g)
 
 
-def _scatter_tensors(scenario: Scenario, positions) -> np.ndarray:
+def scatter_tensors(scenario: Scenario, positions) -> np.ndarray:
     """Unit-gain scatter responses (T, K, n_rx, n_tx) for bounces at positions (T, 2)."""
     return _tensors(scatter_paths(scenario, positions, 1.0), scenario)
 
@@ -452,7 +452,8 @@ class FrameSimulator:
 
     Builds the path tensors and route segments once and synthesises many
     frames per call. `paths` holds the environment's paths (build_static_paths)
-    followed by one path per surface element (build_irs_paths).
+    followed by one path per surface element (build_irs_paths). Blocking is
+    measured once per distinct 2D route (one per panel column), then indexed out.
     """
 
     def __init__(self, scenario: Scenario):
@@ -465,6 +466,13 @@ class FrameSimulator:
         self._n_env = len(env)
         self.n_elements = len(irs)
         self.paths = _join(env, irs)
+        # distinct routes: the environment's, then one per element position; _route: path -> route
+        xy, column = np.unique(irs.seg_b[::2], axis=0, return_inverse=True)
+        elem = _bounces(*_endpoints(scenario), xy)
+        self._seg_a = np.concatenate([env.seg_a, elem[:, :-1].reshape(-1, 2)])
+        self._seg_b = np.concatenate([env.seg_b, elem[:, 1:].reshape(-1, 2)])
+        self._seg_start = np.concatenate([env.seg_start, len(env.seg_a) + 2 * np.arange(len(xy))])
+        self._route = np.concatenate([np.arange(len(env)), len(env) + column])
         self.h_env = np.tensordot(np.ones(len(env), dtype=complex), g_env, axes=(0, 0))
         self.noise_std = noise_std(scenario, self.h_env)
         # real (paths, 2 * K * n_rx * n_tx) views: real weights @ view = the complex sum
@@ -473,11 +481,11 @@ class FrameSimulator:
 
     def _attenuations(self, person: PersonState, positions) -> np.ndarray:
         """Blocking attenuation (T, paths) with the person at each of positions (T, 2)."""
-        p = self.paths
-        dmin = np.minimum.reduceat(point_segment_distances(positions, p.seg_a, p.seg_b),
-                                   p.seg_start, axis=1)
+        dmin = np.minimum.reduceat(point_segment_distances(positions, self._seg_a, self._seg_b),
+                                   self._seg_start, axis=1)
         s = np.clip(1.0 - dmin / person.blocking_radius, 0.0, 1.0)
-        return np.where(s > 0.0, 10.0 ** (-person.blocking_depth_db * s / 20.0), 1.0)
+        att = np.where(s > 0.0, 10.0 ** (-person.blocking_depth_db * s / 20.0), 1.0)
+        return att[:, self._route]
 
     def frames(self, configs, cfg_index, *, person: PersonState | None = None, positions=None,
                scatters=(), rng=None) -> np.ndarray:
@@ -487,7 +495,7 @@ class FrameSimulator:
         +-1 and 0 for inactive, or None for surface off; cfg_index (T,) gives
         each frame's row and fixes T. person: blocking and scatter parameters
         of a person standing at positions (T, 2), or None. scatters:
-        (position, factors (T,)) extras, e.g. a modulated rotating reflector.
+        (scatter_tensors(scenario, [position]), factors (T,)) extras, e.g. a rotating reflector.
         Noise is one draw of shape (T, 2, K, n_rx, n_tx) from rng, the same
         stream as T single-frame draws of the real and then the imaginary part.
         """
@@ -504,19 +512,21 @@ class FrameSimulator:
             if configs is not None:
                 h += (configs[cfg_index] * atten[:, self._n_env:]) @ self._g_irs
             h = h.view(complex).reshape((n,) + shape)
-            gain = 10.0 ** (person.scatter_gain_db / 20.0)
-            h += gain * _scatter_tensors(self.scenario, positions)
+            scatter = scatter_tensors(self.scenario, positions)
+            scatter *= 10.0 ** (person.scatter_gain_db / 20.0)
+            h += scatter
         elif configs is not None:
             h = (configs @ self._g_irs).view(complex).reshape((len(configs),) + shape)[cfg_index]
             h += self.h_env
         else:
             h = np.repeat(self.h_env[None], n, axis=0)
-        for position, factors in scatters:
-            unit = _scatter_tensors(self.scenario, np.array([position], dtype=float))
+        for unit, factors in scatters:
             h += np.asarray(factors, dtype=complex)[:, None, None, None] * unit
         if self.noise_std > 0.0:
             z = rng.standard_normal((n, 2) + shape)
-            h += (self.noise_std / math.sqrt(2.0)) * (z[:, 0] + 1j * z[:, 1])
+            z *= self.noise_std / math.sqrt(2.0)
+            h.real += z[:, 0]
+            h.imag += z[:, 1]
         return h
 
     def frame(self, coeffs: np.ndarray | None = None, person: PersonState | None = None,
@@ -530,5 +540,6 @@ class FrameSimulator:
         return self.frames(None if coeffs is None else np.asarray(coeffs, dtype=float)[None],
                            np.zeros(1, dtype=int), person=person if present else None,
                            positions=np.array([person.position], dtype=float) if present else None,
-                           scatters=[(position, [factor]) for position, factor in scatters],
+                           scatters=[(scatter_tensors(self.scenario, [position]), [factor])
+                                     for position, factor in scatters],
                            rng=rng)[0]

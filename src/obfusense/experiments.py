@@ -20,11 +20,12 @@ from .channel import FrameSimulator, PersonState, Scenario, ScenarioError
 _NOISE_STREAM = 11
 _IRS_STREAM = 23
 _SUBSET_STREAM = 37
+_worker_sim = None  # a coverage pool worker's simulator, set once by _set_worker_sim
 
 # Frames per FrameSimulator.frames call. A person's blocking step holds
-# (frames x route segments) arrays, so the working set grows with the surface;
-# 64 frames keep it under the rest of a session's memory up to a 64x64 surface,
-# and larger chunks synthesise no faster.
+# (frames x distinct route segments) arrays, which grow with the panel's columns,
+# not its elements; 64 frames keep a chunk under the rest of a session's memory
+# up to a 64x64 surface, and larger chunks synthesise no faster.
 FRAME_CHUNK = 64
 
 
@@ -243,6 +244,7 @@ def _session_magnitudes(scenario, defense_on, motion, duration_s,
         person_xy, moving = motion.positions(times)
     elif isinstance(motion, RotatingReflector):
         factors = motion.factors(times)
+        unit = channel.scatter_tensors(scenario, [motion.position])
 
     shape = (n_frames, scenario.n_subcarriers, scenario.n_rx, scenario.n_tx)
     mags = np.empty(shape)
@@ -252,7 +254,7 @@ def _session_magnitudes(scenario, defense_on, motion, duration_s,
         first = cfg_index[a]
         h = sim.frames(configs[first:cfg_index[b - 1] + 1], cfg_index[a:b] - first,
                        person=person, positions=None if person is None else person_xy[a:b],
-                       scatters=() if factors is None else ((motion.position, factors[a:b]),),
+                       scatters=() if factors is None else ((unit, factors[a:b]),),
                        rng=rng_noise)
         if keep_frames:
             frames[a:b] = h
@@ -362,15 +364,15 @@ def run_coverage_grid(scenario: Scenario, grid, defense_on: bool, c: float = 11.
     u = sensing.calibrate_threshold(ref_obs, c)
     u_max = sensing.max_threshold(ref_obs)
 
-    args = [(sim, defense_on, tuple(pos), rpm, reflector_gain_db, session_s, window_s,
+    args = [(defense_on, tuple(pos), rpm, reflector_gain_db, session_s, window_s,
              subs, 100 + i, scheduler) for i, pos in enumerate(grid)]
     workers = min(jobs, len(args), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(workers, initializer=_set_worker_sim, initargs=(sim,)) as pool:
             observations = list(pool.map(_coverage_cell, args))
     else:
-        observations = [_coverage_cell(a) for a in args]
+        observations = [_coverage_cell(a, sim) for a in args]
 
     rates = np.array([sensing.detect(o, u).detection_rate for o in observations])
     rates_max = np.array([sensing.detect(o, u_max).detection_rate for o in observations])
@@ -381,8 +383,14 @@ def run_coverage_grid(scenario: Scenario, grid, defense_on: bool, c: float = 11.
                                 "subcarriers": subs})
 
 
-def _coverage_cell(args):
-    (sim, defense_on, pos, rpm, gain_db, session_s, window_s, subs, stream, scheduler) = args
+def _set_worker_sim(sim):
+    global _worker_sim
+    _worker_sim = sim
+
+
+def _coverage_cell(args, sim=None):
+    (defense_on, pos, rpm, gain_db, session_s, window_s, subs, stream, scheduler) = args
+    sim = _worker_sim if sim is None else sim
     reflector = RotatingReflector(position=pos, rpm=rpm, peak_scatter_gain_db=gain_db)
     return run_session(sim.scenario, defense_on, reflector, session_s, window_s=window_s,
                        subcarriers=subs, stream=stream, simulator=sim, **scheduler)

@@ -376,6 +376,57 @@ def test_frames_on_tiny_surfaces_match_oracle(grid, with_person):
         assert np.allclose(got[t], want, rtol=1e-12, atol=1e-18)
 
 
+@pytest.mark.parametrize("grid", [(16, 16), (7, 3), (1, 1), None])
+def test_blocking_on_distinct_routes_matches_per_path_oracle(grid):
+    base = oio.default_scenario(seed=6, snr_db=float("inf"))
+    scn = (replace(base, irs_pos=None, irs_normal=None) if grid is None
+           else replace(base, irs_grid=grid))
+    sim = ch.FrameSimulator(scn)
+    person = ch.PersonState(position=(0.0, 0.0))
+    # a line across the fan of element -> eavesdropper routes, near the surface
+    positions = np.column_stack([np.full(40, 1.6), np.linspace(2.2, 3.9, 40)])
+    got = sim._attenuations(person, positions)
+    paths = orc.records(sim.paths, scn)
+    want = np.array([[orc._blocking_atten(p, replace(person, position=tuple(xy))) for p in paths]
+                     for xy in positions])
+    assert np.array_equal(got < 1.0, want < 1.0)
+    # the distances agree exactly; the oracle's scalar 10 ** x may round 1 ulp
+    # away from numpy's vectorised power
+    assert np.allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
+    # bit for bit, the same array arithmetic on every path's own route
+    p = sim.paths
+    d = np.minimum.reduceat(ch.point_segment_distances(positions, p.seg_a, p.seg_b),
+                            p.seg_start, axis=1)
+    s = np.clip(1.0 - d / person.blocking_radius, 0.0, 1.0)
+    assert np.array_equal(got, np.where(s > 0.0, 10.0 ** (-person.blocking_depth_db * s / 20.0),
+                                        1.0))
+    if grid is None:
+        return
+    assert np.unique(sim._route[-sim.n_elements:]).size == grid[0]  # one route per column
+    elem = got[:, -sim.n_elements:]
+    if grid[0] > 1:  # a wrong route index would move some of these rows
+        assert np.any(np.any(elem < 1.0, axis=1) & np.any(elem == 1.0, axis=1))
+    else:
+        assert np.any(elem < 1.0) and np.any(elem == 1.0)
+
+
+def test_blocking_memory_grows_with_routes_not_elements():
+    """On a 64x64 surface (4096 element paths, 64 distinct routes) the blocking
+    step's peak memory stays near its own (T, paths) result."""
+    sim = ch.FrameSimulator(replace(oio.default_scenario(seed=1), irs_grid=(64, 64)))
+    person = ch.PersonState(position=(0.0, 0.0))
+    positions = np.column_stack([np.linspace(1.5, 6.0, 64), np.full(64, 2.9)])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        att = sim._attenuations(person, positions)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert att.shape == (64, len(sim.paths))
+    assert peak <= 3 * att.nbytes
+
+
 def test_tensors_match_complex_exponential():
     scn = replace(oio.default_scenario(seed=2), n_tx=2, n_rx=4, irs_grid=(8, 5))
     paths = ch._join(ch._join(ch.build_static_paths(scn),

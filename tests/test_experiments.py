@@ -477,8 +477,9 @@ def test_coverage_pool_size_clamped(monkeypatch, cpus, want):
     seen = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             seen.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -490,6 +491,7 @@ def test_coverage_pool_size_clamped(monkeypatch, cpus, want):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(ex, "_worker_sim", None)  # the in-process initializer sets it
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     grid = [(3.0, 2.0), (4.0, 2.0), (5.0, 2.0)]
     ex.run_coverage_grid(quiet_scenario(), grid, False, reference_s=1.5, session_s=1.5, jobs=64)
@@ -505,9 +507,9 @@ def test_coverage_real_pool_matches_in_process(monkeypatch):
     started = []
 
     class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kw):
             started.append(max_workers)
-            super().__init__(max_workers=max_workers)
+            super().__init__(max_workers=max_workers, **kw)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -554,3 +556,24 @@ def test_blocked_flags_and_window_any():
     flags = orc.blocked_flags(scn, positions, 0.4)
     assert flags.tolist() == [True, True, False]
     assert orc.window_any(np.array([False, True, False, False]), 2).tolist() == [True, True, False]
+
+
+def test_coverage_pool_sends_the_simulator_once_per_worker(monkeypatch):
+    """Cells carry only their own arguments: with more cells than workers the
+    simulator is still pickled at most once per worker."""
+    import os
+
+    pickled = []
+    reduce_ex = ch.FrameSimulator.__reduce_ex__
+
+    def counting_reduce_ex(self, protocol):
+        pickled.append(protocol)
+        return reduce_ex(self, protocol)
+
+    monkeypatch.setattr(ch.FrameSimulator, "__reduce_ex__", counting_reduce_ex)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    grid = [(3.0, 2.0), (4.0, 2.0), (5.0, 2.0), (6.0, 2.0)]
+    result = ex.run_coverage_grid(quiet_scenario(), grid, False, reference_s=1.5,
+                                  session_s=1.5, jobs=2)
+    assert result.rates.shape == (4,)
+    assert len(pickled) <= 2
