@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 from contextlib import contextmanager
@@ -33,7 +32,6 @@ def _sha256(path) -> str:
 
 def _write_manifest(out_dir: Path, args, config_path=None, seed=None, extra=None):
     manifest = {
-        "schema_version": oio.SCHEMA_VERSION,
         "tool": "obfusense",
         "version": __version__,
         "numpy_version": np.__version__,
@@ -45,9 +43,7 @@ def _write_manifest(out_dir: Path, args, config_path=None, seed=None, extra=None
     }
     if extra:
         manifest.update(extra)
-    with open(out_dir / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2, default=str)
-        fh.write("\n")
+    oio.write_json(out_dir / "manifest.json", manifest)
 
 
 def _load(args):
@@ -95,9 +91,7 @@ def cmd_simulate(args):
         scenario, args.defense == "on", motion, args.duration, window_s=cfg.window_s,
         stream=args.stream, person_template=person, keep_frames=True, **cfg.settings())
     out = _out_dir(args)
-    oio.export_trace(frames, out / "trace.csv",
-                     oio.TraceHeader(scenario.n_subcarriers, scenario.n_rx, scenario.n_tx,
-                                     scenario.sample_rate))
+    oio.export_trace(frames, out / "trace.csv", scenario.sample_rate)
     oio.export_observation(obs, out / "observation.csv")
     _write_manifest(out, args, config_path=args.config, seed=scenario.seed)
     print(f"wrote {out / 'trace.csv'} and {out / 'observation.csv'}")
@@ -139,7 +133,6 @@ def cmd_coverage(args):
     oio.write_csv(out / "coverage.csv", ("x", "y", "detection_rate", "detection_rate_maxref"),
                   np.column_stack((result.positions, result.rates, result.rates_maxref)))
     summary = {
-        "schema_version": oio.SCHEMA_VERSION,
         "threshold": result.threshold,
         "threshold_maxref": result.threshold_maxref,
         "c": result.c,
@@ -149,9 +142,7 @@ def cmd_coverage(args):
         "meta": {k: (v if not isinstance(v, (list, np.ndarray)) else list(map(int, v)))
                  for k, v in result.meta.items()},
     }
-    with open(out / "coverage.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    oio.write_json(out / "coverage.json", summary)
     _write_manifest(out, args, config_path=args.config, seed=scenario.seed)
     print(f"wrote {out / 'coverage.csv'} ({len(result.rates)} positions)")
     return 0
@@ -192,10 +183,10 @@ def cmd_paramstudy(args):
 
 
 def cmd_ingest(args):
-    frames, header = oio.ingest_trace(args.trace)
+    frames, sample_rate = oio.ingest_trace(args.trace)
     if not len(frames):
         raise oio.IngestError(f"{args.trace}: no frames")
-    obs = sensing.observe(frames, args.window, header.sample_rate)
+    obs = sensing.observe(frames, args.window, sample_rate)
     out = _out_dir(args)
     oio.export_observation(obs, out / "observation.csv")
     _write_manifest(out, args, extra={"trace_sha256": _sha256(args.trace)})

@@ -14,6 +14,7 @@ from __future__ import annotations
 import configparser
 import json
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass, replace
@@ -187,12 +188,12 @@ _KEYS = {
 def load_scenario(path):
     """Parse a scenario config file; returns (Scenario, ExperimentConfig).
 
-    Unknown sections or keys are rejected. Omitted keys keep the dataclass
-    defaults, except for the room and surface placement (see _placed_scenario),
-    the walk (default_walk) and the reflector position (midway between anchor
-    and eve).
+    Values are literal (no `%` interpolation). Unknown sections or keys are
+    rejected. Omitted keys keep the dataclass defaults, except for the room and
+    surface placement (see _placed_scenario), the walk (default_walk) and the
+    reflector position (midway between anchor and eve).
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -250,107 +251,109 @@ def _named(message: str) -> str:
 
 
 # ---------------------------------------------------------------------------
+# CSV preamble, shared by the trace, observation and result CSVs
+
+def _write_preamble(fh, meta: dict, columns):
+    """`# schema_version`, a `# key=value` line per meta item (values already
+    formatted), then the column row."""
+    fh.write(f"# schema_version={SCHEMA_VERSION}\n")
+    fh.writelines(f"# {key}={value}\n" for key, value in meta.items())
+    fh.write(",".join(columns) + "\n")
+
+
+def _read_preamble(fh, path, columns) -> dict:
+    """The `# key=value` lines as text, after checking the schema version and that
+    the column row is `columns`; leaves fh at the first data row."""
+    meta = {}
+    line = fh.readline()
+    while line.startswith("#"):
+        key, eq, value = line[1:].partition("=")
+        if eq:
+            meta[key.strip()] = value.strip()
+        line = fh.readline()
+    _check_schema(meta.get("schema_version", 1), path)
+    expected = ",".join(columns)
+    if line.strip() != expected:
+        raise IngestError(f"{path}: expected header row {expected!r}, got {line.strip()!r}")
+    return meta
+
+
+def _check_schema(version, path):
+    """Reject a schema_version (text or number) that is not a major this reader knows."""
+    try:
+        major = int(float(version))
+    except (TypeError, ValueError, OverflowError):
+        raise IngestError(f"{path}: bad schema_version {version!r}") from None
+    if major > SCHEMA_VERSION:
+        raise IngestError(f"{path}: schema_version {major} is newer than supported {SCHEMA_VERSION}")
+
+
+def _header_value(meta: dict, path, key, parse=float):
+    """meta[key] parsed, finite and > 0 (an integer >= 1 for parse=int); an
+    IngestError naming the file and the key otherwise."""
+    if key not in meta:
+        raise IngestError(f"{path}: missing header key {key!r}")
+    try:
+        value = parse(meta[key])
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        rule = "an integer >= 1" if parse is int else "finite and > 0"
+        raise IngestError(f"{path}: header key {key}={meta[key]!r} must be {rule}")
+    return value
+
+
+# ---------------------------------------------------------------------------
 # Trace CSV
 
-@dataclass
-class TraceHeader:
-    n_subcarriers: int
-    n_rx: int
-    n_tx: int
-    sample_rate: float = 70.0
+_TRACE_DIMS = ("n_subcarriers", "n_rx", "n_tx")
+_TRACE_COLUMNS = ("t", "k", "rx", "tx", "re", "im")
 
 
-def export_trace(values, path, header: TraceHeader | None = None):
+def export_trace(values, path, sample_rate: float = 70.0):
     """Write a (T, K, n_rx, n_tx) array as the canonical trace CSV: row i is frame t = i,
-    cells in (k, rx, tx) order."""
+    cells in (k, rx, tx) order. The header's dimensions are the array's."""
     values = np.asarray(values, dtype=complex)
     if values.ndim != 4 or not values.shape[0]:
         raise ValueError(f"expected a (T, K, n_rx, n_tx) array with T >= 1, got shape {values.shape}")
     shape = values.shape[1:]
-    hdr = header or TraceHeader(*shape)
-    if (hdr.n_subcarriers, hdr.n_rx, hdr.n_tx) != shape:
-        raise ValueError(f"header dimensions do not match frame shape {shape}")
     cells = [f"{k},{rx},{tx}," for k, rx, tx in np.ndindex(shape)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
-        fh.write(f"# n_subcarriers={hdr.n_subcarriers}\n")
-        fh.write(f"# n_rx={hdr.n_rx}\n")
-        fh.write(f"# n_tx={hdr.n_tx}\n")
-        fh.write(f"# sample_rate={repr(float(hdr.sample_rate))}\n")
-        fh.write("t,k,rx,tx,re,im\n")
+        _write_preamble(fh, dict(zip(_TRACE_DIMS, shape), sample_rate=repr(float(sample_rate))),
+                        _TRACE_COLUMNS)
         for t, v in enumerate(values.reshape(values.shape[0], -1)):
             fh.write("".join([f"{t},{c}{real},{imag}\n" for c, real, imag in zip(
                 cells, map(repr, v.real.tolist()), map(repr, v.imag.tolist()))]))
 
 
-def _read_meta_lines(fh):
-    meta = {}
-    pos = fh.tell()
-    line = fh.readline()
-    while line.startswith("#"):
-        body = line[1:].strip()
-        if "=" in body:
-            key, val = body.split("=", 1)
-            meta[key.strip()] = val.strip()
-        pos = fh.tell()
-        line = fh.readline()
-    fh.seek(pos)
-    return meta
+def ingest_trace(path):
+    """Read a trace CSV; returns (values (T, K, n_rx, n_tx), sample_rate).
 
-
-def _check_schema(meta: dict, path):
-    try:
-        major = int(float(meta.get("schema_version", "1")))
-    except ValueError:
-        raise IngestError(f"{path}: bad schema_version {meta.get('schema_version')!r}") from None
-    if major > SCHEMA_VERSION:
-        raise IngestError(f"{path}: schema_version {major} is newer than supported {SCHEMA_VERSION}")
-
-
-def _header_from_meta(meta: dict, path) -> TraceHeader:
-    try:
-        return TraceHeader(n_subcarriers=int(meta["n_subcarriers"]), n_rx=int(meta["n_rx"]),
-                           n_tx=int(meta["n_tx"]), sample_rate=float(meta["sample_rate"]))
-    except KeyError as exc:
-        raise IngestError(f"{path}: missing header key {exc}") from None
-
-
-def read_trace_header(path) -> TraceHeader:
-    """Dimensions and sample rate from a trace CSV's `# key=value` lines."""
-    with open(path, "r", encoding="utf-8") as fh:
-        meta = _read_meta_lines(fh)
-    _check_schema(meta, path)
-    return _header_from_meta(meta, path)
-
-
-def ingest_trace(path, header: TraceHeader | None = None):
-    """Read a trace CSV; returns (values (T, K, n_rx, n_tx), header).
-
-    Without `header`, the file's own header is used (see read_trace_header).
-    The (t, k, rx, tx) lattice must be complete for every frame and frame
-    indices must not go backwards; row order inside one frame is free. Row i
-    of values is the i-th frame in the file. Canonical files (export_trace's
-    rows) are parsed in blocks of whole frames; any other file is re-read row
-    by row, which accepts the same files, returns the same values and names
-    the first bad row.
+    The header's dimensions must be integers >= 1 and its sample_rate finite
+    and > 0. Before anything is allocated, the rows after the header must have
+    room for one frame: a 12-byte row `0,0,0,0,0,0` a cell, less the last
+    newline. The (t, k, rx, tx) lattice must be complete for every frame and
+    frame indices must not go backwards; row order inside one frame is free.
+    Row i of values is the i-th frame in the file. Canonical files
+    (export_trace's rows) are parsed in blocks of whole frames; any other file
+    is re-read row by row, which accepts the same files, returns the same
+    values and names the first bad row.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        meta = _read_meta_lines(fh)
-        _check_schema(meta, path)
-        header = header or _header_from_meta(meta, path)
-        first = fh.readline().strip()
-        if first != "t,k,rx,tx,re,im":
-            raise IngestError(f"{path}: expected header row 't,k,rx,tx,re,im', got {first!r}")
-        shape = (header.n_subcarriers, header.n_rx, header.n_tx)
-        if min(shape) < 1:
-            raise IngestError(f"{path}: header dimensions {shape} must all be >= 1")
-        start = fh.tell()
+        meta = _read_preamble(fh, path, _TRACE_COLUMNS)
+        shape = tuple(_header_value(meta, path, key, int) for key in _TRACE_DIMS)
+        sample_rate = _header_value(meta, path, "sample_rate")
+        start, size = fh.tell(), os.fstat(fh.fileno()).st_size
+        need = 12 * math.prod(shape) - 1
+        if size - start < need:
+            raise IngestError(f"{path}: header dimensions {shape} need {need} bytes of rows for "
+                              f"one frame; the {size}-byte file has {size - start} after its header")
         values = _frames_from_blocks(fh, shape)
         if values is None:
             fh.seek(start)
-            frames = list(_frames_from_rows(fh, header, path))
+            frames = list(_frames_from_rows(fh, shape, path))
             values = np.stack(frames) if frames else np.zeros((0, *shape), dtype=complex)
-    return values, header
+    return values, sample_rate
 
 
 # Rows of a canonical block: four unsigned indices and two plain decimal
@@ -392,8 +395,7 @@ def _frames_from_blocks(fh, shape):
     return np.concatenate(blocks or [np.zeros((0, n_cells), dtype=complex)]).reshape(-1, *shape)
 
 
-def _frames_from_rows(fh, header: TraceHeader, path):
-    shape = (header.n_subcarriers, header.n_rx, header.n_tx)
+def _frames_from_rows(fh, shape, path):
     current_t = None
     values = None
     seen = None
@@ -441,13 +443,11 @@ def _frames_from_rows(fh, header: TraceHeader, path):
 # Observation and result CSVs
 
 def write_csv(path, columns, rows, meta=None):
-    """Write `# schema_version`, a `# key=value` line per meta item, the column
-    row, then one line per row: a str cell as is, any other as repr(float)."""
+    """Write the preamble (each meta value as repr(float)), then one line per row:
+    a str cell as is, any other as repr(float)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# schema_version={SCHEMA_VERSION}\n")
-        for key, value in (meta or {}).items():
-            fh.write(f"# {key}={repr(float(value))}\n")
-        fh.write(",".join(columns) + "\n")
+        _write_preamble(fh, {key: repr(float(value)) for key, value in (meta or {}).items()},
+                        columns)
         fh.writelines(",".join(c if isinstance(c, str) else repr(float(c)) for c in row) + "\n"
                       for row in rows)
 
@@ -466,19 +466,9 @@ def load_observation(path) -> ObservationSeries:
     that export_observation writes, within 1e-9 s.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        meta = _read_meta_lines(fh)
-        _check_schema(meta, path)
-        try:
-            sample_rate, window_s = float(meta["sample_rate"]), float(meta["window_s"])
-        except KeyError as exc:
-            raise IngestError(f"{path}: missing header key {exc}") from None
-        except ValueError as exc:
-            raise IngestError(f"{path}: bad header value: {exc}") from None
-        if not (0 < sample_rate < math.inf and 0 < window_s < math.inf):
-            raise IngestError(f"{path}: sample_rate and window_s must be finite and > 0")
-        first = fh.readline().strip()
-        if first != "t_seconds,sigma_bar":
-            raise IngestError(f"{path}: expected header row 't_seconds,sigma_bar', got {first!r}")
+        meta = _read_preamble(fh, path, ("t_seconds", "sigma_bar"))
+        sample_rate, window_s = (_header_value(meta, path, key)
+                                 for key in ("sample_rate", "window_s"))
         n_w = int(round(window_s * sample_rate))
         values = []
         for line in fh:
@@ -505,11 +495,18 @@ def load_observation(path) -> ObservationSeries:
 
 
 # ---------------------------------------------------------------------------
-# Report JSON
+# JSON: report, coverage summary and manifest
+
+def write_json(path, doc: dict):
+    """Write doc as sorted, indented JSON with a trailing newline, stamped with
+    schema_version unless doc carries its own."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump({"schema_version": SCHEMA_VERSION, **doc}, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
 
 def report_to_dict(report: DetectionReport, provenance: dict | None = None) -> dict:
     return {
-        "schema_version": SCHEMA_VERSION,
         "threshold": report.threshold,
         "detection_rate": report.detection_rate,
         "tpr": report.tpr,
@@ -526,18 +523,13 @@ def export_report(report, path, provenance: dict | None = None):
         doc = report_to_dict(report, provenance)
     else:
         doc = dict(report)
-        doc.setdefault("schema_version", SCHEMA_VERSION)
         if provenance:
             doc["provenance"] = dict(provenance)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_report(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    major = int(doc.get("schema_version", 1))
-    if major > SCHEMA_VERSION:
-        raise IngestError(f"{path}: schema_version {major} is newer than supported {SCHEMA_VERSION}")
+    _check_schema(doc.get("schema_version", 1), path)
     return doc

@@ -253,6 +253,15 @@ def test_ingest_trace_without_sample_rate_rejected(tmp_path, capsys):
     assert "missing header key 'sample_rate'" in capsys.readouterr().err
 
 
+def test_ingest_trace_with_infinite_sample_rate_rejected(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    oio.export_trace(np.ones((4, 2, 1, 1), dtype=complex), trace)
+    trace.write_text(trace.read_text().replace("# sample_rate=70.0", "# sample_rate=inf"))
+    assert invoke("ingest", "--trace", trace, "--out", tmp_path / "ing") == 3
+    assert f"{trace}: header key sample_rate='inf' must be finite and > 0" \
+        in capsys.readouterr().err
+
+
 def test_paramstudy_cartesian_product(tmp_path, minimal_config):
     out = tmp_path / "ps"
     assert invoke("paramstudy", "--config", minimal_config, "--R", "0.025,0.05",

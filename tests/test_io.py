@@ -1,12 +1,16 @@
+import configparser
+import io
 import json
 import math
+import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obfusense import channel as ch
@@ -151,6 +155,8 @@ def test_missing_required_position(tmp_path):
     ("c = nan", "experiment.c"),
     ("reference_s = -5", "experiment.reference_s"),
     ("[defense]\nupdate_rate = 7001", "defense.update_rate"),
+    ("walk_speed = 50%", "experiment.walk_speed"),  # values are literal: no % interpolation
+    ("c = %(foo)s", "experiment.c"),
 ])
 def test_invalid_experiment_value_names_key(tmp_path, minimal_config, line, key):
     text = minimal_config.read_text() + line + "\n"
@@ -185,6 +191,36 @@ def test_default_reflector_is_midpoint(minimal_config):
     scenario, cfg = oio.load_scenario(minimal_config)
     assert cfg.reflector.position == ((1.2 + 6.3) / 2, 2.75)
     assert cfg.reflector.rpm == 20.0
+
+
+def _edited_config(section, key, value):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(FULL_CONFIG)
+    parser.set(section, key, value)
+    text = io.StringIO()
+    parser.write(text)
+    return text.getvalue()
+
+
+@pytest.mark.parametrize("section, key", [(section, key) for section, table in oio._KEYS.items()
+                                          for key in table])
+@settings(max_examples=15)
+@given(value=st.text(alphabet="0123456789.-+eEx%(),;# na", max_size=12))
+def test_config_single_key_edit_loads_or_raises_config_error(section, key, value):
+    """Any one key of a valid config set to any short text loads or raises ConfigError,
+    never another exception, and loading allocates under 1 MiB."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.cfg"
+        path.write_text(_edited_config(section, key, value))
+        tracemalloc.start()
+        try:
+            oio.load_scenario(path)
+        except oio.ConfigError:
+            pass
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # --- trace CSV -------------------------------------------------------------
@@ -269,24 +305,68 @@ def test_trace_newer_schema_rejected(tmp_path):
         oio.ingest_trace(path)
 
 
-def test_trace_header_override(tmp_path):
-    frames = small_frames(n=2, k=2, rx=1, tx=1, seed=6)
-    path = tmp_path / "trace.csv"
-    oio.export_trace(frames, path)
-    hdr = oio.TraceHeader(n_subcarriers=2, n_rx=1, n_tx=1, sample_rate=50.0)
-    back, _ = oio.ingest_trace(path, header=hdr)
-    assert len(back) == 2
-
-
 def test_trace_missing_sample_rate_named(tmp_path):
     path = tmp_path / "trace.csv"
     oio.export_trace(small_frames(n=2, k=1, rx=1, tx=1), path)
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(ln for ln in lines if not ln.startswith("# sample_rate=")))
     with pytest.raises(oio.IngestError, match="missing header key 'sample_rate'"):
-        oio.read_trace_header(path)
+        oio.ingest_trace(path)
     with pytest.raises(oio.IngestError, match="sample_rate"):
         oio.ingest_trace(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("sample_rate", "inf", "header key sample_rate='inf' must be finite and > 0"),
+    ("sample_rate", "nan", "header key sample_rate='nan' must be finite and > 0"),
+    ("sample_rate", "abc", "header key sample_rate='abc' must be finite and > 0"),
+    ("sample_rate", "0.0", "header key sample_rate='0.0' must be finite and > 0"),
+    ("n_subcarriers", "x", "header key n_subcarriers='x' must be an integer >= 1"),
+    ("n_subcarriers", "0", "header key n_subcarriers='0' must be an integer >= 1"),
+    ("n_rx", "1.5", "header key n_rx='1.5' must be an integer >= 1"),
+    ("n_tx", "-1", "header key n_tx='-1' must be an integer >= 1"),
+    ("schema_version", "inf", "bad schema_version 'inf'"),
+])
+def test_trace_bad_header_value_names_file_and_key(tmp_path, key, value, message):
+    path = tmp_path / "trace.csv"
+    oio.export_trace(small_frames(n=1, k=1, rx=1, tx=1), path)
+    path.write_text(re.sub(rf"^# {key}=.*$", f"# {key}={value}", path.read_text(), flags=re.M))
+    with pytest.raises(oio.IngestError, match=re.escape(f"{path}: {message}")):
+        oio.ingest_trace(path)
+
+
+def _trace_file(path, dims, rows):
+    head = ["# schema_version=1", *(f"# {key}={n}" for key, n in zip(oio._TRACE_DIMS, dims)),
+            "# sample_rate=70.0", "t,k,rx,tx,re,im"]
+    path.write_text("".join(line + "\n" for line in head + rows))
+    return path.stat().st_size
+
+
+@pytest.mark.parametrize("dims, rows", [((10**6, 10**6, 1), ["0,0,0,0,1.0,2.0"]),
+                                        ((1, 1, 1), [])])  # a header-only file
+def test_trace_header_sized_against_file(tmp_path, dims, rows):
+    path = tmp_path / "trace.csv"
+    size = _trace_file(path, dims, rows)
+    need = 12 * math.prod(dims) - 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(oio.IngestError, match=re.escape(
+                f"{path}: header dimensions {dims} need {need} bytes of rows for one frame; "
+                f"the {size}-byte file")):
+            oio.ingest_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_trace_shortest_frame_accepted(tmp_path):
+    path = tmp_path / "trace.csv"
+    _trace_file(path, (1, 1, 1), [])
+    with open(path, "a") as fh:
+        fh.write("0,0,0,0,0,0")  # 11 bytes: one cell, no final newline
+    back, _ = oio.ingest_trace(path)
+    assert back.shape == (1, 1, 1, 1)
 
 
 @pytest.mark.parametrize("row, message", [
@@ -324,10 +404,10 @@ def test_trace_roundtrip_property(shape, data):
             mock.patch.object(oio, "_frames_from_rows", side_effect=AssertionError("fell back")):
         p1, p2 = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
         oio.export_trace(values, p1)
-        back, header = oio.ingest_trace(p1)
+        back, sample_rate = oio.ingest_trace(p1)
         assert back.shape == values.shape
         assert back.tobytes() == values.tobytes()  # bit-identical, signed zeros included
-        oio.export_trace(back, p2, header)
+        oio.export_trace(back, p2, sample_rate)
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -389,11 +469,10 @@ MUTATIONS = {
 
 def _per_row(path):
     """Reference result: today's row parser on the whole file."""
-    header = oio.read_trace_header(path)
     with open(path, encoding="utf-8") as fh:
-        oio._read_meta_lines(fh)
-        fh.readline()
-        return np.stack(list(oio._frames_from_rows(fh, header, path)))
+        meta = oio._read_preamble(fh, path, oio._TRACE_COLUMNS)
+        shape = tuple(int(meta[key]) for key in oio._TRACE_DIMS)
+        return np.stack(list(oio._frames_from_rows(fh, shape, path)))
 
 
 def _outcome(read, path):
@@ -520,6 +599,38 @@ def test_report_newer_schema_rejected(tmp_path):
     path.write_text(json.dumps({"schema_version": 99}))
     with pytest.raises(oio.IngestError, match="newer"):
         oio.load_report(path)
+
+
+# --- format pins: the exact bytes of each writer -------------------------
+
+FORMAT_PINS = {
+    "trace": (lambda p: oio.export_trace(np.array([[[[1.5 - 0.25j]]]]), p),
+              "# schema_version=1\n# n_subcarriers=1\n# n_rx=1\n# n_tx=1\n# sample_rate=70.0\n"
+              "t,k,rx,tx,re,im\n0,0,0,0,1.5,-0.25\n"),
+    "observation": (lambda p: oio.export_observation(sn.ObservationSeries(
+        values=[0.5, 0.25, 1e-05], sample_rate=2.0, window_s=1.0), p),
+        "# schema_version=1\n# sample_rate=2.0\n# window_s=1.0\nt_seconds,sigma_bar\n"
+        "0.5,0.5\n1.0,0.25\n1.5,1e-05\n"),
+    "report": (lambda p: oio.export_report(sn.DetectionReport(
+        threshold=0.5, detection_rate=0.75, tpr=0.75, fpr=0.0, roc_points=[(0.0, 0.0), (1.0, 1.0)],
+        auc=0.875), p, provenance={"seed": 1}),
+        '{\n  "auc": 0.875,\n  "detection_rate": 0.75,\n  "fpr": 0.0,\n  "provenance": {\n'
+        '    "seed": 1\n  },\n  "roc": [\n    [\n      0.0,\n      0.0\n    ],\n    [\n'
+        '      1.0,\n      1.0\n    ]\n  ],\n  "schema_version": 1,\n  "threshold": 0.5,\n'
+        '  "tpr": 0.75\n}\n'),
+    "json": (lambda p: oio.write_json(p, {"b": [1, 2.5], "a": None}),
+             '{\n  "a": null,\n  "b": [\n    1,\n    2.5\n  ],\n  "schema_version": 1\n}\n'),
+    "json with its own version": (lambda p: oio.write_json(p, {"schema_version": 2}),
+                                  '{\n  "schema_version": 2\n}\n'),
+}
+
+
+@pytest.mark.parametrize("name", FORMAT_PINS)
+def test_writer_format_pinned(tmp_path, name):
+    write, text = FORMAT_PINS[name]
+    path = tmp_path / "out"
+    write(path)
+    assert path.read_bytes() == text.encode()
 
 
 def test_default_scenario_is_valid():
