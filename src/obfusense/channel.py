@@ -487,8 +487,14 @@ class FrameSimulator:
         att = np.where(s > 0.0, 10.0 ** (-person.blocking_depth_db * s / 20.0), 1.0)
         return att[:, self._route]
 
+    def noise(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill out (T, 2, K, n_rx, n_tx) in place: T one-frame draws of complex std noise_std."""
+        rng.standard_normal(out=out)
+        out *= self.noise_std / math.sqrt(2.0)
+        return out
+
     def frames(self, configs, cfg_index, *, person: PersonState | None = None, positions=None,
-               scatters=(), rng=None) -> np.ndarray:
+               scatters=(), noise=None) -> np.ndarray:
         """Channel values (T, K, n_rx, n_tx) for T frames.
 
         configs: distinct per-element reflection coefficient vectors (C, M),
@@ -496,15 +502,13 @@ class FrameSimulator:
         each frame's row and fixes T. person: blocking and scatter parameters
         of a person standing at positions (T, 2), or None. scatters:
         (scatter_tensors(scenario, [position]), factors (T,)) extras, e.g. a rotating reflector.
-        Noise is one draw of shape (T, 2, K, n_rx, n_tx) from rng, the same
-        stream as T single-frame draws of the real and then the imaginary part.
+        noise: a noise() array (T, 2, K, n_rx, n_tx) added as the real and
+        imaginary parts, or None for noiseless frames.
         """
         n = len(cfg_index)
         if configs is not None and configs.shape[1] != self.n_elements:
             raise ValueError(
                 f"coefficient vector length {configs.shape[1]} != {self.n_elements} elements")
-        if self.noise_std > 0.0 and rng is None:
-            raise ValueError("rng required for noisy frames")
         shape = self.h_env.shape
         if person is not None:
             atten = self._attenuations(person, positions)
@@ -522,11 +526,9 @@ class FrameSimulator:
             h = np.repeat(self.h_env[None], n, axis=0)
         for unit, factors in scatters:
             h += np.asarray(factors, dtype=complex)[:, None, None, None] * unit
-        if self.noise_std > 0.0:
-            z = rng.standard_normal((n, 2) + shape)
-            z *= self.noise_std / math.sqrt(2.0)
-            h.real += z[:, 0]
-            h.imag += z[:, 1]
+        if noise is not None:
+            h.real += noise[:, 0]
+            h.imag += noise[:, 1]
         return h
 
     def frame(self, coeffs: np.ndarray | None = None, person: PersonState | None = None,
@@ -535,6 +537,7 @@ class FrameSimulator:
 
         coeffs: per-element reflection coefficients (+-1 and 0 for inactive),
         or None for surface off. scatters: (position, complex_factor) extras.
+        rng: the noise stream, or None for a noiseless frame.
         """
         present = person is not None and person.present
         return self.frames(None if coeffs is None else np.asarray(coeffs, dtype=float)[None],
@@ -542,4 +545,5 @@ class FrameSimulator:
                            positions=np.array([person.position], dtype=float) if present else None,
                            scatters=[(scatter_tensors(self.scenario, [position]), [factor])
                                      for position, factor in scatters],
-                           rng=rng)[0]
+                           noise=None if rng is None or self.noise_std == 0.0
+                           else self.noise(rng, np.empty((1, 2) + self.h_env.shape)))[0]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,8 +26,10 @@ _worker_sim = None  # a coverage pool worker's simulator, set once by _set_worke
 # Frames per FrameSimulator.frames call. A person's blocking step holds
 # (frames x distinct route segments) arrays, which grow with the panel's columns,
 # not its elements; 64 frames keep a chunk under the rest of a session's memory
-# up to a 64x64 surface, and larger chunks synthesise no faster.
+# up to a 64x64 surface, and larger chunks synthesise no faster. The noise ring
+# holds NOISE_AHEAD + 1 chunks, 0.5 MB each with 56 subcarriers and 3x3 antennas.
 FRAME_CHUNK = 64
+NOISE_AHEAD = 2
 
 
 @dataclass
@@ -215,8 +218,9 @@ def _session_magnitudes(scenario, defense_on, motion, duration_s,
                         active_elements, simulator, keep_frames=False):
     """Simulate one session; returns (|H| of shape (T, K, n_rx, n_tx), meta, frames_or_None).
 
-    A scheduler pass and a motion pass turn the session into per-frame arrays;
-    the frame engine then synthesises FRAME_CHUNK frames per call.
+    A scheduler pass and a motion pass turn the session into per-frame arrays; the
+    frame engine synthesises FRAME_CHUNK frames per call while one worker thread,
+    joined before the session ends, draws the noise stream NOISE_AHEAD chunks ahead.
     """
     cells = scenario.n_subcarriers * scenario.n_rx * scenario.n_tx
     # float64 |H|, plus the complex128 frames when they are kept
@@ -232,33 +236,41 @@ def _session_magnitudes(scenario, defense_on, motion, duration_s,
     if defense_on and sim.n_elements == 0:
         raise ScenarioError("defense requested but the scenario has no reflecting surface")
 
-    rng_noise = _noise_rng(scenario, stream)
-    times = np.arange(n_frames) / scenario.sample_rate
-    configs, cfg_index, change_frames = _schedule(sim.n_elements, defense_on, times,
-                                                  scenario.sample_rate, scheduler,
-                                                  active_elements, _irs_rng(scenario, stream))
-
-    person = person_xy = moving = factors = None
-    if isinstance(motion, Trajectory):
-        person = person_template if person_template is not None else PersonState(position=(0.0, 0.0))
-        person_xy, moving = motion.positions(times)
-    elif isinstance(motion, RotatingReflector):
-        factors = motion.factors(times)
-        unit = channel.scatter_tensors(scenario, [motion.position])
-
+    rng = _noise_rng(scenario, stream)
     shape = (n_frames, scenario.n_subcarriers, scenario.n_rx, scenario.n_tx)
-    mags = np.empty(shape)
-    frames = np.empty(shape, dtype=complex) if keep_frames else None
-    for a in range(0, n_frames, FRAME_CHUNK):
-        b = min(a + FRAME_CHUNK, n_frames)
-        first = cfg_index[a]
-        h = sim.frames(configs[first:cfg_index[b - 1] + 1], cfg_index[a:b] - first,
-                       person=person, positions=None if person is None else person_xy[a:b],
-                       scatters=() if factors is None else ((unit, factors[a:b]),),
-                       rng=rng_noise)
-        if keep_frames:
-            frames[a:b] = h
-        np.abs(h, out=mags[a:b])
+    # allocated here, not on the worker, which would take a malloc arena of its own
+    ring = np.empty((NOISE_AHEAD + 1, FRAME_CHUNK, 2) + shape[1:]) if sim.noise_std > 0 else None
+    with ThreadPoolExecutor(1) as pool:
+        def draw(j):  # chunk j's noise, into the slot that chunk j - NOISE_AHEAD - 1 freed
+            if ring is not None and j * FRAME_CHUNK < n_frames:
+                return pool.submit(sim.noise, rng, ring[j % len(ring), :n_frames - j * FRAME_CHUNK])
+        draws = [draw(j) for j in range(NOISE_AHEAD)]
+        times = np.arange(n_frames) / scenario.sample_rate
+        configs, cfg_index, change_frames = _schedule(sim.n_elements, defense_on, times,
+                                                      scenario.sample_rate, scheduler,
+                                                      active_elements, _irs_rng(scenario, stream))
+
+        person = person_xy = moving = factors = None
+        if isinstance(motion, Trajectory):
+            person = person_template or PersonState(position=(0.0, 0.0))
+            person_xy, moving = motion.positions(times)
+        elif isinstance(motion, RotatingReflector):
+            factors = motion.factors(times)
+            unit = channel.scatter_tensors(scenario, [motion.position])
+
+        mags = np.empty(shape)
+        frames = np.empty(shape, dtype=complex) if keep_frames else None
+        for j, a in enumerate(range(0, n_frames, FRAME_CHUNK)):
+            draws.append(draw(j + NOISE_AHEAD))
+            b = min(a + FRAME_CHUNK, n_frames)
+            first = cfg_index[a]
+            h = sim.frames(configs[first:cfg_index[b - 1] + 1], cfg_index[a:b] - first,
+                           person=person, positions=None if person is None else person_xy[a:b],
+                           scatters=() if factors is None else ((unit, factors[a:b]),),
+                           noise=None if draws[j] is None else draws[j].result())
+            if keep_frames:
+                frames[a:b] = h
+            np.abs(h, out=mags[a:b])
 
     meta = {
         "seed": scenario.seed,

@@ -531,5 +531,7 @@ def export_report(report, path, provenance: dict | None = None):
 def load_report(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise IngestError(f"{path}: top level is not a JSON object")
     _check_schema(doc.get("schema_version", 1), path)
     return doc

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import warnings
+from contextlib import suppress
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,15 @@ from hypothesis import settings
 settings.register_profile("deterministic", derandomize=True, database=None,
                           max_examples=60, deadline=None)
 settings.load_profile("deterministic")
+
+# When a @given test fails, the hypothesis plugin imports this module to report it;
+# its libcst dependency warns on import, which filterwarnings = ["error"] would turn
+# into an INTERNALERROR that hides the example and ends the session. Import it once
+# here with that warning ignored; every other warning stays an error.
+with suppress(ImportError), warnings.catch_warnings():
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated",
+                            DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 if SRC not in sys.path:

@@ -357,6 +357,19 @@ def test_frames_without_person_match_oracle_per_configuration():
         assert np.allclose(got[t], _oracle_frame(scn, bits[c], None), rtol=1e-12, atol=1e-18)
 
 
+def test_frames_add_noise_as_real_and_imaginary_parts():
+    scn = oio.default_scenario(seed=5)
+    sim = ch.FrameSimulator(scn)
+    configs = np.random.default_rng(4).choice([-1, 1], size=(2, 256)).astype(np.int8)
+    cfg_index = np.array([0, 1, 1, 0])
+    person = ch.PersonState(position=(0.0, 0.0))
+    positions = np.array([[3.0, 2.5], [3.2, 2.6], [3.4, 2.7], [3.6, 2.8]])
+    z = sim.noise(np.random.default_rng(2), np.empty((4, 2) + sim.h_env.shape))
+    got = sim.frames(configs, cfg_index, person=person, positions=positions, noise=z)
+    clean = sim.frames(configs, cfg_index, person=person, positions=positions)
+    assert np.array_equal(got, clean + (z[:, 0] + 1j * z[:, 1]))
+
+
 @pytest.mark.parametrize("grid", [None, (1, 1)])
 @pytest.mark.parametrize("with_person", [False, True])
 def test_frames_on_tiny_surfaces_match_oracle(grid, with_person):

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -328,21 +329,65 @@ def test_defended_session_matches_per_frame_oracle(kind):
     assert np.allclose(got, want, rtol=1e-12, atol=1e-18)
 
 
+WALK = ex.Trajectory(waypoints=[(4.0, 2.15), (4.0, 3.35)], speed=0.45)
+
+
 def test_chunked_noise_matches_per_frame_draws():
     # a session longer than one engine chunk draws the same noise stream as
-    # one (real, imaginary) pair of draws per frame
+    # one (real, imaginary) pair of draws per frame; the walk and the reflector
+    # run more chunks than the noise ring has buffers, the last one partial
     scn = quiet_scenario(snr_db=20.0)
-    duration = (ex.FRAME_CHUNK + 60) / scn.sample_rate
-    _, noisy = ex.run_session(scn, True, None, duration, stream=5, keep_frames=True)
-    _, clean = ex.run_session(replace(scn, snr_db=float("inf")), True, None, duration,
-                              stream=5, keep_frames=True)
-    assert noisy.shape[0] > ex.FRAME_CHUNK
-    sigma = ch.FrameSimulator(scn).noise_std / math.sqrt(2.0)
-    rng = ex._noise_rng(scn, 5)
-    shape = noisy.shape[1:]
-    draws = np.array([sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-                      for _ in range(noisy.shape[0])])
-    assert np.array_equal(noisy, clean + draws)
+    for motion, n_frames in [(None, ex.FRAME_CHUNK + 60), (WALK, 3 * ex.FRAME_CHUNK + 5),
+                             (ex.RotatingReflector(position=(3.75, 2.75)), 3 * ex.FRAME_CHUNK + 5)]:
+        duration = n_frames / scn.sample_rate
+        _, noisy = ex.run_session(scn, True, motion, duration, stream=5, keep_frames=True)
+        _, clean = ex.run_session(replace(scn, snr_db=float("inf")), True, motion, duration,
+                                  stream=5, keep_frames=True)
+        assert noisy.shape[0] > ex.FRAME_CHUNK
+        sigma = ch.FrameSimulator(scn).noise_std / math.sqrt(2.0)
+        rng = ex._noise_rng(scn, 5)
+        shape = noisy.shape[1:]
+        draws = np.array([sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                          for _ in range(noisy.shape[0])])
+        assert np.array_equal(noisy, clean + draws)
+
+
+def test_noise_worker_joined_after_session():
+    before = threading.active_count()
+    ex.run_session(quiet_scenario(), True, WALK, 3.0, stream=1)
+    assert threading.active_count() == before
+
+
+def test_noise_worker_joined_when_synthesis_raises():
+    # the walk starts on the anchor, so the first chunk's scatter path is degenerate
+    scn = quiet_scenario()
+    walk = ex.Trajectory(waypoints=[scn.anchor_pos, (4.0, 2.75)])
+    before = threading.active_count()
+    with pytest.raises(ch.ScenarioError, match="scatter point coincides with an endpoint"):
+        ex.run_session(scn, True, walk, 3.0)
+    assert threading.active_count() == before
+
+
+def test_noise_worker_error_reaches_caller(monkeypatch):
+    raised = []
+
+    def fail(self, rng, out):
+        raised.append(RuntimeError("noise draw failed"))
+        raise raised[-1]
+
+    monkeypatch.setattr(ch.FrameSimulator, "noise", fail)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="noise draw failed") as err:
+        ex.run_session(quiet_scenario(), True, WALK, 3.0)
+    assert err.value is raised[0]
+    assert threading.active_count() == before
+
+
+def test_noiseless_session_draws_no_noise(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ch.FrameSimulator, "noise", lambda self, rng, out: calls.append(1))
+    ex.run_session(quiet_scenario(snr_db=float("inf")), True, WALK, 3.0)
+    assert calls == []
 
 
 # --- sweeps ----------------------------------------------------------------

@@ -601,6 +601,13 @@ def test_report_newer_schema_rejected(tmp_path):
         oio.load_report(path)
 
 
+def test_report_not_an_object_rejected(tmp_path):
+    path = tmp_path / "r.json"
+    path.write_text("[]")
+    with pytest.raises(oio.IngestError, match="r.json: top level is not a JSON object"):
+        oio.load_report(path)
+
+
 # --- format pins: the exact bytes of each writer -------------------------
 
 FORMAT_PINS = {
