@@ -130,7 +130,6 @@ class PersonState:
     """Position and RF interaction parameters of one person in the room."""
 
     position: tuple
-    present: bool = True
     scatter_gain_db: float = -5.0
     blocking_radius: float = 0.4
     blocking_depth_db: float = 10.0
@@ -498,7 +497,7 @@ class FrameSimulator:
         """Channel values (T, K, n_rx, n_tx) for T frames.
 
         configs: distinct per-element reflection coefficient vectors (C, M),
-        +-1 and 0 for inactive, or None for surface off; cfg_index (T,) gives
+        +-1 and 0 for inactive (all zeros: surface off); cfg_index (T,) gives
         each frame's row and fixes T. person: blocking and scatter parameters
         of a person standing at positions (T, 2), or None. scatters:
         (scatter_tensors(scenario, [position]), factors (T,)) extras, e.g. a rotating reflector.
@@ -506,24 +505,21 @@ class FrameSimulator:
         imaginary parts, or None for noiseless frames.
         """
         n = len(cfg_index)
-        if configs is not None and configs.shape[1] != self.n_elements:
+        if configs.shape[1] != self.n_elements:
             raise ValueError(
                 f"coefficient vector length {configs.shape[1]} != {self.n_elements} elements")
         shape = self.h_env.shape
         if person is not None:
             atten = self._attenuations(person, positions)
             h = atten[:, :self._n_env] @ self._g_env
-            if configs is not None:
-                h += (configs[cfg_index] * atten[:, self._n_env:]) @ self._g_irs
+            h += (configs[cfg_index] * atten[:, self._n_env:]) @ self._g_irs
             h = h.view(complex).reshape((n,) + shape)
             scatter = scatter_tensors(self.scenario, positions)
             scatter *= 10.0 ** (person.scatter_gain_db / 20.0)
             h += scatter
-        elif configs is not None:
+        else:
             h = (configs @ self._g_irs).view(complex).reshape((len(configs),) + shape)[cfg_index]
             h += self.h_env
-        else:
-            h = np.repeat(self.h_env[None], n, axis=0)
         for unit, factors in scatters:
             h += np.asarray(factors, dtype=complex)[:, None, None, None] * unit
         if noise is not None:
@@ -539,10 +535,10 @@ class FrameSimulator:
         or None for surface off. scatters: (position, complex_factor) extras.
         rng: the noise stream, or None for a noiseless frame.
         """
-        present = person is not None and person.present
-        return self.frames(None if coeffs is None else np.asarray(coeffs, dtype=float)[None],
-                           np.zeros(1, dtype=int), person=person if present else None,
-                           positions=np.array([person.position], dtype=float) if present else None,
+        configs = (np.zeros((1, self.n_elements)) if coeffs is None
+                   else np.asarray(coeffs, dtype=float)[None])
+        return self.frames(configs, np.zeros(1, dtype=int), person=person,
+                           positions=None if person is None else np.array([person.position], float),
                            scatters=[(scatter_tensors(self.scenario, [position]), [factor])
                                      for position, factor in scatters],
                            noise=None if rng is None or self.noise_std == 0.0

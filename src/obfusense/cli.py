@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -20,6 +21,7 @@ from . import __version__, experiments, io as oio, sensing
 from .channel import ScenarioError
 
 OUT_ENV = "OBFUSENSE_OUT"
+MAX_RANGE_VALUES = 10_000
 
 
 def _sha256(path) -> str:
@@ -70,16 +72,20 @@ def _flag(name: str):
 
 
 def _parse_values(text: str):
-    """Comma list (1,2,3) or start:stop:step range (32:256:32, inclusive)."""
+    """Comma list (1,2,3) or start:stop:step range (32:256:32, inclusive) of finite
+    numbers; a range gives at most MAX_RANGE_VALUES values, checked before any is built."""
     if ":" in text:
         start, stop, step_ = (float(v) for v in text.split(":"))
+        if not all(map(math.isfinite, (start, stop, step_))):
+            raise ValueError(f"range {text!r}: start, stop and step must be finite")
         if step_ <= 0:
             raise ValueError("range step must be > 0")
-        n = int(round((stop - start) / step_))
-        values = [start + i * step_ for i in range(n + 1) if start + i * step_ <= stop + 1e-9]
-        if not values:
+        span = (stop - start) / step_
+        if span < 0:
             raise ValueError(f"range {text!r}: stop below start gives no values")
-        return values
+        if span >= MAX_RANGE_VALUES:
+            raise ValueError(f"range {text!r} gives more than {MAX_RANGE_VALUES} values")
+        return [start + i * step_ for i in range(round(span) + 1) if start + i * step_ <= stop + 1e-9]
     return [float(v) for v in text.split(",")]
 
 
@@ -99,10 +105,13 @@ def cmd_simulate(args):
 
 
 def cmd_attack(args):
+    with _flag("--C"):
+        oio.ExperimentConfig(c=args.C)  # the config's rule for experiment.c
     reference = oio.load_observation(args.reference)
     motion = oio.load_observation(args.motion)
-    report = sensing.attack_report(reference, motion,
-                                   c=None if args.max_ref else args.C, use_max=args.max_ref)
+    threshold = (sensing.max_threshold(reference) if args.max_ref
+                 else sensing.calibrate_threshold(reference, args.C))
+    report = sensing.attack_report(reference, motion, threshold)
     provenance = {
         "reference": str(args.reference),
         "reference_sha256": _sha256(args.reference),
@@ -235,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="surface size / distance / orientation sweeps")
     add_common(p)
     p.add_argument("--var", choices=["size", "distance", "orientation"], required=True)
-    p.add_argument("--values", required=True, help="comma list or start:stop:step")
+    p.add_argument("--values", required=True,
+                   help=f"comma list or start:stop:step (at most {MAX_RANGE_VALUES} values)")
     p.add_argument("--duration", type=float, default=120.0, help="seconds per cell")
     p.set_defaults(func=cmd_sweep)
 

@@ -80,11 +80,6 @@ class Trajectory:
         pos[start], pos[end] = self._pts[0], self._pts[-1]
         return pos, ~(start | end)
 
-    def locate(self, t: float):
-        """(position, moving) at time t: positions() at one time."""
-        pos, moving = self.positions([t])
-        return pos[0], bool(moving[0])
-
 
 @dataclass
 class RotatingReflector:
@@ -112,10 +107,6 @@ class RotatingReflector:
         theta = 2.0 * math.pi * (self.rpm / 60.0) * np.asarray(times, dtype=float)
         cos = np.cos(theta)
         return 10.0 ** (self.peak_scatter_gain_db / 20.0) * cos * (cos + 1j * np.sin(theta))
-
-    def factor(self, t: float) -> complex:
-        """factors() at one time."""
-        return complex(self.factors([t])[0])
 
 
 @dataclass
@@ -379,7 +370,7 @@ def run_coverage_grid(scenario: Scenario, grid, defense_on: bool, c: float = 11.
     args = [(defense_on, tuple(pos), rpm, reflector_gain_db, session_s, window_s,
              subs, 100 + i, scheduler) for i, pos in enumerate(grid)]
     workers = min(jobs, len(args), os.cpu_count() or 1)
-    if workers > 1:
+    if workers > 1:  # imported here: at module level it adds ~20 ms to every CLI command
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(workers, initializer=_set_worker_sim, initargs=(sim,)) as pool:
             observations = list(pool.map(_coverage_cell, args))
@@ -504,7 +495,8 @@ def parameter_study(scenario: Scenario, r_values, p_values, duration_s: float, *
                     c: float = 11.0, window_s: float = 1.0, stream: int = 0,
                     update_rate: float = irsmod.SchedulerParams.update_rate) -> list:
     """Scheduler parameter grid: observation statistics per (rate, hold) cell."""
-    if len(list(r_values)) == 0 or len(list(p_values)) == 0:
+    r_values, p_values = list(r_values), list(p_values)
+    if not r_values or not p_values:
         raise ValueError("parameter grids must be non-empty")
     sim = FrameSimulator(scenario)
     cells = []

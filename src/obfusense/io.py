@@ -505,8 +505,9 @@ def write_json(path, doc: dict):
         fh.write("\n")
 
 
-def report_to_dict(report: DetectionReport, provenance: dict | None = None) -> dict:
-    return {
+def export_report(report: DetectionReport, path, provenance: dict | None = None):
+    """Write a detection report: threshold, rates, ROC points, AUC and provenance."""
+    write_json(path, {
         "threshold": report.threshold,
         "detection_rate": report.detection_rate,
         "tpr": report.tpr,
@@ -514,18 +515,7 @@ def report_to_dict(report: DetectionReport, provenance: dict | None = None) -> d
         "roc": [[float(f), float(t)] for f, t in (report.roc_points or [])],
         "auc": report.auc,
         "provenance": dict(provenance or {}),
-    }
-
-
-def export_report(report, path, provenance: dict | None = None):
-    """Write a detection report (DetectionReport or an already-built dict)."""
-    if isinstance(report, DetectionReport):
-        doc = report_to_dict(report, provenance)
-    else:
-        doc = dict(report)
-        if provenance:
-            doc["provenance"] = dict(provenance)
-    write_json(path, doc)
+    })
 
 
 def load_report(path) -> dict:

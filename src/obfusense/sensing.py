@@ -213,18 +213,13 @@ def roc(obs_motion, obs_reference) -> DetectionReport:
     return DetectionReport(threshold=float("nan"), roc_points=points, auc=auc)
 
 
-def attack_report(reference, motion, c: float | None = None, use_max: bool = False) -> DetectionReport:
-    """Full detection report: threshold from the reference, rates, ROC, AUC."""
-    if use_max:
-        u = max_threshold(reference)
-    elif c is not None:
-        u = calibrate_threshold(reference, c)
-    else:
-        raise ValueError("either c or use_max must be given")
-    on_motion = detect(motion, u)
-    on_ref = detect(reference, u)
+def attack_report(reference, motion, threshold: float) -> DetectionReport:
+    """Full detection report at a threshold taken from the reference (calibrate_threshold
+    or max_threshold): rates on motion and reference, ROC, AUC."""
+    on_motion = detect(motion, threshold)
+    on_ref = detect(reference, threshold)
     curve = roc(motion, reference)
-    return DetectionReport(threshold=u, decisions=on_motion.decisions,
+    return DetectionReport(threshold=threshold, decisions=on_motion.decisions,
                            detection_rate=on_motion.detection_rate,
                            tpr=on_motion.detection_rate, fpr=on_ref.detection_rate,
                            roc_points=curve.roc_points, auc=curve.auc)

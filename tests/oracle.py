@@ -144,7 +144,7 @@ def apply_motion(paths, person: ch.PersonState | None, scenario: ch.Scenario) ->
     Attenuation ramps linearly inside the blocking radius, reaching the full
     blocking depth on the route itself.
     """
-    if person is None or not person.present:
+    if person is None:
         return [replace(p, blocked_atten=1.0) for p in paths]
     out = [replace(p, blocked_atten=_blocking_atten(p, person)) for p in paths]
     out.append(scatter_path(scenario, person.position, 10.0 ** (person.scatter_gain_db / 20.0)))

@@ -200,8 +200,7 @@ def test_irs_grid_cardinality():
 def test_apply_motion_absent_is_identity():
     scn = simple_scenario(room=[((-1.0, 2.0), (6.0, 2.0))])
     paths = orc.records(ch.build_static_paths(scn), scn)
-    person = ch.PersonState(position=(2.5, 0.0), present=False)
-    out = orc.apply_motion(paths, person, scn)
+    out = orc.apply_motion(paths, None, scn)
     assert len(out) == len(paths)
     assert all(p.blocked_atten == 1.0 for p in out)
     assert all(p.kind != ch.SCATTER for p in out)
@@ -368,6 +367,17 @@ def test_frames_add_noise_as_real_and_imaginary_parts():
     got = sim.frames(configs, cfg_index, person=person, positions=positions, noise=z)
     clean = sim.frames(configs, cfg_index, person=person, positions=positions)
     assert np.array_equal(got, clean + (z[:, 0] + 1j * z[:, 1]))
+
+
+def test_surface_off_frame_is_h_env_and_a_zero_row():
+    scn = oio.default_scenario(seed=5, snr_db=float("inf"))
+    sim = ch.FrameSimulator(scn)
+    assert np.array_equal(sim.frame(), sim.h_env)
+    off = np.zeros((1, sim.n_elements))
+    assert np.array_equal(sim.frame(person=None), sim.frames(off, np.zeros(1, dtype=int))[0])
+    person = ch.PersonState(position=(3.0, 2.5))
+    assert np.allclose(sim.frame(person=person), _oracle_frame(scn, None, person, (3.0, 2.5)),
+                       rtol=1e-12, atol=1e-18)
 
 
 @pytest.mark.parametrize("grid", [None, (1, 1)])

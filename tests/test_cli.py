@@ -6,6 +6,7 @@ import pytest
 from conftest import run_cli
 from obfusense import channel, cli, experiments
 from obfusense import io as oio
+from obfusense import sensing as sn
 
 
 def invoke(*args):
@@ -127,6 +128,7 @@ def test_sweep_empty_range_rejected(tmp_path, minimal_config, capsys):
     ("sweep", "--values", "1,,2"),
     ("sweep", "--values", "a:b:c"),
     ("sweep", "--values", "1:2"),
+    ("sweep", "--values", "0:inf:1"),
     ("paramstudy", "--R", "0.05,x"),
     ("paramstudy", "--P", "x"),
 ])
@@ -135,6 +137,31 @@ def test_bad_value_list_names_flag(tmp_path, minimal_config, capsys, command, fl
     out = tmp_path / "out"
     assert invoke(command, "--config", minimal_config, *extra, flag, value, "--out", out) == 3
     assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["0:inf:1", "nan:1:1", "0:1:inf", "-inf:0:1"])
+def test_range_values_must_be_finite(text):
+    with pytest.raises(ValueError, match="must be finite"):
+        cli._parse_values(text)
+
+
+def test_range_values_capped():
+    assert len(cli._parse_values(f"0:{cli.MAX_RANGE_VALUES - 1}:1")) == cli.MAX_RANGE_VALUES
+    with pytest.raises(ValueError, match=f"more than {cli.MAX_RANGE_VALUES} values"):
+        cli._parse_values(f"0:{cli.MAX_RANGE_VALUES}:1")
+    with pytest.raises(ValueError, match=f"more than {cli.MAX_RANGE_VALUES} values"):
+        cli._parse_values("0:20000:1")
+
+
+@pytest.mark.parametrize("c", ["nan", "-inf", "-5"])
+def test_attack_bad_c_names_flag(tmp_path, capsys, c):
+    obs = tmp_path / "observation.csv"
+    oio.export_observation(sn.ObservationSeries(values=np.linspace(0.1, 0.5, 20),
+                                                sample_rate=10.0, window_s=1.0), obs)
+    out = tmp_path / "atk"
+    assert invoke("attack", "--reference", obs, "--motion", obs, f"--C={c}", "--out", out) == 3
+    assert capsys.readouterr().err.startswith("error: --C: c must be finite and >= 0")
     assert not out.exists()
 
 

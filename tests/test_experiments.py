@@ -81,24 +81,15 @@ def test_trajectory_validation():
 
 def test_trajectory_pingpong():
     walk = ex.Trajectory(waypoints=[(0.0, 0.0), (2.0, 0.0)], speed=1.0)
-    pos, moving = walk.locate(0.0)
-    assert np.allclose(pos, [0, 0]) and moving
-    pos, _ = walk.locate(1.0)
-    assert np.allclose(pos, [1.0, 0.0])
-    pos, _ = walk.locate(3.0)  # heading back
-    assert np.allclose(pos, [1.0, 0.0])
-    pos, _ = walk.locate(4.0)  # full cycle
-    assert np.allclose(pos, [0.0, 0.0])
+    pos, moving = walk.positions([0.0, 1.0, 3.0, 4.0])  # 3.0 heading back, 4.0 a full cycle
+    assert np.allclose(pos, [[0, 0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]) and moving[0]
 
 
 def test_trajectory_dwell():
     walk = ex.Trajectory(waypoints=[(0.0, 0.0), (1.0, 0.0)], speed=1.0, dwell=0.5)
-    pos, moving = walk.locate(0.25)
-    assert np.allclose(pos, [0, 0]) and not moving
-    pos, moving = walk.locate(1.0)
-    assert np.allclose(pos, [0.5, 0.0]) and moving
-    pos, moving = walk.locate(1.7)
-    assert np.allclose(pos, [1.0, 0.0]) and not moving
+    pos, moving = walk.positions([0.25, 1.0, 1.7])
+    assert np.allclose(pos, [[0, 0], [0.5, 0.0], [1.0, 0.0]])
+    assert moving.tolist() == [False, True, False]
 
 
 @st.composite
@@ -128,8 +119,8 @@ def test_positions_match_scalar_locate(walk, extra):
     for i, t in enumerate(times.tolist()):
         want_pos, want_moving = orc.locate(walk, t)
         assert pos[i].tobytes() == want_pos.tobytes() and moving[i] == want_moving
-        got_pos, got_moving = walk.locate(t)
-        assert got_pos.tobytes() == want_pos.tobytes() and got_moving is want_moving
+        got_pos, got_moving = walk.positions([t])
+        assert got_pos[0].tobytes() == want_pos.tobytes() and bool(got_moving[0]) is want_moving
 
 
 @given(rpm=st.floats(0.5, 600.0), gain_db=st.floats(-40.0, 40.0) | st.just(-math.inf),
@@ -138,7 +129,7 @@ def test_factors_match_factor(rpm, gain_db, times):
     refl = ex.RotatingReflector(position=(1.0, 2.0), rpm=rpm, peak_scatter_gain_db=gain_db)
     got = refl.factors(times)
     assert got.shape == (len(times),)
-    assert got.tobytes() == np.array([refl.factor(t) for t in times]).tobytes()
+    assert got.tobytes() == np.array([refl.factors([t])[0] for t in times]).tobytes()
     # the scalar-math formula, up to the last bits of cos and sin
     want = np.array([orc.reflector_factor(refl, t) for t in times])
     assert np.allclose(got, want, rtol=0.0, atol=4e-16 * 10.0 ** (gain_db / 20.0))
@@ -146,9 +137,10 @@ def test_factors_match_factor(rpm, gain_db, times):
 
 def test_reflector_modulation():
     refl = ex.RotatingReflector(position=(1.0, 1.0), rpm=30.0, peak_scatter_gain_db=0.0)
-    assert refl.factor(0.0) == pytest.approx(1.0)
-    assert abs(refl.factor(1.0)) == pytest.approx(1.0)  # half turn: |cos(pi)| = 1
-    assert abs(refl.factor(0.5)) == pytest.approx(0.0, abs=1e-12)  # quarter turn
+    start, half, quarter = refl.factors([0.0, 1.0, 0.5])
+    assert start == pytest.approx(1.0)
+    assert abs(half) == pytest.approx(1.0)  # half turn: |cos(pi)| = 1
+    assert abs(quarter) == pytest.approx(0.0, abs=1e-12)  # quarter turn
     with pytest.raises(ValueError):
         ex.RotatingReflector(position=(0, 0), rpm=0.0)
     with pytest.raises(ValueError, match="rpm must be finite"):
@@ -158,7 +150,7 @@ def test_reflector_modulation():
     with pytest.raises(ValueError, match="below \\+inf"):
         ex.RotatingReflector(position=(0, 0), peak_scatter_gain_db=float("inf"))
     silent = ex.RotatingReflector(position=(0, 0), peak_scatter_gain_db=float("-inf"))
-    assert silent.factor(0.3) == 0
+    assert silent.factors([0.3])[0] == 0
 
 
 # --- coherence_time --------------------------------------------------------
@@ -306,13 +298,13 @@ def oracle_frames(scn, motion, duration_s, stream, person=None, **scheduler):
             ir.step(state)
             tick += 1
         if isinstance(motion, ex.Trajectory):
-            pos, _ = motion.locate(t)
+            pos = motion.positions([t])[0][0]
             here = replace(person, position=(float(pos[0]), float(pos[1])))
             out.append(orc.channel_response(static, irsp, state.bits, here, scn, i).values)
         else:
             unit = orc.path_response(orc.scatter_path(scn, motion.position, 1.0), scn)
             out.append(orc.channel_response(static, irsp, state.bits, None, scn, i).values
-                       + motion.factor(t) * unit)
+                       + motion.factors([t])[0] * unit)
     return np.array(out)
 
 
@@ -474,6 +466,12 @@ def test_parameter_study_rare_changes_shrink_observation():
     cells = ex.parameter_study(scn, [0.05], [0.4, 0.99], 10.0)
     assert cells[1].median < cells[0].median
     assert cells[1].euclidean_norm < cells[0].euclidean_norm
+
+
+def test_parameter_study_takes_generators():
+    scn = quiet_scenario()
+    cells = ex.parameter_study(scn, (r for r in [0.05]), (p for p in [0.0, 0.6]), 2.0)
+    assert [(c.progression_rate, c.hold_prob) for c in cells] == [(0.05, 0.0), (0.05, 0.6)]
 
 
 def test_parameter_study_zero_length_rejected():

@@ -314,9 +314,9 @@ def test_attack_report_composition():
     rng = np.random.default_rng(14)
     ref = rng.uniform(0.0, 1.0, size=400)
     motion = rng.uniform(0.5, 2.0, size=400)
-    rep = sn.attack_report(ref, motion, c=11.0)
+    rep = sn.attack_report(ref, motion, sn.calibrate_threshold(ref, 11.0))
     assert rep.threshold == sn.calibrate_threshold(ref, 11.0)
     assert rep.tpr == rep.detection_rate
     assert 0.0 <= rep.auc <= 1.0
-    rep_max = sn.attack_report(ref, motion, use_max=True)
+    rep_max = sn.attack_report(ref, motion, sn.max_threshold(ref))
     assert rep_max.fpr == 0.0  # max threshold yields zero reference false positives
