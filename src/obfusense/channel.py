@@ -7,6 +7,7 @@ Frames are MIMO-OFDM channel estimates with calibrated additive noise.
 """
 from __future__ import annotations
 
+import copy
 import math
 import os
 from dataclasses import dataclass, field, fields
@@ -368,13 +369,13 @@ def _antenna_projections(scenario: Scenario):
     return axis, otx, orx
 
 
-def _tensors(paths: Paths, scenario: Scenario) -> np.ndarray:
+def _tensors(paths: Paths, scenario: Scenario, subcarriers=None) -> np.ndarray:
     """Per-path response tensors G[p, k, rx, tx] before weights and attenuation.
 
     Antenna offsets perturb each path's length through far-field projection
     onto the departure and arrival directions.
     """
-    freqs = scenario.subcarrier_freqs()
+    freqs = scenario.subcarrier_freqs()[slice(None) if subcarriers is None else subcarriers]
     lam = C_LIGHT / freqs
     axis, otx, orx = _antenna_projections(scenario)
     proj_dep = paths.dep @ axis
@@ -394,9 +395,9 @@ def _tensors(paths: Paths, scenario: Scenario) -> np.ndarray:
     return np.multiply(ampk[:, :, None, None], g, out=g)
 
 
-def scatter_tensors(scenario: Scenario, positions) -> np.ndarray:
-    """Unit-gain scatter responses (T, K, n_rx, n_tx) for bounces at positions (T, 2)."""
-    return _tensors(scatter_paths(scenario, positions, 1.0), scenario)
+def scatter_tensors(scenario: Scenario, positions, subcarriers=None) -> np.ndarray:
+    """Unit-gain scatter responses (T, K, n_rx, n_tx) at positions (T, 2), K all or given."""
+    return _tensors(scatter_paths(scenario, positions, 1.0), scenario, subcarriers)
 
 
 def point_segment_distances(points, seg_a, seg_b) -> np.ndarray:
@@ -477,6 +478,18 @@ class FrameSimulator:
         # real (paths, 2 * K * n_rx * n_tx) views: real weights @ view = the complex sum
         self._g_env = g_env.reshape(len(env), self.h_env.size).view(float)
         self._g_irs = _tensors(irs, scenario).reshape(len(irs), self.h_env.size).view(float)
+        self.subcarriers = None  # all of them
+
+    def at_subcarriers(self, subcarriers) -> FrameSimulator:
+        """This simulator at the given distinct subcarriers only, each value as at full width;
+        paths, routes and noise_std (the full band's calibration) are shared."""
+        sub = copy.copy(self)
+        sub.subcarriers = subs = np.asarray(subcarriers, dtype=int)
+        sub.h_env = self.h_env[subs]
+        sub._g_env, sub._g_irs = (g.view(complex).reshape((len(g),) + self.h_env.shape)
+                                  .take(subs, axis=1).reshape(len(g), -1).view(float)
+                                  for g in (self._g_env, self._g_irs))
+        return sub
 
     def _attenuations(self, person: PersonState, positions) -> np.ndarray:
         """Blocking attenuation (T, paths) with the person at each of positions (T, 2)."""
@@ -494,7 +507,7 @@ class FrameSimulator:
 
     def frames(self, configs, cfg_index, *, person: PersonState | None = None, positions=None,
                scatters=(), noise=None) -> np.ndarray:
-        """Channel values (T, K, n_rx, n_tx) for T frames.
+        """Channel values (T, K, n_rx, n_tx) for T frames at this simulator's K subcarriers.
 
         configs: distinct per-element reflection coefficient vectors (C, M),
         +-1 and 0 for inactive (all zeros: surface off); cfg_index (T,) gives
@@ -514,7 +527,7 @@ class FrameSimulator:
             h = atten[:, :self._n_env] @ self._g_env
             h += (configs[cfg_index] * atten[:, self._n_env:]) @ self._g_irs
             h = h.view(complex).reshape((n,) + shape)
-            scatter = scatter_tensors(self.scenario, positions)
+            scatter = scatter_tensors(self.scenario, positions, self.subcarriers)
             scatter *= 10.0 ** (person.scatter_gain_db / 20.0)
             h += scatter
         else:
@@ -539,7 +552,7 @@ class FrameSimulator:
                    else np.asarray(coeffs, dtype=float)[None])
         return self.frames(configs, np.zeros(1, dtype=int), person=person,
                            positions=None if person is None else np.array([person.position], float),
-                           scatters=[(scatter_tensors(self.scenario, [position]), [factor])
-                                     for position, factor in scatters],
+                           scatters=[(scatter_tensors(self.scenario, [p], self.subcarriers), [f])
+                                     for p, f in scatters],
                            noise=None if rng is None or self.noise_std == 0.0
                            else self.noise(rng, np.empty((1, 2) + self.h_env.shape)))[0]

@@ -111,6 +111,8 @@ def cmd_attack(args):
     motion = oio.load_observation(args.motion)
     threshold = (sensing.max_threshold(reference) if args.max_ref
                  else sensing.calibrate_threshold(reference, args.C))
+    if not math.isfinite(threshold):
+        raise ValueError(f"--C: threshold median + {args.C:g} * MAD overflows to {threshold}")
     report = sensing.attack_report(reference, motion, threshold)
     provenance = {
         "reference": str(args.reference),

@@ -206,16 +206,18 @@ def _schedule(n_elements, defense_on, times, sample_rate, scheduler: irsmod.Sche
 
 def _session_magnitudes(scenario, defense_on, motion, duration_s,
                         scheduler: irsmod.SchedulerParams, *, stream, person_template,
-                        active_elements, simulator, keep_frames=False):
-    """Simulate one session; returns (|H| of shape (T, K, n_rx, n_tx), meta, frames_or_None).
+                        active_elements, simulator, keep_frames=False, subcarriers=None):
+    """Simulate one session; returns (|H|, meta, frames_or_None), |H| and frames of shape
+    (T, len(subcarriers), n_rx, n_tx), all K subcarriers when None.
 
-    A scheduler pass and a motion pass turn the session into per-frame arrays; the
-    frame engine synthesises FRAME_CHUNK frames per call while one worker thread,
-    joined before the session ends, draws the noise stream NOISE_AHEAD chunks ahead.
+    A scheduler pass and a motion pass give per-frame arrays; the frame engine synthesises
+    FRAME_CHUNK frames per call while one worker thread, joined before the session ends,
+    draws the noise stream, at all K subcarriers, NOISE_AHEAD chunks ahead.
     """
-    cells = scenario.n_subcarriers * scenario.n_rx * scenario.n_tx
+    subs = slice(None) if subcarriers is None else np.asarray(subcarriers, dtype=int)
+    frame = (len(np.arange(scenario.n_subcarriers)[subs]), scenario.n_rx, scenario.n_tx)
     # float64 |H|, plus the complex128 frames when they are kept
-    need = duration_s * scenario.sample_rate * cells * (24 if keep_frames else 8)
+    need = duration_s * scenario.sample_rate * math.prod(frame) * (24 if keep_frames else 8)
     memory = channel._physical_memory()
     if not need <= memory:  # also rejects a NaN or infinite duration
         raise ValueError(f"duration {duration_s:g} s needs {need / 2**30:.3g} GiB for its "
@@ -228,9 +230,9 @@ def _session_magnitudes(scenario, defense_on, motion, duration_s,
         raise ScenarioError("defense requested but the scenario has no reflecting surface")
 
     rng = _noise_rng(scenario, stream)
-    shape = (n_frames, scenario.n_subcarriers, scenario.n_rx, scenario.n_tx)
+    shape = (n_frames,) + frame
     # allocated here, not on the worker, which would take a malloc arena of its own
-    ring = np.empty((NOISE_AHEAD + 1, FRAME_CHUNK, 2) + shape[1:]) if sim.noise_std > 0 else None
+    ring = np.empty((NOISE_AHEAD + 1, FRAME_CHUNK, 2) + sim.h_env.shape) if sim.noise_std else None
     with ThreadPoolExecutor(1) as pool:
         def draw(j):  # chunk j's noise, into the slot that chunk j - NOISE_AHEAD - 1 freed
             if ring is not None and j * FRAME_CHUNK < n_frames:
@@ -247,18 +249,19 @@ def _session_magnitudes(scenario, defense_on, motion, duration_s,
             person_xy, moving = motion.positions(times)
         elif isinstance(motion, RotatingReflector):
             factors = motion.factors(times)
-            unit = channel.scatter_tensors(scenario, [motion.position])
+            unit = channel.scatter_tensors(scenario, [motion.position], subcarriers)
 
         mags = np.empty(shape)
         frames = np.empty(shape, dtype=complex) if keep_frames else None
+        synth = sim if subcarriers is None else sim.at_subcarriers(subs)
         for j, a in enumerate(range(0, n_frames, FRAME_CHUNK)):
             draws.append(draw(j + NOISE_AHEAD))
             b = min(a + FRAME_CHUNK, n_frames)
             first = cfg_index[a]
-            h = sim.frames(configs[first:cfg_index[b - 1] + 1], cfg_index[a:b] - first,
-                           person=person, positions=None if person is None else person_xy[a:b],
-                           scatters=() if factors is None else ((unit, factors[a:b]),),
-                           noise=None if draws[j] is None else draws[j].result())
+            h = synth.frames(configs[first:cfg_index[b - 1] + 1], cfg_index[a:b] - first,
+                             person=person, positions=None if person is None else person_xy[a:b],
+                             scatters=() if factors is None else ((unit, factors[a:b]),),
+                             noise=None if draws[j] is None else draws[j].result()[:, :, subs])
             if keep_frames:
                 frames[a:b] = h
             np.abs(h, out=mags[a:b])
@@ -288,10 +291,12 @@ def run_session(scenario: Scenario, defense_on: bool, motion, duration_s: float,
     surface scheduler advances at update_rate and holds between ticks; off, the
     surface stays frozen at its random initial configuration. scheduler holds
     the irs.SchedulerParams keywords, validated even when the defense is off.
-    keep_frames also returns the raw frame array.
+    keep_frames also returns the raw frames, (T, len(subcarriers), n_rx, n_tx) with subcarriers.
     """
     if not (0 < duration_s < math.inf):
         raise ValueError(f"duration_s must be finite and > 0, got {duration_s!r}")
+    if subcarriers is not None:
+        subcarriers = sensing.check_subcarriers(subcarriers, scenario.n_subcarriers)
     params = irsmod.SchedulerParams(**scheduler)
     n_w = sensing.window_samples(window_s, scenario.sample_rate)
     if int(round(duration_s * scenario.sample_rate)) < max(n_w, 2):
@@ -299,10 +304,10 @@ def run_session(scenario: Scenario, defense_on: bool, motion, duration_s: float,
     mags, meta, frames = _session_magnitudes(
         scenario, defense_on, motion, duration_s, params, stream=stream,
         person_template=person_template, active_elements=active_elements,
-        simulator=simulator, keep_frames=keep_frames)
+        simulator=simulator, keep_frames=keep_frames, subcarriers=subcarriers)
     if subcarriers is not None:
-        meta["subcarriers"] = [int(k) for k in subcarriers]
-    obs = sensing.observe(mags, window_s, scenario.sample_rate, subcarriers, meta=meta)
+        meta["subcarriers"] = subcarriers
+    obs = sensing.observe(mags, window_s, scenario.sample_rate, meta=meta)
     if keep_frames:
         return obs, frames
     return obs

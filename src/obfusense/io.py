@@ -356,43 +356,46 @@ def ingest_trace(path):
     return values, sample_rate
 
 
-# Rows of a canonical block: four unsigned indices and two plain decimal
-# numbers. np.fromstring ignores line ends, so this is what keeps a short row
-# and a long row from re-aligning into two valid ones; possessive quantifiers
-# make a mismatch fail without backtracking.
+# Rows of a canonical block: four unsigned indices and two plain decimal numbers, so row
+# i's fourth comma is the block's comma 5 i + 3 and a short row cannot pair with a long one
+# into two valid rows; possessive quantifiers make a mismatch fail without backtracking.
 _CANONICAL_ROWS = re.compile(
     r"(?:[0-9]++,[0-9]++,[0-9]++,[0-9]++,[-+.0-9eE]++,[-+.0-9eE]++\n)*+")
 _BLOCK_ROWS = 8192
 
 
 def _frames_from_blocks(fh, shape):
-    """Frames t = 0, 1, ... with cells in canonical order, parsed a block of whole
-    frames at a time; None as soon as a block is not exactly that."""
+    """Frames t = 0, 1, ... with cells in canonical order, parsed a block of whole frames at a
+    time (index text compared, re,im parsed); None as soon as a block is not exactly that."""
     n_cells = math.prod(shape)
     block_rows = max(1, _BLOCK_ROWS // n_cells) * n_cells
-    lattice = np.indices(shape).reshape(3, -1).T
+    cells = [f",{k},{rx},{tx}," for k, rx, tx in np.ndindex(shape)]
     blocks, n_frames = [], 0
     while text := "".join(islice(fh, block_rows)):
         if not _CANONICAL_ROWS.fullmatch(text):
             return None
+        chars = np.frombuffer(bytearray(text, "ascii"), dtype=np.uint8)
+        ends = np.flatnonzero(chars == ord("\n"))
+        starts = np.concatenate([[0], ends[:-1] + 1])
+        stops = np.flatnonzero(chars == ord(","))[3::5] + 1  # each row's t,k,rx,tx, ends here
+        index = starts[:, None] + np.arange((stops - starts).max())
+        index = index[index < stops[:, None]]
+        frames = range(n_frames, n_frames + len(ends) // n_cells)
+        if chars[index].tobytes() != "".join(str(t) + str(t).join(cells) for t in frames).encode():
+            return None
+        chars[index] = ord(" ")  # fromstring skips the blanks before each re
+        chars[ends] = ord(",")
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                rows = np.fromstring(text.replace("\n", ","), sep=",")
+                values = np.fromstring(chars.tobytes().decode(), sep=",")
         except (ValueError, Warning):
             return None
-        if rows.size % (6 * n_cells):
+        if values.size != 2 * len(ends) or not np.isfinite(values).all():
             return None
-        rows = rows.reshape(-1, n_cells, 6)
-        t = np.arange(n_frames, n_frames + rows.shape[0])[:, None]
-        if not ((rows[:, :, 0] == t).all() and (rows[:, :, 1:4] == lattice).all()
-                and np.isfinite(rows[:, :, 4:]).all()):
-            return None
-        block = np.empty(rows.shape[:2], dtype=complex)
-        block.real, block.imag = rows[:, :, 4], rows[:, :, 5]
-        blocks.append(block)
-        n_frames += rows.shape[0]
-    return np.concatenate(blocks or [np.zeros((0, n_cells), dtype=complex)]).reshape(-1, *shape)
+        blocks.append(values.view(complex))
+        n_frames += len(frames)
+    return np.concatenate(blocks or [np.zeros(0, dtype=complex)]).reshape(-1, *shape)
 
 
 def _frames_from_rows(fh, shape, path):
@@ -499,10 +502,11 @@ def load_observation(path) -> ObservationSeries:
 
 def write_json(path, doc: dict):
     """Write doc as sorted, indented JSON with a trailing newline, stamped with
-    schema_version unless doc carries its own."""
+    schema_version unless doc carries its own; NaN or inf raise ValueError, no file."""
+    text = json.dumps({"schema_version": SCHEMA_VERSION, **doc}, sort_keys=True, indent=2,
+                      allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"schema_version": SCHEMA_VERSION, **doc}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def export_report(report: DetectionReport, path, provenance: dict | None = None):

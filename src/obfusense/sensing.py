@@ -147,17 +147,30 @@ def window_samples(window_s: float, sample_rate: float) -> int:
     return int(round(window_s * sample_rate))
 
 
+def check_subcarriers(subcarriers, n_subcarriers: int) -> list:
+    """subcarriers as a list of ints; ValueError naming the first entry that is not a
+    distinct integer in [0, n_subcarriers), or when there is none."""
+    subs = []
+    for k in subcarriers:
+        if not hasattr(k, "__index__") or not 0 <= k < n_subcarriers or k in subs:
+            raise ValueError(f"subcarrier {k} is not a distinct integer in [0, {n_subcarriers})")
+        subs.append(k.__index__())
+    if not subs:
+        raise ValueError("subcarriers must name at least one subcarrier")
+    return subs
+
+
 def observe(frames, window_s: float, sample_rate: float, subcarriers=None,
             meta: dict | None = None) -> ObservationSeries:
     """Averaged trailing-window magnitude deviation over all components.
 
     Frames may be complex or magnitudes; phase is discarded. Each component's
     magnitude series is run through the sliding standard deviation and the
-    component mean is the observation.
+    component mean over the subcarriers given (all: None) is the observation.
     """
     arr = np.asarray(frames)
     if subcarriers is not None:
-        arr = arr[:, np.asarray(subcarriers, dtype=int), :, :]
+        arr = arr[:, check_subcarriers(subcarriers, arr.shape[1])]
     n_w = window_samples(window_s, sample_rate)
     if n_w < 2:
         raise ValueError("window must cover at least 2 samples")

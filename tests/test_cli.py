@@ -165,6 +165,18 @@ def test_attack_bad_c_names_flag(tmp_path, capsys, c):
     assert not out.exists()
 
 
+def test_attack_non_finite_threshold_names_flag(tmp_path, capsys):
+    # median + C * MAD overflows for a huge finite C; JSON has no Infinity
+    obs = tmp_path / "observation.csv"
+    oio.export_observation(sn.ObservationSeries(values=np.linspace(1.0, 10.0, 30),
+                                                sample_rate=10.0, window_s=1.0), obs)
+    out = tmp_path / "atk"
+    assert invoke("attack", "--reference", obs, "--motion", obs, "--C", "1e308",
+                  "--out", out) == 3
+    assert capsys.readouterr().err.startswith("error: --C: threshold median + 1e+308 * MAD")
+    assert not out.exists()
+
+
 def test_coverage_jobs_below_one_rejected(tmp_path, minimal_config, capsys):
     assert invoke("coverage", "--config", minimal_config, "--jobs", 0,
                   "--out", tmp_path / "cov") == 3

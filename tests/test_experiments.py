@@ -382,6 +382,80 @@ def test_noiseless_session_draws_no_noise(monkeypatch):
     assert calls == []
 
 
+# --- sessions restricted to the eavesdropper's subcarriers -------------------
+
+# Unsorted subsets with both band edges. A surface product over 28 subcarriers has
+# 18 * 28 real columns, a multiple of 8, as the full band's 18 * 56; a BLAS may round
+# the columns past the last multiple of its kernel width differently, so the
+# 6-subcarrier subset is held to 1e-12 relative and the eavesdropper's 28 exactly.
+SUBS_28 = [int(k) for k in np.random.default_rng(4).permutation(56)[:28]]
+SUBS_6 = [40, 3, 17, 55, 0, 22]
+
+
+@pytest.mark.parametrize("motion", [None, WALK, ex.RotatingReflector(position=(3.75, 2.75))],
+                         ids=["none", "walk", "reflector"])
+@pytest.mark.parametrize("defense", [False, True])
+def test_restricted_session_matches_full_band(motion, defense):
+    # noisy, three full chunks and a partial one: every value as the full band's
+    scn = quiet_scenario(snr_db=20.0)
+    sim = ch.FrameSimulator(scn)
+    n_frames = 3 * ex.FRAME_CHUNK + 5
+    duration = n_frames / scn.sample_rate
+    kw = dict(stream=5, person_template=None, active_elements=None, simulator=sim,
+              keep_frames=True)
+    full, _, full_frames = ex._session_magnitudes(scn, defense, motion, duration,
+                                                  ir.SchedulerParams(), **kw)
+    for subs, same in [(SUBS_28, lambda a, b: a.tobytes() == b.tobytes()),
+                       (SUBS_6, lambda a, b: np.allclose(a, b, rtol=1e-12, atol=0))]:
+        mags, _, frames = ex._session_magnitudes(scn, defense, motion, duration,
+                                                 ir.SchedulerParams(), subcarriers=subs, **kw)
+        assert mags.shape == frames.shape == (n_frames, len(subs), 3, 3)
+        assert same(mags, full[:, subs])
+        assert same(frames, full_frames[:, subs])
+        obs = ex.run_session(scn, defense, motion, duration, subcarriers=subs, stream=5,
+                             simulator=sim)
+        want = sn.observe(full, 1.0, scn.sample_rate, subs)
+        assert same(obs.values, want.values)
+        assert obs.meta["subcarriers"] == subs
+
+
+def test_restricted_walk_synthesises_only_its_subcarriers(monkeypatch):
+    # every scatter tensor and every surface product of the session is len(subs) wide
+    widths = []
+    scatter_tensors, frames = ch.scatter_tensors, ch.FrameSimulator.frames
+
+    def recorded_scatter(*args, **kw):
+        unit = scatter_tensors(*args, **kw)
+        widths.append(unit.shape[1])
+        return unit
+
+    def recorded_frames(self, *args, **kw):
+        widths.append(self._g_irs.shape[1] // (2 * 9))
+        widths.append(self._g_env.shape[1] // (2 * 9))
+        return frames(self, *args, **kw)
+
+    monkeypatch.setattr(ch, "scatter_tensors", recorded_scatter)
+    monkeypatch.setattr(ch.FrameSimulator, "frames", recorded_frames)
+    scn = quiet_scenario()
+    subs = list(range(0, 56, 2))
+    ex.run_session(scn, True, WALK, 2 * ex.FRAME_CHUNK / scn.sample_rate, subcarriers=subs,
+                   person_template=ch.PersonState(position=(0.0, 0.0)))
+    assert len(widths) == 6 and set(widths) == {len(subs)}
+
+
+@pytest.mark.parametrize("subs, message", [
+    ([-1, 0], "subcarrier -1 is not a distinct integer in \\[0, 56\\)"),
+    ([55, 55], "subcarrier 55 is not a distinct integer"),
+    ([1.7], "subcarrier 1.7 is not a distinct integer"),
+    ([56], "subcarrier 56 is not a distinct integer in \\[0, 56\\)"),
+    ([], "subcarriers must name at least one subcarrier"),
+], ids=["negative", "repeated", "float", "past_end", "empty"])
+def test_run_session_rejects_bad_subcarriers_before_synthesis(monkeypatch, subs, message):
+    monkeypatch.setattr(ex, "_session_magnitudes", lambda *a, **kw: pytest.fail("synthesised"))
+    with pytest.raises(ValueError, match=message):
+        ex.run_session(quiet_scenario(), True, WALK, 2.0, subcarriers=subs)
+
+
 # --- sweeps ----------------------------------------------------------------
 
 def test_sweep_size_zero_elements_noiseless():

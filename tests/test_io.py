@@ -453,6 +453,8 @@ MUTATIONS = {
     "index 1e0": lambda rows, i: rows[:i] + [_set_field(rows[i], 2, "1e0")] + rows[i + 1:],
     "index +1": lambda rows, i: rows[:i] + [_set_field(rows[i], 0, "+" + rows[i].split(",")[0])]
     + rows[i + 1:],
+    "index 0-padded": lambda rows, i: rows[:i]
+    + [_set_field(rows[i], 1, "0" + rows[i].split(",")[1])] + rows[i + 1:],
     "trailing comma": lambda rows, i: rows[:i] + [rows[i] + ","] + rows[i + 1:],
     "blank line": lambda rows, i: rows[:i] + [""] + rows[i:],
     "nan value": lambda rows, i: rows[:i] + [_set_field(rows[i], 4, "nan")] + rows[i + 1:],
@@ -593,6 +595,14 @@ def test_report_reexport_identical(tmp_path):
     doc = oio.load_report(p1)
     oio.write_json(p2, doc)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_write_json_rejects_non_finite_numbers(tmp_path, value):
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        oio.write_json(path, {"threshold": value})
+    assert not path.exists()
 
 
 def test_report_newer_schema_rejected(tmp_path):

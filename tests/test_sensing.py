@@ -224,6 +224,27 @@ def test_observe_subcarrier_selection():
     assert np.array_equal(obs_all.values, manual.values)
 
 
+NOT_DISTINCT_IN_4 = "is not a distinct integer in \\[0, 4\\)"
+BAD_SUBCARRIERS = [([-1, 0], "subcarrier -1 " + NOT_DISTINCT_IN_4),
+                   ([3, 3], "subcarrier 3 " + NOT_DISTINCT_IN_4),
+                   ([1.7], "subcarrier 1.7 " + NOT_DISTINCT_IN_4),
+                   ([4], "subcarrier 4 " + NOT_DISTINCT_IN_4),
+                   ([], "at least one subcarrier")]
+
+
+@pytest.mark.parametrize("subs, message", BAD_SUBCARRIERS,
+                         ids=["negative", "repeated", "float", "past_end", "empty"])
+def test_observe_rejects_bad_subcarriers(subs, message):
+    arr = np.random.default_rng(9).uniform(0.5, 2.0, size=(40, 4, 1, 1))
+    with pytest.raises(ValueError, match=message):
+        sn.observe(arr, 5 / 70, 70.0, subcarriers=subs)
+
+
+def test_check_subcarriers_keeps_order_as_ints():
+    assert sn.check_subcarriers(np.array([3, 0, 2]), 4) == [3, 0, 2]
+    assert all(type(k) is int for k in sn.check_subcarriers(np.array([3, 0]), 4))
+
+
 def test_observation_series_rejects_negatives():
     with pytest.raises(ValueError):
         sn.ObservationSeries(values=np.array([0.1, -0.2]), sample_rate=70.0, window_s=1.0)
