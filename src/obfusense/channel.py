@@ -3,7 +3,8 @@
 Rooms are 2D wall-segment layouts. The anchor-to-eavesdropper channel is a sum
 of a line-of-sight ray, first-order specular wall reflections (image method),
 per-element reflecting-surface bounces, and an optional human scatter bounce.
-Frames are MIMO-OFDM channel estimates with calibrated additive noise.
+Frames are MIMO-OFDM channel estimates with calibrated additive noise. The
+moving scene, a walking person (Trajectory) or a rotating reflector, lives here.
 """
 from __future__ import annotations
 
@@ -144,6 +145,83 @@ class PersonState:
                 f"blocking_depth_db must be finite and >= 0, got {self.blocking_depth_db!r}")
         if not (self.scatter_gain_db < math.inf):  # -inf scatters nothing
             raise ScenarioError(f"scatter_gain_db must be below +inf, got {self.scatter_gain_db!r}")
+
+
+@dataclass
+class Trajectory:
+    """Patrol between waypoints at constant speed, pausing at the endpoints.
+
+    The walk ping-pongs along the waypoint polyline for as long as a session
+    runs; dwell is the pause at each end of a pass.
+    """
+
+    waypoints: list
+    speed: float = 1.0
+    dwell: float = 0.0
+
+    def __post_init__(self):
+        if len(self.waypoints) < 2:
+            raise ValueError("trajectory needs at least 2 waypoints")
+        if not (0 < self.speed < math.inf):
+            raise ValueError(f"speed must be finite and > 0, got {self.speed!r}")
+        if not (0 <= self.dwell < math.inf):
+            raise ValueError(f"dwell must be finite and >= 0, got {self.dwell!r}")
+        pts = np.asarray(self.waypoints, dtype=float)
+        if not np.all(np.isfinite(pts)):
+            raise ValueError(f"waypoints must be finite, got {self.waypoints!r}")
+        seg = np.diff(pts, axis=0)
+        self._pts = pts
+        self._cum = np.concatenate([[0.0], np.cumsum(np.hypot(seg[:, 0], seg[:, 1]))])
+        if np.any(np.diff(self._cum) == 0):  # also a leg too short to lengthen the pass
+            raise ValueError("repeated consecutive waypoints")
+
+    @property
+    def pass_length(self) -> float:
+        return float(self._cum[-1])
+
+    def positions(self, times):
+        """Positions (T, 2) and moving flags (T,) at times (T,) of the ping-pong patrol."""
+        leg_t = self.pass_length / self.speed
+        tc = np.mod(np.asarray(times, dtype=float), 2.0 * (leg_t + self.dwell))
+        out = tc - self.dwell  # time into the outbound leg
+        far = out - leg_t  # time since reaching the far end
+        start, outbound = tc < self.dwell, out < leg_t
+        end = ~outbound & (far < self.dwell)
+        s = np.where(outbound, self.speed * out, self.pass_length - self.speed * (far - self.dwell))
+        s = np.minimum(np.maximum(s, 0.0), self.pass_length)  # distance along the polyline
+        i = np.minimum(np.searchsorted(self._cum, s, side="right") - 1, len(self._cum) - 2)
+        frac = (s - self._cum[i]) / (self._cum[i + 1] - self._cum[i])
+        pos = self._pts[i] + frac[:, None] * (self._pts[i + 1] - self._pts[i])
+        pos[start], pos[end] = self._pts[0], self._pts[-1]
+        return pos, ~(start | end)
+
+
+@dataclass
+class RotatingReflector:
+    """Point source of repeatable motion: an amplitude/phase-modulated bounce.
+
+    The default peak gain is well above the human-scatter default; a rotating
+    metal sheet reflects far more strongly than a body.
+    """
+
+    position: tuple
+    rpm: float = 20.0
+    peak_scatter_gain_db: float = 15.0
+
+    def __post_init__(self):
+        if not (0 < self.rpm < math.inf):
+            raise ValueError(f"rpm must be finite and > 0, got {self.rpm!r}")
+        if not np.all(np.isfinite(self.position)):
+            raise ValueError(f"position must be finite, got {self.position!r}")
+        if not (self.peak_scatter_gain_db < math.inf):  # -inf is a silent reflector
+            raise ValueError(f"peak_scatter_gain_db must be below +inf, got "
+                             f"{self.peak_scatter_gain_db!r}")
+
+    def factors(self, times) -> np.ndarray:
+        """Complex bounce factors (T,) at times (T,): the peak gain times cos(theta) e^(j theta)."""
+        theta = 2.0 * math.pi * (self.rpm / 60.0) * np.asarray(times, dtype=float)
+        cos = np.cos(theta)
+        return 10.0 ** (self.peak_scatter_gain_db / 20.0) * cos * (cos + 1j * np.sin(theta))
 
 
 @dataclass
@@ -428,6 +506,15 @@ def _physical_memory() -> float:
         return math.inf
 
 
+def check_memory(need: float, subject: str) -> None:
+    """Raise ValueError, its message starting with subject, unless need bytes fit in
+    physical memory; a NaN need does not fit."""
+    memory = _physical_memory()
+    if not need <= memory:
+        raise ValueError(f"{subject} needs {need / 2**30:.3g} GiB, more than the "
+                         f"{memory / 2**30:.3g} GiB of physical memory")
+
+
 def check_surface_size(scenario: Scenario) -> None:
     """Raise ValueError when the surface's response tensors would not fit in
     physical memory.
@@ -437,14 +524,10 @@ def check_surface_size(scenario: Scenario) -> None:
     the amplitudes: 1.44 times the tensor with 3x3 antennas; tracemalloc
     measured 1.37 for a whole FrameSimulator build on a 16x16 surface.
     """
-    if scenario.irs_pos is None:
-        return
-    need = 16 * scenario.n_elements * scenario.n_subcarriers * (scenario.n_rx * scenario.n_tx + 4)
-    memory = _physical_memory()
-    if need > memory:
-        raise ValueError(f"irs_grid {scenario.irs_grid[0]}x{scenario.irs_grid[1]} needs "
-                         f"{need / 2**30:.3g} GiB for its surface tensors, more than the "
-                         f"{memory / 2**30:.3g} GiB of physical memory")
+    if scenario.irs_pos is not None:
+        check_memory(16 * scenario.n_elements * scenario.n_subcarriers
+                     * (scenario.n_rx * scenario.n_tx + 4),
+                     f"irs_grid {scenario.irs_grid[0]}x{scenario.irs_grid[1]}")
 
 
 class FrameSimulator:

@@ -194,6 +194,8 @@ def cmd_paramstudy(args):
 
 
 def cmd_ingest(args):
+    with _flag("--window"):
+        oio.ExperimentConfig(window_s=args.window)  # the config's rule for experiment.window_s
     frames, sample_rate = oio.ingest_trace(args.trace)
     if not len(frames):
         raise oio.IngestError(f"{args.trace}: no frames")

@@ -33,83 +33,6 @@ NOISE_AHEAD = 2
 
 
 @dataclass
-class Trajectory:
-    """Patrol between waypoints at constant speed, pausing at the endpoints.
-
-    The walk ping-pongs along the waypoint polyline for as long as a session
-    runs; dwell is the pause at each end of a pass.
-    """
-
-    waypoints: list
-    speed: float = 1.0
-    dwell: float = 0.0
-
-    def __post_init__(self):
-        if len(self.waypoints) < 2:
-            raise ValueError("trajectory needs at least 2 waypoints")
-        if not (0 < self.speed < math.inf):
-            raise ValueError(f"speed must be finite and > 0, got {self.speed!r}")
-        if not (0 <= self.dwell < math.inf):
-            raise ValueError(f"dwell must be finite and >= 0, got {self.dwell!r}")
-        pts = np.asarray(self.waypoints, dtype=float)
-        if not np.all(np.isfinite(pts)):
-            raise ValueError(f"waypoints must be finite, got {self.waypoints!r}")
-        seg = np.diff(pts, axis=0)
-        self._pts = pts
-        self._cum = np.concatenate([[0.0], np.cumsum(np.hypot(seg[:, 0], seg[:, 1]))])
-        if np.any(np.diff(self._cum) == 0):  # also a leg too short to lengthen the pass
-            raise ValueError("repeated consecutive waypoints")
-
-    @property
-    def pass_length(self) -> float:
-        return float(self._cum[-1])
-
-    def positions(self, times):
-        """Positions (T, 2) and moving flags (T,) at times (T,) of the ping-pong patrol."""
-        leg_t = self.pass_length / self.speed
-        tc = np.mod(np.asarray(times, dtype=float), 2.0 * (leg_t + self.dwell))
-        out = tc - self.dwell  # time into the outbound leg
-        far = out - leg_t  # time since reaching the far end
-        start, outbound = tc < self.dwell, out < leg_t
-        end = ~outbound & (far < self.dwell)
-        s = np.where(outbound, self.speed * out, self.pass_length - self.speed * (far - self.dwell))
-        s = np.minimum(np.maximum(s, 0.0), self.pass_length)  # distance along the polyline
-        i = np.minimum(np.searchsorted(self._cum, s, side="right") - 1, len(self._cum) - 2)
-        frac = (s - self._cum[i]) / (self._cum[i + 1] - self._cum[i])
-        pos = self._pts[i] + frac[:, None] * (self._pts[i + 1] - self._pts[i])
-        pos[start], pos[end] = self._pts[0], self._pts[-1]
-        return pos, ~(start | end)
-
-
-@dataclass
-class RotatingReflector:
-    """Point source of repeatable motion: an amplitude/phase-modulated bounce.
-
-    The default peak gain is well above the human-scatter default; a rotating
-    metal sheet reflects far more strongly than a body.
-    """
-
-    position: tuple
-    rpm: float = 20.0
-    peak_scatter_gain_db: float = 15.0
-
-    def __post_init__(self):
-        if not (0 < self.rpm < math.inf):
-            raise ValueError(f"rpm must be finite and > 0, got {self.rpm!r}")
-        if not np.all(np.isfinite(self.position)):
-            raise ValueError(f"position must be finite, got {self.position!r}")
-        if not (self.peak_scatter_gain_db < math.inf):  # -inf is a silent reflector
-            raise ValueError(f"peak_scatter_gain_db must be below +inf, got "
-                             f"{self.peak_scatter_gain_db!r}")
-
-    def factors(self, times) -> np.ndarray:
-        """Complex bounce factors (T,) at times (T,): the peak gain times cos(theta) e^(j theta)."""
-        theta = 2.0 * math.pi * (self.rpm / 60.0) * np.asarray(times, dtype=float)
-        cos = np.cos(theta)
-        return 10.0 ** (self.peak_scatter_gain_db / 20.0) * cos * (cos + 1j * np.sin(theta))
-
-
-@dataclass
 class SweepCell:
     value: float
     median: float
@@ -162,15 +85,14 @@ def _irs_rng(scenario: Scenario, stream: int) -> np.random.Generator:
     return np.random.default_rng((scenario.seed, _IRS_STREAM, stream))
 
 
-def check_update_rate(update_rate: float, sample_rate: float) -> None:
-    """Raise ValueError above 100 scheduler ticks per frame.
-
-    The scheduler pass steps once per tick in Python, so its time grows with
-    the ticks per frame; a finite but huge rate would otherwise run for days.
-    """
-    if update_rate > 100 * sample_rate:
-        raise ValueError(f"update_rate must be at most 100 ticks per frame ({100 * sample_rate:g} "
-                         f"at sample_rate {sample_rate:g}), got {update_rate:g}")
+def _check_session(scenario: Scenario, duration_s: float, window_s: float) -> None:
+    """ValueError unless duration_s is finite and > 0 and its frames cover one
+    observation window of window_s (sensing.window_samples)."""
+    if not (0 < duration_s < math.inf):
+        raise ValueError(f"duration_s must be finite and > 0, got {duration_s!r}")
+    n_w = sensing.window_samples(window_s, scenario.sample_rate)
+    if np.round(duration_s * scenario.sample_rate) < n_w:  # inf frames hold any window
+        raise ValueError("session shorter than the observation window")
 
 
 def _schedule(n_elements, defense_on, times, sample_rate, scheduler: irsmod.SchedulerParams,
@@ -183,7 +105,7 @@ def _schedule(n_elements, defense_on, times, sample_rate, scheduler: irsmod.Sche
     configuration (a later change on the same frame supersedes an earlier
     one, so C <= T); frame i uses row cfg_index[i].
     """
-    check_update_rate(scheduler.update_rate, sample_rate)
+    scheduler.check_update_rate(sample_rate)
     full_bits = rng_irs.integers(0, 2, size=n_elements, dtype=np.uint8)
     coeffs = irsmod.coefficients(full_bits)
     configs, change_frames = {0: coeffs.copy()}, []  # first frame -> coefficients
@@ -217,14 +139,9 @@ def _session_magnitudes(scenario, defense_on, motion, duration_s,
     subs = slice(None) if subcarriers is None else np.asarray(subcarriers, dtype=int)
     frame = (len(np.arange(scenario.n_subcarriers)[subs]), scenario.n_rx, scenario.n_tx)
     # float64 |H|, plus the complex128 frames when they are kept
-    need = duration_s * scenario.sample_rate * math.prod(frame) * (24 if keep_frames else 8)
-    memory = channel._physical_memory()
-    if not need <= memory:  # also rejects a NaN or infinite duration
-        raise ValueError(f"duration {duration_s:g} s needs {need / 2**30:.3g} GiB for its "
-                         f"frames, more than the {memory / 2**30:.3g} GiB of physical memory")
+    channel.check_memory(duration_s * scenario.sample_rate * math.prod(frame)
+                         * (24 if keep_frames else 8), f"duration {duration_s:g} s")
     n_frames = int(round(duration_s * scenario.sample_rate))
-    if n_frames < 1:
-        raise ValueError("session produces no frames")
     sim = simulator if simulator is not None else FrameSimulator(scenario)
     if defense_on and sim.n_elements == 0:
         raise ScenarioError("defense requested but the scenario has no reflecting surface")
@@ -244,10 +161,10 @@ def _session_magnitudes(scenario, defense_on, motion, duration_s,
                                                       active_elements, _irs_rng(scenario, stream))
 
         person = person_xy = moving = factors = None
-        if isinstance(motion, Trajectory):
+        if isinstance(motion, channel.Trajectory):
             person = person_template or PersonState(position=(0.0, 0.0))
             person_xy, moving = motion.positions(times)
-        elif isinstance(motion, RotatingReflector):
+        elif isinstance(motion, channel.RotatingReflector):
             factors = motion.factors(times)
             unit = channel.scatter_tensors(scenario, [motion.position], subcarriers)
 
@@ -293,14 +210,10 @@ def run_session(scenario: Scenario, defense_on: bool, motion, duration_s: float,
     the irs.SchedulerParams keywords, validated even when the defense is off.
     keep_frames also returns the raw frames, (T, len(subcarriers), n_rx, n_tx) with subcarriers.
     """
-    if not (0 < duration_s < math.inf):
-        raise ValueError(f"duration_s must be finite and > 0, got {duration_s!r}")
+    _check_session(scenario, duration_s, window_s)
     if subcarriers is not None:
         subcarriers = sensing.check_subcarriers(subcarriers, scenario.n_subcarriers)
     params = irsmod.SchedulerParams(**scheduler)
-    n_w = sensing.window_samples(window_s, scenario.sample_rate)
-    if int(round(duration_s * scenario.sample_rate)) < max(n_w, 2):
-        raise ValueError("session shorter than the observation window")
     mags, meta, frames = _session_magnitudes(
         scenario, defense_on, motion, duration_s, params, stream=stream,
         person_template=person_template, active_elements=active_elements,
@@ -317,6 +230,7 @@ def reference_and_selection(scenario: Scenario, defense_on: bool, reference_s: f
                             n_select: int | None = 28, window_s: float = 1.0, stream: int = 0,
                             simulator: FrameSimulator | None = None, **scheduler):
     """No-motion reference observation plus the frozen subcarrier selection."""
+    _check_session(scenario, reference_s, window_s)
     mags, meta, _ = _session_magnitudes(
         scenario, defense_on, None, reference_s, irsmod.SchedulerParams(**scheduler),
         stream=stream, person_template=None, active_elements=None, simulator=simulator)
@@ -333,11 +247,8 @@ def coverage_grid_positions(scenario: Scenario, nx: int = 5, ny: int = 4,
                             margin: float = 0.75, *, session_s: float = 60.0) -> np.ndarray:
     """Uniform nx-by-ny grid over the room interior; ValueError when the
     observations of its session_s sessions (8 B per frame) exceed physical memory."""
-    need = 8.0 * nx * ny * np.round(session_s * scenario.sample_rate)
-    memory = channel._physical_memory()
-    if need > memory:
-        raise ValueError(f"grid {nx}x{ny} of {session_s:g} s sessions needs {need / 2**30:.3g} "
-                         f"GiB, more than the {memory / 2**30:.3g} GiB of physical memory")
+    channel.check_memory(8.0 * nx * ny * np.round(session_s * scenario.sample_rate),
+                         f"grid {nx}x{ny} of {session_s:g} s sessions")
     if scenario.room:
         pts = np.asarray([p for w in scenario.room for p in w], dtype=float)
     else:
@@ -349,8 +260,8 @@ def coverage_grid_positions(scenario: Scenario, nx: int = 5, ny: int = 4,
 
 def run_coverage_grid(scenario: Scenario, grid, defense_on: bool, c: float = 11.0, *,
                       reference_s: float = 180.0, session_s: float = 60.0,
-                      rpm: float = RotatingReflector.rpm,
-                      reflector_gain_db: float = RotatingReflector.peak_scatter_gain_db,
+                      rpm: float = channel.RotatingReflector.rpm,
+                      reflector_gain_db: float = channel.RotatingReflector.peak_scatter_gain_db,
                       window_s: float = 1.0, n_select: int | None = 28, jobs: int = 1,
                       **scheduler) -> CoverageResult:
     """Detection-rate map for a rotating reflector at each grid position.
@@ -365,6 +276,7 @@ def run_coverage_grid(scenario: Scenario, grid, defense_on: bool, c: float = 11.
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid is empty")
+    _check_session(scenario, session_s, window_s)
     sim = FrameSimulator(scenario)
     ref_obs, subs = reference_and_selection(scenario, defense_on, reference_s,
                                             n_select=n_select, window_s=window_s, stream=0,
@@ -399,7 +311,7 @@ def _set_worker_sim(sim):
 def _coverage_cell(args, sim=None):
     (defense_on, pos, rpm, gain_db, session_s, window_s, subs, stream, scheduler) = args
     sim = _worker_sim if sim is None else sim
-    reflector = RotatingReflector(position=pos, rpm=rpm, peak_scatter_gain_db=gain_db)
+    reflector = channel.RotatingReflector(position=pos, rpm=rpm, peak_scatter_gain_db=gain_db)
     return run_session(sim.scenario, defense_on, reflector, session_s, window_s=window_s,
                        subcarriers=subs, stream=stream, simulator=sim, **scheduler)
 

