@@ -233,8 +233,7 @@ class Paths:
     every frequency-independent factor (reflection loss, obliquity cosines,
     product path-loss denominator, scatter scaling). dep and arr are the unit
     directions of the route's first and last segments. The route of path p is
-    the segments seg_a[i] -> seg_b[i] from seg_start[p] up to the next path's
-    start: one segment for LOS, two for every bounce.
+    anchor -> via[p] -> eve; a LOS path's via is the anchor.
     """
 
     kind: np.ndarray        # (P,) LOS, WALL, IRS or SCATTER
@@ -243,9 +242,7 @@ class Paths:
     lambda_exp: np.ndarray  # (P,)
     dep: np.ndarray         # (P, 2)
     arr: np.ndarray         # (P, 2)
-    seg_a: np.ndarray       # (S, 2)
-    seg_b: np.ndarray       # (S, 2)
-    seg_start: np.ndarray   # (P,)
+    via: np.ndarray         # (P, 2)
 
     def __len__(self):
         return self.length.shape[0]
@@ -259,21 +256,18 @@ def _units(v) -> np.ndarray:
 
 
 def _routes(kind: str, length, amp, lambda_exp: int, points) -> Paths:
-    """Paths along routes of equal vertex count, points (P, n, 2), anchor first."""
-    p, n = points.shape[:2]
+    """Paths along routes of equal vertex count, points (P, 2 or 3, 2): anchor, [via,] eve."""
+    p = points.shape[0]
     return Paths(kind=np.full(p, kind), length=np.asarray(length, dtype=float),
                  amp=np.asarray(amp, dtype=complex), lambda_exp=np.full(p, lambda_exp),
                  dep=_units(points[:, 1] - points[:, 0]), arr=_units(points[:, -1] - points[:, -2]),
-                 seg_a=points[:, :-1].reshape(-1, 2), seg_b=points[:, 1:].reshape(-1, 2),
-                 seg_start=np.arange(p) * (n - 1))
+                 via=points[:, -2])
 
 
 def _join(first: Paths, second: Paths) -> Paths:
     """The rows of first, then those of second."""
-    parts = {f.name: np.concatenate([getattr(first, f.name), getattr(second, f.name)])
-             for f in fields(Paths)}
-    parts["seg_start"][len(first):] += len(first.seg_a)
-    return Paths(**parts)
+    return Paths(**{f.name: np.concatenate([getattr(first, f.name), getattr(second, f.name)])
+                    for f in fields(Paths)})
 
 
 @dataclass
@@ -478,15 +472,15 @@ def scatter_tensors(scenario: Scenario, positions, subcarriers=None) -> np.ndarr
     return _tensors(scatter_paths(scenario, positions, 1.0), scenario, subcarriers)
 
 
-def point_segment_distances(points, seg_a, seg_b) -> np.ndarray:
-    """Distances (T, S) from points (T, 2) to the segments seg_a -> seg_b (S, 2)."""
-    ab = seg_b - seg_a
+def point_segment_distances(points, a, b) -> np.ndarray:
+    """Distances (T, S) from points (T, 2) to the segments a -> b (S, 2)."""
+    ab = b - a
     den = np.einsum("ij,ij->i", ab, ab)
-    apx = points[:, :1] - seg_a[:, 0]
-    apy = points[:, 1:] - seg_a[:, 1]
+    apx = points[:, :1] - a[:, 0]
+    apy = points[:, 1:] - a[:, 1]
     t = np.clip((apx * ab[:, 0] + apy * ab[:, 1]) / np.where(den == 0, 1.0, den), 0.0, 1.0)
-    return np.hypot(points[:, :1] - (seg_a[:, 0] + t * ab[:, 0]),
-                    points[:, 1:] - (seg_a[:, 1] + t * ab[:, 1]))
+    return np.hypot(points[:, :1] - (a[:, 0] + t * ab[:, 0]),
+                    points[:, 1:] - (a[:, 1] + t * ab[:, 1]))
 
 
 def noise_std(scenario: Scenario, h_env: np.ndarray) -> float:
@@ -533,10 +527,10 @@ def check_surface_size(scenario: Scenario) -> None:
 class FrameSimulator:
     """Array frame engine for long frame streams.
 
-    Builds the path tensors and route segments once and synthesises many
-    frames per call. `paths` holds the environment's paths (build_static_paths)
-    followed by one path per surface element (build_irs_paths). Blocking is
-    measured once per distinct 2D route (one per panel column), then indexed out.
+    Builds the path tensors and routes once and synthesises many frames per
+    call. `paths` holds the environment's paths (build_static_paths) followed
+    by one path per surface element (build_irs_paths). Blocking is measured
+    once per distinct 2D route (one per panel column), then indexed out.
     """
 
     def __init__(self, scenario: Scenario):
@@ -550,11 +544,9 @@ class FrameSimulator:
         self.n_elements = len(irs)
         self.paths = _join(env, irs)
         # distinct routes: the environment's, then one per element position; _route: path -> route
-        xy, column = np.unique(irs.seg_b[::2], axis=0, return_inverse=True)
-        elem = _bounces(*_endpoints(scenario), xy)
-        self._seg_a = np.concatenate([env.seg_a, elem[:, :-1].reshape(-1, 2)])
-        self._seg_b = np.concatenate([env.seg_b, elem[:, 1:].reshape(-1, 2)])
-        self._seg_start = np.concatenate([env.seg_start, len(env.seg_a) + 2 * np.arange(len(xy))])
+        xy, column = np.unique(irs.via, axis=0, return_inverse=True)
+        self._via = np.concatenate([env.via, xy])
+        self._anchor, self._eve = (np.broadcast_to(p, self._via.shape) for p in _endpoints(scenario))
         self._route = np.concatenate([np.arange(len(env)), len(env) + column])
         self.h_env = np.tensordot(np.ones(len(env), dtype=complex), g_env, axes=(0, 0))
         self.noise_std = noise_std(scenario, self.h_env)
@@ -576,8 +568,8 @@ class FrameSimulator:
 
     def _attenuations(self, person: PersonState, positions) -> np.ndarray:
         """Blocking attenuation (T, paths) with the person at each of positions (T, 2)."""
-        dmin = np.minimum.reduceat(point_segment_distances(positions, self._seg_a, self._seg_b),
-                                   self._seg_start, axis=1)
+        dmin = np.minimum(point_segment_distances(positions, self._anchor, self._via),
+                          point_segment_distances(positions, self._via, self._eve))
         s = np.clip(1.0 - dmin / person.blocking_radius, 0.0, 1.0)
         att = np.where(s > 0.0, 10.0 ** (-person.blocking_depth_db * s / 20.0), 1.0)
         return att[:, self._route]

@@ -49,9 +49,15 @@ def _write_manifest(out_dir: Path, args, config_path=None, seed=None, extra=None
 
 
 def _load(args):
+    """(scenario, config) with --seed applied; a ValueError naming the first session-length
+    flag given (--duration, --session-s, --reference-s) that experiments.check_session rejects."""
     scenario, cfg = oio.load_scenario(args.config)
     if getattr(args, "seed", None) is not None:
         scenario = replace(scenario, seed=args.seed)
+    for name in ("duration", "session_s", "reference_s"):
+        if getattr(args, name, None) is not None:
+            with _flag("--" + name.replace("_", "-")):
+                experiments.check_session(scenario, getattr(args, name), cfg.window_s)
     return scenario, cfg
 
 
@@ -199,7 +205,8 @@ def cmd_ingest(args):
     frames, sample_rate = oio.ingest_trace(args.trace)
     if not len(frames):
         raise oio.IngestError(f"{args.trace}: no frames")
-    obs = sensing.observe(frames, args.window, sample_rate)
+    with _flag("--window"):
+        obs = sensing.observe(frames, args.window, sample_rate)
     out = _out_dir(args)
     oio.export_observation(obs, out / "observation.csv")
     _write_manifest(out, args, extra={"trace_sha256": _sha256(args.trace)})

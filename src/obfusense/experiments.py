@@ -85,7 +85,7 @@ def _irs_rng(scenario: Scenario, stream: int) -> np.random.Generator:
     return np.random.default_rng((scenario.seed, _IRS_STREAM, stream))
 
 
-def _check_session(scenario: Scenario, duration_s: float, window_s: float) -> None:
+def check_session(scenario: Scenario, duration_s: float, window_s: float) -> None:
     """ValueError unless duration_s is finite and > 0 and its frames cover one
     observation window of window_s (sensing.window_samples)."""
     if not (0 < duration_s < math.inf):
@@ -210,7 +210,7 @@ def run_session(scenario: Scenario, defense_on: bool, motion, duration_s: float,
     the irs.SchedulerParams keywords, validated even when the defense is off.
     keep_frames also returns the raw frames, (T, len(subcarriers), n_rx, n_tx) with subcarriers.
     """
-    _check_session(scenario, duration_s, window_s)
+    check_session(scenario, duration_s, window_s)
     if subcarriers is not None:
         subcarriers = sensing.check_subcarriers(subcarriers, scenario.n_subcarriers)
     params = irsmod.SchedulerParams(**scheduler)
@@ -230,7 +230,7 @@ def reference_and_selection(scenario: Scenario, defense_on: bool, reference_s: f
                             n_select: int | None = 28, window_s: float = 1.0, stream: int = 0,
                             simulator: FrameSimulator | None = None, **scheduler):
     """No-motion reference observation plus the frozen subcarrier selection."""
-    _check_session(scenario, reference_s, window_s)
+    check_session(scenario, reference_s, window_s)
     mags, meta, _ = _session_magnitudes(
         scenario, defense_on, None, reference_s, irsmod.SchedulerParams(**scheduler),
         stream=stream, person_template=None, active_elements=None, simulator=simulator)
@@ -239,7 +239,7 @@ def reference_and_selection(scenario: Scenario, defense_on: bool, reference_s: f
     else:
         subs = sensing.select_subcarriers(mags, n_select)
     meta["subcarriers"] = subs
-    obs = sensing.observe(mags, window_s, scenario.sample_rate, subs, meta=meta)
+    obs = sensing.observe(mags[:, subs], window_s, scenario.sample_rate, meta=meta)
     return obs, subs
 
 
@@ -276,7 +276,7 @@ def run_coverage_grid(scenario: Scenario, grid, defense_on: bool, c: float = 11.
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid is empty")
-    _check_session(scenario, session_s, window_s)
+    check_session(scenario, session_s, window_s)
     sim = FrameSimulator(scenario)
     ref_obs, subs = reference_and_selection(scenario, defense_on, reference_s,
                                             n_select=n_select, window_s=window_s, stream=0,

@@ -457,7 +457,7 @@ def write_csv(path, columns, rows, meta=None):
 
 
 def export_observation(obs: ObservationSeries, path):
-    n_w = int(round(obs.window_s * obs.sample_rate))
+    n_w = window_samples(obs.window_s, obs.sample_rate)
     write_csv(path, ("t_seconds", "sigma_bar"),
               (((i + n_w - 1) / obs.sample_rate, v) for i, v in enumerate(obs.values)),
               meta={"sample_rate": obs.sample_rate, "window_s": obs.window_s})
@@ -467,13 +467,16 @@ def load_observation(path) -> ObservationSeries:
     """Read an observation CSV; the header must give sample_rate and window_s.
 
     Each row's t_seconds must sit on the lattice (i + n_w - 1) / sample_rate
-    that export_observation writes, within 1e-9 s.
+    that export_observation writes, within 1e-9 s; n_w is sensing.window_samples.
     """
     with open(path, "r", encoding="utf-8") as fh:
         meta = _read_preamble(fh, path, ("t_seconds", "sigma_bar"))
         sample_rate, window_s = (_header_value(meta, path, key)
                                  for key in ("sample_rate", "window_s"))
-        n_w = int(round(window_s * sample_rate))
+        try:
+            n_w = window_samples(window_s, sample_rate)
+        except ValueError as exc:
+            raise IngestError(f"{path}: {exc}") from None
         values = []
         for line in fh:
             line = line.strip()

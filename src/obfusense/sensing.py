@@ -156,19 +156,16 @@ def check_subcarriers(subcarriers, n_subcarriers: int) -> list:
     return subs
 
 
-def observe(frames, window_s: float, sample_rate: float, subcarriers=None,
+def observe(frames, window_s: float, sample_rate: float,
             meta: dict | None = None) -> ObservationSeries:
     """Averaged trailing-window magnitude deviation over all components.
 
     Frames may be complex or magnitudes; phase is discarded. Each component's
     magnitude series is run through the sliding standard deviation and the
-    component mean over the subcarriers given (all: None) is the observation.
+    component mean is the observation.
     """
-    arr = np.asarray(frames)
-    if subcarriers is not None:
-        arr = arr[:, check_subcarriers(subcarriers, arr.shape[1])]
     n_w = window_samples(window_s, sample_rate)
-    mags = magnitude_matrix(arr)
+    mags = magnitude_matrix(frames)
     if mags.shape[0] < n_w:
         raise ValueError(f"{mags.shape[0]} frames shorter than window of {n_w}")
     values = _sliding_std_columns(mags, n_w).mean(axis=1)

@@ -1,4 +1,5 @@
-"""Reference models for the tests: the per-path channel and small scheduler helpers.
+"""Reference models for the tests: the per-path channel, small scheduler helpers and a
+brute-force observation.
 
 The channel oracle keeps one `Path` record per propagation path and forms a
 frame as the literal weighted sum of the paths' responses, one path at a time.
@@ -48,14 +49,15 @@ class CsiFrame:
 
 def records(paths: ch.Paths, scenario: ch.Scenario) -> list:
     """One Path per row of paths; a surface path's element is its row."""
-    ends = list(paths.seg_start[1:]) + [len(paths.seg_a)]
+    anchor, eve = np.asarray(scenario.anchor_pos, float), np.asarray(scenario.eve_pos, float)
     out = []
-    for i, (s0, s1) in enumerate(zip(paths.seg_start, ends)):
+    for i in range(len(paths)):
         kind, length, amp = str(paths.kind[i]), float(paths.length[i]), complex(paths.amp[i])
         lexp = int(paths.lambda_exp[i])
         out.append(Path(
             kind=kind,
-            segment_points=np.vstack([paths.seg_a[s0:s1], paths.seg_b[s1 - 1]]),
+            segment_points=np.array([anchor, eve] if kind == ch.LOS
+                                    else [anchor, paths.via[i], eve]),
             length=length,
             amp_coeff=amp,
             lambda_exp=lexp,
@@ -316,3 +318,19 @@ def sliding_std(series, n_w: int) -> np.ndarray:
     if x.shape[0] < n_w:
         raise ValueError(f"series length {x.shape[0]} shorter than window {n_w}")
     return sn._sliding_std_columns(x[:, None], n_w)[:, 0]
+
+
+def brute_force_observe(arr, n_w: int) -> np.ndarray:
+    """sensing.observe of frames arr (T, K, n_rx, n_tx) with an n_w-sample window, as a
+    literal double loop: per-component windowed population std, then the mean."""
+    t = arr.shape[0]
+    mags = np.abs(arr.transpose(0, 1, 3, 2).reshape(t, -1))
+    out = np.zeros(t - n_w + 1)
+    for ti in range(n_w - 1, t):
+        acc = 0.0
+        for n in range(mags.shape[1]):
+            win = mags[ti - n_w + 1:ti + 1, n]
+            mean = win.sum() / n_w
+            acc += math.sqrt(((win - mean) ** 2).sum() / n_w)
+        out[ti - n_w + 1] = acc / mags.shape[1]
+    return out

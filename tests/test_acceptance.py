@@ -37,20 +37,6 @@ def spearman(x, y):
     return float(np.dot(rx, ry) / np.sqrt(np.dot(rx, rx) * np.dot(ry, ry)))
 
 
-def brute_force_observe(arr, n_w):
-    t = arr.shape[0]
-    mags = np.abs(arr.transpose(0, 1, 3, 2).reshape(t, -1))
-    out = np.zeros(t - n_w + 1)
-    for ti in range(n_w - 1, t):
-        acc = 0.0
-        for n in range(mags.shape[1]):
-            win = mags[ti - n_w + 1:ti + 1, n]
-            mean = win.sum() / n_w
-            acc += math.sqrt(((win - mean) ** 2).sum() / n_w)
-        out[ti - n_w + 1] = acc / mags.shape[1]
-    return out
-
-
 @pytest.fixture(scope="module")
 def walk_data():
     """Paired walk/reference/holdout sessions for criteria 6-8."""
@@ -92,7 +78,7 @@ def test_criterion_01_sliding_std_oracle():
         arr = rng.normal(size=(t, k, n_rx, n_tx)) + 1j * rng.normal(size=(t, k, n_rx, n_tx))
         n_w = int(rng.integers(2, t + 1))
         got = sn.observe(arr, n_w / 70.0, 70.0).values
-        want = brute_force_observe(arr, n_w)
+        want = orc.brute_force_observe(arr, n_w)
         worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
     elapsed = time.perf_counter() - t0
     announce(1, "sliding-std oracle", worst < 1e-12 and elapsed < 5.0,

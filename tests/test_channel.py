@@ -417,9 +417,10 @@ def test_blocking_on_distinct_routes_matches_per_path_oracle(grid):
     # away from numpy's vectorised power
     assert np.allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
     # bit for bit, the same array arithmetic on every path's own route
-    p = sim.paths
-    d = np.minimum.reduceat(ch.point_segment_distances(positions, p.seg_a, p.seg_b),
-                            p.seg_start, axis=1)
+    via = sim.paths.via
+    anchor, eve = (np.broadcast_to(xy, via.shape) for xy in (scn.anchor_pos, scn.eve_pos))
+    d = np.minimum(ch.point_segment_distances(positions, anchor, via),
+                   ch.point_segment_distances(positions, via, eve))
     s = np.clip(1.0 - d / person.blocking_radius, 0.0, 1.0)
     assert np.array_equal(got, np.where(s > 0.0, 10.0 ** (-person.blocking_depth_db * s / 20.0),
                                         1.0))

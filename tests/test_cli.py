@@ -106,7 +106,7 @@ def test_coverage_grid_row_count(tmp_path, minimal_config):
 
 
 @pytest.mark.parametrize("session_s, message", [
-    ("nan", "grid 2x1 of nan s sessions needs nan GiB"),
+    ("nan", "--session-s: duration_s must be finite and > 0, got nan"),
     ("0.5", "session shorter than the observation window"),
 ], ids=["nan", "short"])
 def test_coverage_bad_session_exits_3_before_synthesis(tmp_path, minimal_config, capsys,
@@ -205,6 +205,23 @@ def test_attack_non_finite_threshold_names_flag(tmp_path, capsys):
     assert invoke("attack", "--reference", obs, "--motion", obs, "--C", "1e308",
                   "--out", out) == 3
     assert capsys.readouterr().err.startswith("error: --C: threshold median + 1e+308 * MAD")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("window_s, message", [
+    (1e308, "row '-0.014285714285714285,0.1': t_seconds -0.014285714285714285 is off the "
+            "lattice"),  # n_w = 2 ** 62, not int(inf)
+    (0.001, "window_s 0.001 s gives n_w = 0 at sample_rate 70"),
+], ids=["huge", "under_2_samples"])
+def test_attack_observation_window_follows_window_rule(tmp_path, capsys, window_s, message):
+    obs = tmp_path / "observation.csv"
+    # rows on the lattice (i + n_w - 1) / 70 that n_w = 0 gives
+    oio.write_csv(obs, ("t_seconds", "sigma_bar"),
+                  [((i - 1) / 70.0, 0.1 * (i + 1)) for i in range(5)],
+                  meta={"sample_rate": 70.0, "window_s": window_s})
+    out = tmp_path / "atk"
+    assert invoke("attack", "--reference", obs, "--motion", obs, "--out", out) == 3
+    assert capsys.readouterr().err.startswith(f"error: {obs}: {message}")
     assert not out.exists()
 
 
@@ -312,6 +329,31 @@ def test_ingest_non_finite_window_named(tmp_path, capsys, monkeypatch, value):
     assert invoke("ingest", "--trace", trace, "--window", value, "--out", tmp_path / "ing") == 3
     assert "window_s must be finite and > 0" in capsys.readouterr().err
     assert not (tmp_path / "ing").exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    (("coverage", "--reference-s", "nan"), "--reference-s: duration_s must be finite and > 0"),
+    (("simulate", "--duration", 0.5), "--duration: session shorter than the observation window"),
+    (("sweep", "--var", "size", "--values", "256", "--duration", 0.5),
+     "--duration: session shorter than the observation window"),
+    (("paramstudy", "--R", "0.05", "--P", "0.6", "--duration", 0.5),
+     "--duration: session shorter than the observation window"),
+    (("ingest", "--window", 0.01), "--window: window_s 0.01 s gives n_w = 1 at sample_rate 70"),
+    (("ingest", "--window", 30), "--window: 280 frames shorter than window of 2100"),
+], ids=["coverage_reference", "simulate", "sweep", "paramstudy",
+        "ingest_under_2_samples", "ingest_over_trace"])
+def test_bad_session_length_names_flag(tmp_path, minimal_config, capsys, monkeypatch, command,
+                                       message):
+    monkeypatch.setattr(channel.FrameSimulator, "frames",
+                        lambda *a, **kw: pytest.fail("a frame was synthesised"))
+    if command[0] == "ingest":
+        source = ("--trace", tmp_path / "trace.csv")
+        oio.export_trace(np.ones((280, 2, 1, 1), dtype=complex), source[1])  # 4 s at 70 Hz
+    else:
+        source = ("--config", minimal_config)
+    assert invoke(*command, *source, "--out", tmp_path / "x") == 3
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "x").exists()
 
 
 def test_ingest_trace_without_sample_rate_rejected(tmp_path, capsys):

@@ -436,7 +436,7 @@ def test_restricted_session_matches_full_band(motion, defense):
         assert same(frames, full_frames[:, subs])
         obs = ex.run_session(scn, defense, motion, duration, subcarriers=subs, stream=5,
                              simulator=sim)
-        want = sn.observe(full, 1.0, scn.sample_rate, subs)
+        want = sn.observe(full[:, subs], 1.0, scn.sample_rate)
         assert same(obs.values, want.values)
         assert obs.meta["subcarriers"] == subs
 
