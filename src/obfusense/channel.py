@@ -524,6 +524,14 @@ def check_surface_size(scenario: Scenario) -> None:
                      f"irs_grid {scenario.irs_grid[0]}x{scenario.irs_grid[1]}")
 
 
+def _padded(g: np.ndarray) -> np.ndarray:
+    """g (paths, columns) with zero columns appended up to a multiple of 8. A BLAS sends the
+    columns past its kernel width through edge kernels, picked by how its threads split the
+    columns, so an unpadded product can round differently at another thread count."""
+    pad = -g.shape[1] % 8
+    return np.pad(g, ((0, 0), (0, pad))) if pad else g
+
+
 class FrameSimulator:
     """Array frame engine for long frame streams.
 
@@ -550,9 +558,9 @@ class FrameSimulator:
         self._route = np.concatenate([np.arange(len(env)), len(env) + column])
         self.h_env = np.tensordot(np.ones(len(env), dtype=complex), g_env, axes=(0, 0))
         self.noise_std = noise_std(scenario, self.h_env)
-        # real (paths, 2 * K * n_rx * n_tx) views: real weights @ view = the complex sum
-        self._g_env = g_env.reshape(len(env), self.h_env.size).view(float)
-        self._g_irs = _tensors(irs, scenario).reshape(len(irs), self.h_env.size).view(float)
+        # real (paths, 2 * K * n_rx * n_tx) views, _padded: real weights @ view = the complex sum
+        self._g_env, self._g_irs = (_padded(g.reshape(len(g), self.h_env.size).view(float))
+                                    for g in (g_env, _tensors(irs, scenario)))
         self.subcarriers = None  # all of them
 
     def at_subcarriers(self, subcarriers) -> FrameSimulator:
@@ -561,8 +569,9 @@ class FrameSimulator:
         sub = copy.copy(self)
         sub.subcarriers = subs = np.asarray(subcarriers, dtype=int)
         sub.h_env = self.h_env[subs]
-        sub._g_env, sub._g_irs = (g.view(complex).reshape((len(g),) + self.h_env.shape)
-                                  .take(subs, axis=1).reshape(len(g), -1).view(float)
+        sub._g_env, sub._g_irs = (_padded(g[:, :2 * self.h_env.size].view(complex)
+                                          .reshape((len(g),) + self.h_env.shape)
+                                          .take(subs, axis=1).reshape(len(g), -1).view(float))
                                   for g in (self._g_env, self._g_irs))
         return sub
 
@@ -596,17 +605,18 @@ class FrameSimulator:
         if configs.shape[1] != self.n_elements:
             raise ValueError(
                 f"coefficient vector length {configs.shape[1]} != {self.n_elements} elements")
-        shape = self.h_env.shape
+        shape, width = self.h_env.shape, 2 * self.h_env.size  # _padded's columns are cut off
         if person is not None:
             atten = self._attenuations(person, positions)
             h = atten[:, :self._n_env] @ self._g_env
             h += (configs[cfg_index] * atten[:, self._n_env:]) @ self._g_irs
-            h = h.view(complex).reshape((n,) + shape)
+            h = h[:, :width].view(complex).reshape((n,) + shape)
             scatter = scatter_tensors(self.scenario, positions, self.subcarriers)
             scatter *= 10.0 ** (person.scatter_gain_db / 20.0)
             h += scatter
         else:
-            h = (configs @ self._g_irs).view(complex).reshape((len(configs),) + shape)[cfg_index]
+            h = (configs @ self._g_irs)[:, :width].view(complex).reshape((len(configs),) + shape)
+            h = h[cfg_index]
             h += self.h_env
         for unit, factors in scatters:
             h += np.asarray(factors, dtype=complex)[:, None, None, None] * unit

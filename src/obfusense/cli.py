@@ -49,11 +49,14 @@ def _write_manifest(out_dir: Path, args, config_path=None, seed=None, extra=None
 
 
 def _load(args):
-    """(scenario, config) with --seed applied; a ValueError naming the first session-length
-    flag given (--duration, --session-s, --reference-s) that experiments.check_session rejects."""
+    """(scenario, config) with --seed applied; a ValueError naming experiment.reference_s or
+    the first session-length flag given (--duration, --session-s, --reference-s) that
+    experiments.check_session rejects."""
     scenario, cfg = oio.load_scenario(args.config)
     if getattr(args, "seed", None) is not None:
         scenario = replace(scenario, seed=args.seed)
+    with _flag("experiment.reference_s"):
+        experiments.check_session(scenario, cfg.reference_s, cfg.window_s)
     for name in ("duration", "session_s", "reference_s"):
         if getattr(args, name, None) is not None:
             with _flag("--" + name.replace("_", "-")):

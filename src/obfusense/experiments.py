@@ -126,16 +126,39 @@ def _schedule(n_elements, defense_on, times, sample_rate, scheduler: irsmod.Sche
     return np.array(list(configs.values())), cfg_index, change_frames
 
 
-def _session_magnitudes(scenario, defense_on, motion, duration_s,
-                        scheduler: irsmod.SchedulerParams, *, stream, person_template,
-                        active_elements, simulator, keep_frames=False, subcarriers=None):
-    """Simulate one session; returns (|H|, meta, frames_or_None), |H| and frames of shape
-    (T, len(subcarriers), n_rx, n_tx), all K subcarriers when None.
+@dataclass
+class Session:
+    """A session at its observed subcarriers (mags[:, i] is subcarriers[i]) and its schedule."""
+    observation: sensing.ObservationSeries
+    subcarriers: list
+    times: np.ndarray
+    mags: np.ndarray  # (T, K', n_rx, n_tx)
+    frames: np.ndarray | None  # complex, as mags; kept with keep_frames only
+    configs: np.ndarray  # (C, M) int8 coefficients
+    cfg_index: np.ndarray  # (T,): frame i uses configs[cfg_index[i]]
+    change_frames: list
+    person_xy: np.ndarray | None  # (T, 2) and moving (T,) for a walk, else None
+    moving: np.ndarray | None
 
-    A scheduler pass and a motion pass give per-frame arrays; the frame engine synthesises
-    FRAME_CHUNK frames per call while one worker thread, joined before the session ends,
-    draws the noise stream, at all K subcarriers, NOISE_AHEAD chunks ahead.
+
+def session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
+            window_s: float = 1.0, subcarriers=None, n_select: int | None = None, stream: int = 0,
+            person_template: PersonState | None = None, keep_frames: bool = False,
+            simulator: FrameSimulator | None = None, active_elements=None, **scheduler) -> Session:
+    """One eavesdropping session and its record; every input is checked before synthesis.
+
+    motion is None, a Trajectory or a RotatingReflector. With defense_on the surface scheduler
+    (the irs.SchedulerParams keywords, validated even with the defense off) ticks at update_rate;
+    off, the surface stays at its random initial configuration. The eavesdropper observes the
+    given subcarriers (only those are synthesised), the n_select best (sensing.select_subcarriers;
+    all K when n_select >= K), or all K. A worker thread draws the noise NOISE_AHEAD chunks ahead.
     """
+    if subcarriers is not None and n_select is not None:
+        raise ValueError("give subcarriers or n_select, not both")
+    check_session(scenario, duration_s, window_s)
+    if subcarriers is not None:
+        subcarriers = sensing.check_subcarriers(subcarriers, scenario.n_subcarriers)
+    scheduler = irsmod.SchedulerParams(**scheduler)
     subs = slice(None) if subcarriers is None else np.asarray(subcarriers, dtype=int)
     frame = (len(np.arange(scenario.n_subcarriers)[subs]), scenario.n_rx, scenario.n_tx)
     # float64 |H|, plus the complex128 frames when they are kept
@@ -147,7 +170,6 @@ def _session_magnitudes(scenario, defense_on, motion, duration_s,
         raise ScenarioError("defense requested but the scenario has no reflecting surface")
 
     rng = _noise_rng(scenario, stream)
-    shape = (n_frames,) + frame
     # allocated here, not on the worker, which would take a malloc arena of its own
     ring = np.empty((NOISE_AHEAD + 1, FRAME_CHUNK, 2) + sim.h_env.shape) if sim.noise_std else None
     with ThreadPoolExecutor(1) as pool:
@@ -168,8 +190,8 @@ def _session_magnitudes(scenario, defense_on, motion, duration_s,
             factors = motion.factors(times)
             unit = channel.scatter_tensors(scenario, [motion.position], subcarriers)
 
-        mags = np.empty(shape)
-        frames = np.empty(shape, dtype=complex) if keep_frames else None
+        mags = np.empty((n_frames, *frame))
+        frames = np.empty(mags.shape, dtype=complex) if keep_frames else None
         synth = sim if subcarriers is None else sim.at_subcarriers(subs)
         for j, a in enumerate(range(0, n_frames, FRAME_CHUNK)):
             draws.append(draw(j + NOISE_AHEAD))
@@ -182,19 +204,21 @@ def _session_magnitudes(scenario, defense_on, motion, duration_s,
             if keep_frames:
                 frames[a:b] = h
             np.abs(h, out=mags[a:b])
-
-    meta = {
-        "seed": scenario.seed,
-        "stream": stream,
-        "defense_on": bool(defense_on),
-        "duration_s": float(duration_s),
-        "n_frames": n_frames,
-        "irs_change_frames": change_frames,
-    }
+    del ring, draws, synth, h  # the synthesis buffers go before observe allocates its own
+    meta = dict(seed=scenario.seed, stream=stream, defense_on=bool(defense_on),
+                duration_s=float(duration_s), n_frames=n_frames, irs_change_frames=change_frames)
     if person is not None:
-        meta["moving"] = moving
-        meta["person_xy"] = person_xy
-    return mags, meta, frames
+        meta.update(moving=moving, person_xy=person_xy)
+    band = list(range(scenario.n_subcarriers))
+    if n_select is not None:
+        subcarriers = band if n_select >= len(band) else sensing.select_subcarriers(mags, n_select)
+        mags = mags[:, subcarriers]
+        frames = None if frames is None else frames[:, subcarriers]
+    if subcarriers is not None:
+        meta["subcarriers"] = subcarriers
+    obs = sensing.observe(mags, window_s, scenario.sample_rate, meta=meta)
+    return Session(obs, band if subcarriers is None else subcarriers, times, mags, frames,
+                   configs, cfg_index, change_frames, person_xy, moving)
 
 
 def run_session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
@@ -202,45 +226,21 @@ def run_session(scenario: Scenario, defense_on: bool, motion, duration_s: float,
                 person_template: PersonState | None = None, active_elements=None,
                 simulator: FrameSimulator | None = None, keep_frames: bool = False,
                 **scheduler):
-    """One eavesdropping session; returns the adversarial observation.
-
-    motion is None, a Trajectory, or a RotatingReflector. With defense_on the
-    surface scheduler advances at update_rate and holds between ticks; off, the
-    surface stays frozen at its random initial configuration. scheduler holds
-    the irs.SchedulerParams keywords, validated even when the defense is off.
-    keep_frames also returns the raw frames, (T, len(subcarriers), n_rx, n_tx) with subcarriers.
-    """
-    check_session(scenario, duration_s, window_s)
-    if subcarriers is not None:
-        subcarriers = sensing.check_subcarriers(subcarriers, scenario.n_subcarriers)
-    params = irsmod.SchedulerParams(**scheduler)
-    mags, meta, frames = _session_magnitudes(
-        scenario, defense_on, motion, duration_s, params, stream=stream,
-        person_template=person_template, active_elements=active_elements,
-        simulator=simulator, keep_frames=keep_frames, subcarriers=subcarriers)
-    if subcarriers is not None:
-        meta["subcarriers"] = subcarriers
-    obs = sensing.observe(mags, window_s, scenario.sample_rate, meta=meta)
-    if keep_frames:
-        return obs, frames
-    return obs
+    """session()'s observation, or (observation, frames) with keep_frames."""
+    rec = session(scenario, defense_on, motion, duration_s, window_s=window_s, stream=stream,
+                  subcarriers=subcarriers, person_template=person_template, simulator=simulator,
+                  active_elements=active_elements, keep_frames=keep_frames, **scheduler)
+    return (rec.observation, rec.frames) if keep_frames else rec.observation
 
 
 def reference_and_selection(scenario: Scenario, defense_on: bool, reference_s: float, *,
                             n_select: int | None = 28, window_s: float = 1.0, stream: int = 0,
                             simulator: FrameSimulator | None = None, **scheduler):
-    """No-motion reference observation plus the frozen subcarrier selection."""
-    check_session(scenario, reference_s, window_s)
-    mags, meta, _ = _session_magnitudes(
-        scenario, defense_on, None, reference_s, irsmod.SchedulerParams(**scheduler),
-        stream=stream, person_template=None, active_elements=None, simulator=simulator)
-    if n_select is None or n_select >= scenario.n_subcarriers:
-        subs = list(range(scenario.n_subcarriers))
-    else:
-        subs = sensing.select_subcarriers(mags, n_select)
-    meta["subcarriers"] = subs
-    obs = sensing.observe(mags[:, subs], window_s, scenario.sample_rate, meta=meta)
-    return obs, subs
+    """No-motion reference observation plus the frozen subcarrier selection (all when None)."""
+    rec = session(scenario, defense_on, None, reference_s, window_s=window_s, stream=stream,
+                  n_select=scenario.n_subcarriers if n_select is None else n_select,
+                  simulator=simulator, **scheduler)
+    return rec.observation, rec.subcarriers
 
 
 def coverage_grid_positions(scenario: Scenario, nx: int = 5, ny: int = 4,

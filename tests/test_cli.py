@@ -119,6 +119,19 @@ def test_coverage_bad_session_exits_3_before_synthesis(tmp_path, minimal_config,
     assert not (tmp_path / "cov").exists()
 
 
+def test_config_reference_s_under_one_window_named_before_synthesis(tmp_path, minimal_config,
+                                                                    capsys, monkeypatch):
+    monkeypatch.setattr(channel.FrameSimulator, "__init__",
+                        lambda *a, **kw: pytest.fail("a simulator was built"))
+    cfg = tmp_path / "short_reference.cfg"
+    cfg.write_text(minimal_config.read_text().replace("seed = 42", "seed = 42\nreference_s = 0.5"))
+    assert invoke("coverage", "--config", cfg, "--grid", "2x1", "--session-s", 3,
+                  "--out", tmp_path / "cov") == 3
+    assert capsys.readouterr().err == ("error: experiment.reference_s: "
+                                       "session shorter than the observation window\n")
+    assert not (tmp_path / "cov").exists()
+
+
 @pytest.mark.parametrize("command", [
     ("simulate", "--duration", 30),
     ("paramstudy", "--R", "0.05", "--P", "0.6", "--duration", 30),

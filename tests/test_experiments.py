@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -15,6 +18,7 @@ from obfusense import irs as ir
 from obfusense import sensing as sn
 
 import oracle as orc
+from conftest import SRC
 
 
 def quiet_scenario(seed=3, **kw):
@@ -406,10 +410,8 @@ def test_noiseless_session_draws_no_noise(monkeypatch):
 
 # --- sessions restricted to the eavesdropper's subcarriers -------------------
 
-# Unsorted subsets with both band edges. A surface product over 28 subcarriers has
-# 18 * 28 real columns, a multiple of 8, as the full band's 18 * 56; a BLAS may round
-# the columns past the last multiple of its kernel width differently, so the
-# 6-subcarrier subset is held to 1e-12 relative and the eavesdropper's 28 exactly.
+# Unsorted subsets with both band edges. The engine pads every surface product to a
+# multiple of 8 real columns, so both subsets are held to the full band's bytes.
 SUBS_28 = [int(k) for k in np.random.default_rng(4).permutation(56)[:28]]
 SUBS_6 = [40, 3, 17, 55, 0, 22]
 
@@ -425,12 +427,14 @@ def test_restricted_session_matches_full_band(motion, defense):
     duration = n_frames / scn.sample_rate
     kw = dict(stream=5, person_template=None, active_elements=None, simulator=sim,
               keep_frames=True)
-    full, _, full_frames = ex._session_magnitudes(scn, defense, motion, duration,
-                                                  ir.SchedulerParams(), **kw)
-    for subs, same in [(SUBS_28, lambda a, b: a.tobytes() == b.tobytes()),
-                       (SUBS_6, lambda a, b: np.allclose(a, b, rtol=1e-12, atol=0))]:
-        mags, _, frames = ex._session_magnitudes(scn, defense, motion, duration,
-                                                 ir.SchedulerParams(), subcarriers=subs, **kw)
+    rec = ex.session(scn, defense, motion, duration, **kw)
+    full, full_frames = rec.mags, rec.frames
+    def same(a, b):
+        return a.tobytes() == b.tobytes()
+
+    for subs in (SUBS_28, SUBS_6):
+        rec = ex.session(scn, defense, motion, duration, subcarriers=subs, **kw)
+        mags, frames = rec.mags, rec.frames
         assert mags.shape == frames.shape == (n_frames, len(subs), 3, 3)
         assert same(mags, full[:, subs])
         assert same(frames, full_frames[:, subs])
@@ -473,9 +477,121 @@ def test_restricted_walk_synthesises_only_its_subcarriers(monkeypatch):
     ([], "subcarriers must name at least one subcarrier"),
 ], ids=["negative", "repeated", "float", "past_end", "empty"])
 def test_run_session_rejects_bad_subcarriers_before_synthesis(monkeypatch, subs, message):
-    monkeypatch.setattr(ex, "_session_magnitudes", lambda *a, **kw: pytest.fail("synthesised"))
+    monkeypatch.setattr(ex, "FrameSimulator", lambda *a, **kw: pytest.fail("synthesised"))
     with pytest.raises(ValueError, match=message):
         ex.run_session(quiet_scenario(), True, WALK, 2.0, subcarriers=subs)
+
+
+def test_every_subset_width_matches_full_band_bit_for_bit():
+    # a random unsorted subset of each width 1..56, with and without a person's blocking
+    scn = quiet_scenario(snr_db=20.0)
+    sim = ch.FrameSimulator(scn)
+    rng = np.random.default_rng(8)
+    for motion in (None, WALK):
+        full = ex.session(scn, True, motion, 1.0, stream=3, simulator=sim, keep_frames=True)
+        for width in range(1, 57):
+            subs = [int(k) for k in rng.permutation(56)[:width]]
+            rec = ex.session(scn, True, motion, 1.0, subcarriers=subs, stream=3, simulator=sim,
+                             keep_frames=True)
+            assert rec.frames.tobytes() == full.frames[:, subs].tobytes(), (motion, subs)
+            assert rec.mags.tobytes() == full.mags[:, subs].tobytes(), (motion, subs)
+
+
+# The child runs a defended 2 s walk restricted to SUBS_6 and a full-band one with
+# 30 subcarriers, and prints the sha256 of each session's frames.
+_THREADS_CHILD = """
+import hashlib
+from dataclasses import replace
+from obfusense import channel, experiments, io
+scn = io.default_scenario(seed=3)
+walk = channel.Trajectory(waypoints=[(4.0, 2.15), (4.0, 3.35)], speed=0.45)
+for s, subs in [(scn, %r), (replace(scn, n_subcarriers=30), None)]:
+    _, frames = experiments.run_session(s, True, walk, 2.0, subcarriers=subs, keep_frames=True)
+    print(hashlib.sha256(frames.tobytes()).hexdigest())
+""" % SUBS_6
+
+
+def test_frames_identical_at_one_and_two_blas_threads():
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _THREADS_CHILD], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(proc.stdout.split())
+    assert len(hashes[0]) == 2 and hashes[0] == hashes[1]
+
+
+# --- the session record -------------------------------------------------------
+
+def test_session_record_schedule_matches_change_frames():
+    scn = quiet_scenario()
+    rec = ex.session(scn, True, WALK, 6.0, stream=2, hold_prob=0.5)
+    n = rec.observation.meta["n_frames"]
+    assert rec.times.shape == rec.cfg_index.shape == (n,)
+    assert np.array_equal(rec.times, np.arange(n) / scn.sample_rate)
+    per_frame = rec.configs[rec.cfg_index]
+    changed = np.flatnonzero(np.any(per_frame[1:] != per_frame[:-1], axis=1)) + 1
+    assert len(rec.change_frames) > 0
+    assert list(changed) == rec.change_frames == rec.observation.meta["irs_change_frames"]
+    assert rec.person_xy.shape == (n, 2) and rec.moving.shape == (n,)
+    assert rec.person_xy is rec.observation.meta["person_xy"]
+    assert rec.subcarriers == list(range(scn.n_subcarriers))
+    assert rec.frames is None and rec.mags.shape == (n, scn.n_subcarriers, 3, 3)
+    assert "subcarriers" not in rec.observation.meta
+
+
+def test_session_record_without_motion_has_no_person():
+    rec = ex.session(quiet_scenario(), False, None, 2.0)
+    assert rec.person_xy is None and rec.moving is None
+    assert rec.change_frames == [] and len(rec.configs) == 1
+
+
+@pytest.mark.parametrize("subs", [None, SUBS_6], ids=["full", "subset"])
+def test_session_record_frames_give_mags_bit_for_bit(subs):
+    rec = ex.session(quiet_scenario(), True, WALK, 2.0, subcarriers=subs, keep_frames=True)
+    assert rec.frames.shape == rec.mags.shape
+    assert np.abs(rec.frames).tobytes() == rec.mags.tobytes()
+    if subs is not None:
+        assert rec.subcarriers == subs == rec.observation.meta["subcarriers"]
+
+
+def test_session_n_select_equals_reference_and_selection():
+    scn = quiet_scenario()
+    rec = ex.session(scn, True, None, 3.0, n_select=28, stream=1)
+    obs, subs = ex.reference_and_selection(scn, True, 3.0, n_select=28, stream=1)
+    assert rec.subcarriers == subs and len(subs) == 28
+    assert rec.observation.values.tobytes() == obs.values.tobytes()
+    assert rec.observation.meta == obs.meta
+    assert rec.mags.shape[1] == 28
+
+
+def test_wrappers_call_session_once_and_not_each_other(monkeypatch):
+    calls = []
+    session = ex.session
+
+    def counted(*args, **kw):
+        calls.append(kw.get("n_select"))
+        return session(*args, **kw)
+
+    monkeypatch.setattr(ex, "session", counted)
+    monkeypatch.setattr(ex, "run_session", lambda *a, **kw: pytest.fail("run_session called"))
+    scn = quiet_scenario()
+    obs, subs = ex.reference_and_selection(scn, True, 2.0, n_select=None)
+    assert calls == [scn.n_subcarriers] and subs == list(range(scn.n_subcarriers))
+    monkeypatch.undo()
+    monkeypatch.setattr(ex, "session", counted)
+    monkeypatch.setattr(ex, "reference_and_selection",
+                        lambda *a, **kw: pytest.fail("reference_and_selection called"))
+    ex.run_session(scn, True, None, 2.0, subcarriers=subs[:4])
+    assert calls == [scn.n_subcarriers, None]
+
+
+def test_session_rejects_subcarriers_with_n_select_before_synthesis(monkeypatch):
+    monkeypatch.setattr(ex, "FrameSimulator", lambda *a, **kw: pytest.fail("synthesised"))
+    with pytest.raises(ValueError, match="give subcarriers or n_select, not both"):
+        ex.session(quiet_scenario(), True, None, 2.0, subcarriers=[0, 1], n_select=2)
 
 
 # --- sweeps ----------------------------------------------------------------
