@@ -29,11 +29,12 @@ class ScenarioError(ValueError):
 
 
 def _unit(v) -> np.ndarray:
+    """v (..., 2) scaled to unit length along its last axis."""
     v = np.asarray(v, dtype=float)
-    n = float(np.hypot(v[0], v[1]))
-    if n < 1e-12:
+    n = np.hypot(v[..., 0], v[..., 1])
+    if np.any(n < 1e-12):
         raise ScenarioError("zero-length direction vector")
-    return v / n
+    return v / n[..., None]
 
 
 def _perp(v) -> np.ndarray:
@@ -129,7 +130,11 @@ class Scenario:
 
 @dataclass
 class PersonState:
-    """Position and RF interaction parameters of one person in the room."""
+    """RF interaction parameters of one person in the room.
+
+    position is ignored: sessions and FrameSimulator.frame take the person's
+    positions as an array, one row per frame.
+    """
 
     position: tuple
     scatter_gain_db: float = -5.0
@@ -248,19 +253,12 @@ class Paths:
         return self.length.shape[0]
 
 
-def _units(v) -> np.ndarray:
-    n = np.hypot(v[:, 0], v[:, 1])
-    if np.any(n < 1e-12):
-        raise ScenarioError("zero-length direction vector")
-    return v / n[:, None]
-
-
 def _routes(kind: str, length, amp, lambda_exp: int, points) -> Paths:
     """Paths along routes of equal vertex count, points (P, 2 or 3, 2): anchor, [via,] eve."""
     p = points.shape[0]
     return Paths(kind=np.full(p, kind), length=np.asarray(length, dtype=float),
                  amp=np.asarray(amp, dtype=complex), lambda_exp=np.full(p, lambda_exp),
-                 dep=_units(points[:, 1] - points[:, 0]), arr=_units(points[:, -1] - points[:, -2]),
+                 dep=_unit(points[:, 1] - points[:, 0]), arr=_unit(points[:, -1] - points[:, -2]),
                  via=points[:, -2])
 
 
@@ -535,7 +533,7 @@ def _padded(g: np.ndarray) -> np.ndarray:
 class FrameSimulator:
     """Array frame engine for long frame streams.
 
-    Builds the path tensors and routes once and synthesises many frames per
+    Builds the path tensors and routes once; frame() synthesises T frames per
     call. `paths` holds the environment's paths (build_static_paths) followed
     by one path per surface element (build_irs_paths). Blocking is measured
     once per distinct 2D route (one per panel column), then indexed out.
@@ -589,8 +587,8 @@ class FrameSimulator:
         out *= self.noise_std / math.sqrt(2.0)
         return out
 
-    def frames(self, configs, cfg_index, *, person: PersonState | None = None, positions=None,
-               scatters=(), noise=None) -> np.ndarray:
+    def frame(self, configs, cfg_index, *, person: PersonState | None = None, positions=None,
+              scatters=(), noise=None) -> np.ndarray:
         """Channel values (T, K, n_rx, n_tx) for T frames at this simulator's K subcarriers.
 
         configs: distinct per-element reflection coefficient vectors (C, M),
@@ -624,20 +622,3 @@ class FrameSimulator:
             h.real += noise[:, 0]
             h.imag += noise[:, 1]
         return h
-
-    def frame(self, coeffs: np.ndarray | None = None, person: PersonState | None = None,
-              scatters=(), rng=None) -> np.ndarray:
-        """Channel values (K, n_rx, n_tx) for one frame: frames() with T = 1.
-
-        coeffs: per-element reflection coefficients (+-1 and 0 for inactive),
-        or None for surface off. scatters: (position, complex_factor) extras.
-        rng: the noise stream, or None for a noiseless frame.
-        """
-        configs = (np.zeros((1, self.n_elements)) if coeffs is None
-                   else np.asarray(coeffs, dtype=float)[None])
-        return self.frames(configs, np.zeros(1, dtype=int), person=person,
-                           positions=None if person is None else np.array([person.position], float),
-                           scatters=[(scatter_tensors(self.scenario, [p], self.subcarriers), [f])
-                                     for p, f in scatters],
-                           noise=None if rng is None or self.noise_std == 0.0
-                           else self.noise(rng, np.empty((1, 2) + self.h_env.shape)))[0]

@@ -23,7 +23,7 @@ _IRS_STREAM = 23
 _SUBSET_STREAM = 37
 _worker_sim = None  # a coverage pool worker's simulator, set once by _set_worker_sim
 
-# Frames per FrameSimulator.frames call. A person's blocking step holds
+# Frames per FrameSimulator.frame call. A person's blocking step holds
 # (frames x distinct route segments) arrays, which grow with the panel's columns,
 # not its elements; 64 frames keep a chunk under the rest of a session's memory
 # up to a 64x64 surface, and larger chunks synthesise no faster. The noise ring
@@ -155,6 +155,8 @@ def session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
     """
     if subcarriers is not None and n_select is not None:
         raise ValueError("give subcarriers or n_select, not both")
+    if n_select is not None and n_select < 1:  # sensing.select_subcarriers' rule, before synthesis
+        raise ValueError(f"k={n_select} out of range for {scenario.n_subcarriers} subcarriers")
     check_session(scenario, duration_s, window_s)
     if subcarriers is not None:
         subcarriers = sensing.check_subcarriers(subcarriers, scenario.n_subcarriers)
@@ -197,10 +199,10 @@ def session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
             draws.append(draw(j + NOISE_AHEAD))
             b = min(a + FRAME_CHUNK, n_frames)
             first = cfg_index[a]
-            h = synth.frames(configs[first:cfg_index[b - 1] + 1], cfg_index[a:b] - first,
-                             person=person, positions=None if person is None else person_xy[a:b],
-                             scatters=() if factors is None else ((unit, factors[a:b]),),
-                             noise=None if draws[j] is None else draws[j].result()[:, :, subs])
+            h = synth.frame(configs[first:cfg_index[b - 1] + 1], cfg_index[a:b] - first,
+                            person=person, positions=None if person is None else person_xy[a:b],
+                            scatters=() if factors is None else ((unit, factors[a:b]),),
+                            noise=None if draws[j] is None else draws[j].result()[:, :, subs])
             if keep_frames:
                 frames[a:b] = h
             np.abs(h, out=mags[a:b])
@@ -243,18 +245,31 @@ def reference_and_selection(scenario: Scenario, defense_on: bool, reference_s: f
     return rec.observation, rec.subcarriers
 
 
+def _room_box(scenario: Scenario):
+    """Lower and upper corners (2,) of the room walls' bounding box; of the anchor and the
+    eavesdropper when the scenario has no walls."""
+    pts = np.asarray([p for w in scenario.room for p in w] if scenario.room
+                     else [scenario.anchor_pos, scenario.eve_pos], dtype=float)
+    return pts.min(axis=0), pts.max(axis=0)
+
+
+def _check_in_room(scenario: Scenario, pos, where: str) -> None:
+    """ScenarioError unless the surface at pos (2,) lies in the room walls' bounding box;
+    a scenario without walls takes any pos."""
+    lo, hi = _room_box(scenario)
+    if scenario.room and not np.all((lo <= pos) & (pos <= hi)):
+        raise ScenarioError(f"surface at {where} falls outside the room")
+
+
 def coverage_grid_positions(scenario: Scenario, nx: int = 5, ny: int = 4,
                             margin: float = 0.75, *, session_s: float = 60.0) -> np.ndarray:
     """Uniform nx-by-ny grid over the room interior; ValueError when the
     observations of its session_s sessions (8 B per frame) exceed physical memory."""
     channel.check_memory(8.0 * nx * ny * np.round(session_s * scenario.sample_rate),
                          f"grid {nx}x{ny} of {session_s:g} s sessions")
-    if scenario.room:
-        pts = np.asarray([p for w in scenario.room for p in w], dtype=float)
-    else:
-        pts = np.asarray([scenario.anchor_pos, scenario.eve_pos], dtype=float)
-    x = np.linspace(pts[:, 0].min() + margin, pts[:, 0].max() - margin, nx)
-    y = np.linspace(pts[:, 1].min() + margin, pts[:, 1].max() - margin, ny)
+    lo, hi = _room_box(scenario)
+    x = np.linspace(lo[0] + margin, hi[0] - margin, nx)
+    y = np.linspace(lo[1] + margin, hi[1] - margin, ny)
     return np.array([(xi, yi) for yi in y for xi in x])
 
 
@@ -369,10 +384,7 @@ def sweep(scenario: Scenario, var: str, values, *, session_s: float = 120.0, c: 
             if value <= 0:
                 raise ValueError("distances must be > 0")
             pos = anchor + float(value) * radial
-            if scenario.room:
-                pts = np.asarray([p for w in scenario.room for p in w], dtype=float)
-                if not np.all((pts.min(axis=0) <= pos) & (pos <= pts.max(axis=0))):
-                    raise ScenarioError(f"surface at distance {value} m falls outside the room")
+            _check_in_room(scenario, pos, f"distance {value} m")
             scn = replace(scenario, irs_pos=(float(pos[0]), float(pos[1])))
         else:
             a = math.radians(float(value))
@@ -380,6 +392,7 @@ def sweep(scenario: Scenario, var: str, values, *, session_s: float = 120.0, c: 
             pos = anchor + dist * (rot @ radial)
             nrm = rot @ np.asarray(scenario.irs_normal, dtype=float)
             nrm = nrm / np.hypot(nrm[0], nrm[1])
+            _check_in_room(scenario, pos, f"orientation {value} deg")
             scn = replace(scenario, irs_pos=(float(pos[0]), float(pos[1])),
                           irs_normal=(float(nrm[0]), float(nrm[1])))
         obs = run_session(scn, motion=None, duration_s=session_s, window_s=window_s,

@@ -2,7 +2,8 @@
 
 Three documented schemas, all versioned:
   - trace CSV: `# key=value` header lines, then `t,k,rx,tx,re,im` rows over a
-    complete (t, k, rx, tx) lattice in canonical order;
+    complete (t, k, rx, tx) lattice, written in canonical order; ingest takes
+    the rows of a frame in any order;
   - observation CSV: `t_seconds,sigma_bar` rows plus sample-rate/window header
     lines;
   - report JSON: threshold, rates, ROC points, AUC, provenance.

@@ -302,10 +302,11 @@ def test_noise_calibration_matches_snr():
     sim = ch.FrameSimulator(scn)
     rng = np.random.default_rng(1)
     h0 = sim.h_env
+    off, z = np.zeros((1, sim.n_elements)), np.empty((1, 2) + h0.shape)
     acc = 0.0
     n = 100_000
     for _ in range(n):
-        acc += np.mean(np.abs(sim.frame(rng=rng) - h0) ** 2)
+        acc += np.mean(np.abs(sim.frame(off, [0], noise=sim.noise(rng, z))[0] - h0) ** 2)
     snr_emp = 10 * np.log10(np.mean(np.abs(h0) ** 2) / (acc / n))
     assert abs(snr_emp - 20.0) < 0.5
 
@@ -320,7 +321,8 @@ def test_simulator_matches_channel_response():
         bits = rng.integers(0, 2, 256).astype(np.uint8)
         person = ch.PersonState(position=(float(rng.uniform(1, 6)), float(rng.uniform(0.5, 5))))
         ref = orc.channel_response(static, irsp, bits, person, scn, 0).values
-        fast = sim.frame(coeffs=ir.coefficients(bits), person=person)
+        fast = sim.frame(ir.coefficients(bits)[None], [0], person=person,
+                         positions=np.array([person.position]))[0]
         assert np.allclose(fast, ref, rtol=1e-12, atol=1e-18)
 
 
@@ -350,7 +352,7 @@ def test_frames_without_person_match_oracle_per_configuration():
     sim = ch.FrameSimulator(scn)
     bits = np.random.default_rng(4).integers(0, 2, size=(4, 256)).astype(np.uint8)
     cfg_index = np.array([0, 2, 2, 1, 3, 0, 3])
-    got = sim.frames(bits.astype(np.int8) * 2 - 1, cfg_index)
+    got = sim.frame(bits.astype(np.int8) * 2 - 1, cfg_index)
     assert got.shape == (7, 56, 3, 3)
     for t, c in enumerate(cfg_index):
         assert np.allclose(got[t], _oracle_frame(scn, bits[c], None), rtol=1e-12, atol=1e-18)
@@ -364,20 +366,21 @@ def test_frames_add_noise_as_real_and_imaginary_parts():
     person = ch.PersonState(position=(0.0, 0.0))
     positions = np.array([[3.0, 2.5], [3.2, 2.6], [3.4, 2.7], [3.6, 2.8]])
     z = sim.noise(np.random.default_rng(2), np.empty((4, 2) + sim.h_env.shape))
-    got = sim.frames(configs, cfg_index, person=person, positions=positions, noise=z)
-    clean = sim.frames(configs, cfg_index, person=person, positions=positions)
+    got = sim.frame(configs, cfg_index, person=person, positions=positions, noise=z)
+    clean = sim.frame(configs, cfg_index, person=person, positions=positions)
     assert np.array_equal(got, clean + (z[:, 0] + 1j * z[:, 1]))
 
 
 def test_surface_off_frame_is_h_env_and_a_zero_row():
     scn = oio.default_scenario(seed=5, snr_db=float("inf"))
     sim = ch.FrameSimulator(scn)
-    assert np.array_equal(sim.frame(), sim.h_env)
     off = np.zeros((1, sim.n_elements))
-    assert np.array_equal(sim.frame(person=None), sim.frames(off, np.zeros(1, dtype=int))[0])
+    assert np.array_equal(sim.frame(off, [0])[0], sim.h_env)
+    assert np.array_equal(sim.frame(off, [0], person=None)[0],
+                          sim.frame(off, np.zeros(1, dtype=int))[0])
     person = ch.PersonState(position=(3.0, 2.5))
-    assert np.allclose(sim.frame(person=person), _oracle_frame(scn, None, person, (3.0, 2.5)),
-                       rtol=1e-12, atol=1e-18)
+    assert np.allclose(sim.frame(off, [0], person=person, positions=np.array([(3.0, 2.5)]))[0],
+                       _oracle_frame(scn, None, person, (3.0, 2.5)), rtol=1e-12, atol=1e-18)
 
 
 @pytest.mark.parametrize("grid", [None, (1, 1)])
@@ -392,8 +395,8 @@ def test_frames_on_tiny_surfaces_match_oracle(grid, with_person):
     cfg_index = np.array([0, 1, 1])
     person = ch.PersonState(position=(0.0, 0.0)) if with_person else None
     positions = np.array([[3.0, 2.5], [3.75, 2.75], [5.5, 1.0]])  # the second on the LOS
-    got = sim.frames(bits.astype(np.int8) * 2 - 1, cfg_index, person=person,
-                     positions=positions if with_person else None)
+    got = sim.frame(bits.astype(np.int8) * 2 - 1, cfg_index, person=person,
+                    positions=positions if with_person else None)
     for t, c in enumerate(cfg_index):
         want = _oracle_frame(scn, None if grid is None else bits[c], person, positions[t])
         assert np.allclose(got[t], want, rtol=1e-12, atol=1e-18)

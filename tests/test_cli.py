@@ -111,7 +111,7 @@ def test_coverage_grid_row_count(tmp_path, minimal_config):
 ], ids=["nan", "short"])
 def test_coverage_bad_session_exits_3_before_synthesis(tmp_path, minimal_config, capsys,
                                                         monkeypatch, session_s, message):
-    monkeypatch.setattr(channel.FrameSimulator, "frames",
+    monkeypatch.setattr(channel.FrameSimulator, "frame",
                         lambda *a, **kw: pytest.fail("a frame was synthesised"))
     assert invoke("coverage", "--config", minimal_config, "--grid", "2x1", "--session-s",
                   session_s, "--out", tmp_path / "cov") == 3
@@ -139,7 +139,7 @@ def test_config_reference_s_under_one_window_named_before_synthesis(tmp_path, mi
 ], ids=lambda c: c[0])
 def test_config_window_under_2_samples_exits_3_before_synthesis(tmp_path, minimal_config, capsys,
                                                                  monkeypatch, command):
-    monkeypatch.setattr(channel.FrameSimulator, "frames",
+    monkeypatch.setattr(channel.FrameSimulator, "frame",
                         lambda *a, **kw: pytest.fail("a frame was synthesised"))
     cfg = tmp_path / "short_window.cfg"
     cfg.write_text(minimal_config.read_text().replace("seed = 42", "seed = 42\nwindow_s = 0.01"))
@@ -357,7 +357,7 @@ def test_ingest_non_finite_window_named(tmp_path, capsys, monkeypatch, value):
         "ingest_under_2_samples", "ingest_over_trace"])
 def test_bad_session_length_names_flag(tmp_path, minimal_config, capsys, monkeypatch, command,
                                        message):
-    monkeypatch.setattr(channel.FrameSimulator, "frames",
+    monkeypatch.setattr(channel.FrameSimulator, "frame",
                         lambda *a, **kw: pytest.fail("a frame was synthesised"))
     if command[0] == "ingest":
         source = ("--trace", tmp_path / "trace.csv")

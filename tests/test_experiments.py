@@ -223,25 +223,31 @@ def test_session_shorter_than_window_rejected():
 
 
 SESSIONS = {
-    "run_session": lambda scn, s, w: ex.run_session(scn, True, None, s, window_s=w),
-    "reference_and_selection": lambda scn, s, w: ex.reference_and_selection(scn, True, s,
-                                                                            window_s=w),
+    "run_session": lambda scn, s, w, **kw: ex.run_session(scn, True, None, s, window_s=w, **kw),
+    "reference_and_selection": lambda scn, s, w, **kw: ex.reference_and_selection(
+        scn, True, s, window_s=w, **kw),
 }
+CHECKED = [  # (id, sessions, duration_s, window_s, session keywords, message)
+    ("window", SESSIONS, 20.0, 0.01, {}, r"^window_s 0.01 s gives n_w = 1 at sample_rate 70"),
+    ("duration", SESSIONS, math.inf, 1.0, {}, r"^duration_s must be finite and > 0, got inf"),
+    ("short", SESSIONS, 0.5, 1.0, {}, r"^session shorter than the observation window"),
+    ("huge_window", SESSIONS, 20.0, 1e308, {}, r"^session shorter than the observation window"),
+    ("n_select", ["reference_and_selection"], 3.0, 1.0, {"n_select": 0},
+     r"^k=0 out of range for 56 subcarriers$"),
+]
 
 
-@pytest.mark.parametrize("session", SESSIONS)
-@pytest.mark.parametrize("duration_s, window_s, message", [
-    (20.0, 0.01, r"^window_s 0.01 s gives n_w = 1 at sample_rate 70"),
-    (math.inf, 1.0, r"^duration_s must be finite and > 0, got inf"),
-    (0.5, 1.0, r"^session shorter than the observation window"),
-    (20.0, 1e308, r"^session shorter than the observation window"),
-], ids=["window", "duration", "short", "huge_window"])
+@pytest.mark.parametrize("session, duration_s, window_s, keywords, message", [
+    pytest.param(s, d, w, kw, m, id=f"{i}-{s}") for i, sessions, d, w, kw, m in CHECKED
+    for s in sessions])
 def test_session_inputs_checked_before_synthesis(monkeypatch, session, duration_s, window_s,
-                                                 message):
-    monkeypatch.setattr(ch.FrameSimulator, "frames",
+                                                 keywords, message):
+    monkeypatch.setattr(ch.FrameSimulator, "__init__",
+                        lambda *a, **kw: pytest.fail("a simulator was built"))
+    monkeypatch.setattr(ch.FrameSimulator, "frame",
                         lambda *a, **kw: pytest.fail("a frame was synthesised"))
     with pytest.raises(ValueError, match=message):
-        SESSIONS[session](quiet_scenario(), duration_s, window_s)
+        SESSIONS[session](quiet_scenario(), duration_s, window_s, **keywords)
 
 
 def test_defense_without_surface_rejected():
@@ -448,7 +454,7 @@ def test_restricted_session_matches_full_band(motion, defense):
 def test_restricted_walk_synthesises_only_its_subcarriers(monkeypatch):
     # every scatter tensor and every surface product of the session is len(subs) wide
     widths = []
-    scatter_tensors, frames = ch.scatter_tensors, ch.FrameSimulator.frames
+    scatter_tensors, frame = ch.scatter_tensors, ch.FrameSimulator.frame
 
     def recorded_scatter(*args, **kw):
         unit = scatter_tensors(*args, **kw)
@@ -458,10 +464,10 @@ def test_restricted_walk_synthesises_only_its_subcarriers(monkeypatch):
     def recorded_frames(self, *args, **kw):
         widths.append(self._g_irs.shape[1] // (2 * 9))
         widths.append(self._g_env.shape[1] // (2 * 9))
-        return frames(self, *args, **kw)
+        return frame(self, *args, **kw)
 
     monkeypatch.setattr(ch, "scatter_tensors", recorded_scatter)
-    monkeypatch.setattr(ch.FrameSimulator, "frames", recorded_frames)
+    monkeypatch.setattr(ch.FrameSimulator, "frame", recorded_frames)
     scn = quiet_scenario()
     subs = list(range(0, 56, 2))
     ex.run_session(scn, True, WALK, 2 * ex.FRAME_CHUNK / scn.sample_rate, subcarriers=subs,
@@ -630,6 +636,14 @@ def test_sweep_distance_outside_room_rejected():
         ex.sweep(scn, "distance", [50.0], session_s=3.0)
 
 
+def test_sweep_orientation_outside_room_rejected_before_its_session(monkeypatch):
+    scn = quiet_scenario()
+    far = (scn.anchor_pos[0] + 3.0, scn.anchor_pos[1])  # orbits to x = -1.8 m at 180 degrees
+    monkeypatch.setattr(ex, "run_session", lambda *a, **kw: pytest.fail("a session ran"))
+    with pytest.raises(ch.ScenarioError, match=r"^surface at orientation 180.0 deg falls outside"):
+        ex.sweep(replace(scn, irs_pos=far), "orientation", [180.0], session_s=3.0)
+
+
 def test_sweep_unknown_variable_rejected():
     with pytest.raises(ValueError, match="sweep variable must be one of size, distance, "
                                          "orientation, got 'height'"):
@@ -724,7 +738,7 @@ def test_coverage_grid_bounded_by_physical_memory(monkeypatch):
     (0.5, r"^session shorter than the observation window"),
 ], ids=["nan", "short"])
 def test_coverage_grid_checks_sessions_before_the_reference(monkeypatch, session_s, message):
-    monkeypatch.setattr(ch.FrameSimulator, "frames",
+    monkeypatch.setattr(ch.FrameSimulator, "frame",
                         lambda *a, **kw: pytest.fail("a frame was synthesised"))
     with pytest.raises(ValueError, match=message):
         ex.run_coverage_grid(quiet_scenario(), [(3.0, 2.0)], False, reference_s=2.0,

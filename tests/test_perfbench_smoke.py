@@ -31,6 +31,7 @@ def _result(workload, trace):
     for name, metric in result["metrics"].items():
         value = metric["value"]
         assert type(value) in (int, float) and math.isfinite(value), (name, value)
+    return result
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -41,5 +42,8 @@ def test_benchmark_ends_with_a_result_line(workload):
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_traced_benchmark_passes_its_checks(workload):
     # a traced run also checks that the wrapped session calls count every input frame
-    # and that the spans leave at most 2% of the wall time unattributed
-    _result(workload, "1")
+    # and that the spans leave at most 2% of the wall time unattributed; every workload's
+    # sessions call FrameSimulator.frame, so its span must have timed some synthesis
+    metrics = _result(workload, "1")["metrics"]
+    assert metrics["channel.frame_s"]["value"] > 0, metrics
+    assert metrics["channel.frames_per_busy_s"]["value"] > 0, metrics
