@@ -2,8 +2,9 @@
 
 Three documented schemas, all versioned:
   - trace CSV: `# key=value` header lines, then `t,k,rx,tx,re,im` rows over a
-    complete (t, k, rx, tx) lattice, written in canonical order; ingest takes
-    the rows of a frame in any order;
+    complete (t, k, rx, tx) lattice, written in canonical order; ingest reads
+    them in one np.loadtxt call, in any order within a frame, and re-reads row
+    by row only for spellings loadtxt refuses or to name a fault;
   - observation CSV: `t_seconds,sigma_bar` rows plus sample-rate/window header
     lines;
   - report JSON: threshold, rates, ROC points, AUC, provenance.
@@ -16,15 +17,14 @@ import configparser
 import json
 import math
 import os
-import re
 import warnings
 from dataclasses import dataclass, replace
-from itertools import islice
 
 import numpy as np
 
-from .channel import (PersonState, RotatingReflector, Scenario, Trajectory, _unit,
-                      check_surface_size, rect_room)
+from .channel import (PersonState, RotatingReflector, Scenario, ScenarioError, Trajectory, _unit,
+                      build_irs_paths, build_static_paths, check_surface_size, grid_layout,
+                      point_segment_distances, rect_room, scatter_paths)
 from .irs import SchedulerParams
 from .sensing import DetectionReport, ObservationSeries, window_samples
 
@@ -88,8 +88,11 @@ def _placed_scenario(**fields) -> Scenario:
     d = _unit((-1.0, 1.0))
     irs = fields.setdefault("irs_pos", (anchor[0] + 0.3 * d[0], anchor[1] + 0.3 * d[1]))
     if fields.get("irs_normal") is None:
-        n = _unit(_unit((anchor[0] - irs[0], anchor[1] - irs[1]))
-                  + _unit((eve[0] - irs[0], eve[1] - irs[1])))
+        try:
+            n = _unit(_unit((anchor[0] - irs[0], anchor[1] - irs[1]))
+                      + _unit((eve[0] - irs[0], eve[1] - irs[1])))
+        except ScenarioError:  # the surface on an endpoint or on the line between them
+            raise ScenarioError(f"irs_pos {irs!r} leaves the auto normal undefined") from None
         fields["irs_normal"] = (float(n[0]), float(n[1]))
     return Scenario(**fields)
 
@@ -192,7 +195,8 @@ def load_scenario(path):
     Values are literal (no `%` interpolation). Unknown sections or keys are
     rejected. Omitted keys keep the dataclass defaults, except for the room and
     surface placement (see _placed_scenario), the walk (default_walk) and the
-    reflector position (midway between anchor and eve).
+    reflector position (midway between anchor and eve). The frame engine's rules for
+    what may not sit on the anchor or the eavesdropper fail here, under the key.
     """
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
@@ -241,6 +245,18 @@ def load_scenario(path):
                           f"{scenario.irs_grid[0]}x{scenario.irs_grid[1]}")
     if cfg.n_select < 1 or cfg.n_select > scenario.n_subcarriers:
         raise ConfigError("experiment.n_select out of range")
+    for key, rule in (  # the engine's rules for what may not sit on an endpoint
+            ("eavesdropper.position", lambda: build_static_paths(scenario)),
+            ("irs.position", lambda: build_irs_paths(scenario, grid_layout(scenario))),
+            ("experiment.reflector_position",
+             lambda: scatter_paths(scenario, [cfg.reflector.position], 1.0))):
+        try:
+            rule()
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+    legs = np.asarray(cfg.walk.waypoints, dtype=float)
+    if point_segment_distances(np.array([anchor, eve]), legs[:-1], legs[1:]).min() < 1e-9:
+        raise ConfigError("experiment.walk_waypoints: the walk passes within 1e-9 m of an endpoint")
     return scenario, cfg
 
 
@@ -336,10 +352,10 @@ def ingest_trace(path):
     room for one frame: a 12-byte row `0,0,0,0,0,0` a cell, less the last
     newline. The (t, k, rx, tx) lattice must be complete for every frame and
     frame indices must not go backwards; row order inside one frame is free.
-    Row i of values is the i-th frame in the file. Canonical files
-    (export_trace's rows) are parsed in blocks of whole frames; any other file
-    is re-read row by row, which accepts the same files, returns the same
-    values and names the first bad row.
+    Row i of values is the i-th frame in the file. All rows are read by one
+    np.loadtxt call and checked at once. A file that fails there, or that spells
+    a number in a way loadtxt refuses and int() or float() take, is re-read row by
+    row, which accepts the same files, returns the same values and names the fault.
     """
     with open(path, "r", encoding="utf-8") as fh:
         meta = _read_preamble(fh, path, _TRACE_COLUMNS)
@@ -350,7 +366,7 @@ def ingest_trace(path):
         if size - start < need:
             raise IngestError(f"{path}: header dimensions {shape} need {need} bytes of rows for "
                               f"one frame; the {size}-byte file has {size - start} after its header")
-        values = _frames_from_blocks(fh, shape)
+        values = _frames_from_table(fh, shape)
         if values is None:
             fh.seek(start)
             frames = list(_frames_from_rows(fh, shape, path))
@@ -358,52 +374,40 @@ def ingest_trace(path):
     return values, sample_rate
 
 
-# Rows of a canonical block: four unsigned indices and two plain decimal numbers, so row
-# i's fourth comma is the block's comma 5 i + 3 and a short row cannot pair with a long one
-# into two valid rows; possessive quantifiers make a mismatch fail without backtracking.
-_CANONICAL_ROWS = re.compile(
-    r"(?:[0-9]++,[0-9]++,[0-9]++,[0-9]++,[-+.0-9eE]++,[-+.0-9eE]++\n)*+")
-_BLOCK_ROWS = 8192
+def _frames_from_table(fh, shape):
+    """Every row read by one np.loadtxt call and checked at once: finite values, cells inside
+    shape, t never going back, each run of equal t holding every cell once. None on any
+    failure or on a spelling loadtxt refuses; the row parser then decides."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data" too
+            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
+                              dtype=[("index", np.int32, 4), ("value", float, 2)])
+        cells = np.ravel_multi_index(tuple(rows["index"][:, 1:].T), shape)
+        t = rows["index"][:, 0].reshape(-1, math.prod(shape))
+    except (ValueError, Warning):
+        return None
+    if (t != t[:, :1]).any() or (t[1:, 0] <= t[:-1, 0]).any():
+        return None
+    cells.reshape(t.shape)[:] += np.arange(0, cells.size, t.shape[1])[:, None]  # frame offsets
+    values = np.full(cells.size, np.nan, dtype=complex)  # so a cell no row sets is not finite
+    values[cells] = rows["value"].view(complex)[:, 0]
+    return values.reshape(-1, *shape) if np.isfinite(values).all() else None
 
 
-def _frames_from_blocks(fh, shape):
-    """Frames t = 0, 1, ... with cells in canonical order, parsed a block of whole frames at a
-    time (index text compared, re,im parsed); None as soon as a block is not exactly that."""
-    n_cells = math.prod(shape)
-    block_rows = max(1, _BLOCK_ROWS // n_cells) * n_cells
-    cells = [f",{k},{rx},{tx}," for k, rx, tx in np.ndindex(shape)]
-    blocks, n_frames = [], 0
-    while text := "".join(islice(fh, block_rows)):
-        if not _CANONICAL_ROWS.fullmatch(text):
-            return None
-        chars = np.frombuffer(bytearray(text, "ascii"), dtype=np.uint8)
-        ends = np.flatnonzero(chars == ord("\n"))
-        starts = np.concatenate([[0], ends[:-1] + 1])
-        stops = np.flatnonzero(chars == ord(","))[3::5] + 1  # each row's t,k,rx,tx, ends here
-        index = starts[:, None] + np.arange((stops - starts).max())
-        index = index[index < stops[:, None]]
-        frames = range(n_frames, n_frames + len(ends) // n_cells)
-        if chars[index].tobytes() != "".join(str(t) + str(t).join(cells) for t in frames).encode():
-            return None
-        chars[index] = ord(" ")  # fromstring skips the blanks before each re
-        chars[ends] = ord(",")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                values = np.fromstring(chars.tobytes().decode(), sep=",")
-        except (ValueError, Warning):
-            return None
-        if values.size != 2 * len(ends) or not np.isfinite(values).all():
-            return None
-        blocks.append(values.view(complex))
-        n_frames += len(frames)
-    return np.concatenate(blocks or [np.zeros(0, dtype=complex)]).reshape(-1, *shape)
+def _rows(fh, path, n_fields):
+    """(line, fields) for each non-blank line of fh, stripped and split at commas; an
+    IngestError naming the first line with another number of fields."""
+    for line in filter(None, map(str.strip, fh)):
+        parts = line.split(",")
+        if len(parts) != n_fields:
+            raise IngestError(f"{path}: malformed row {line!r}")
+        yield line, parts
 
 
 def _frames_from_rows(fh, shape, path):
-    current_t = None
-    values = None
-    seen = None
+    """Frames row by row with Python's int and float; an IngestError names the first fault."""
+    current_t = values = seen = None
 
     def flush():
         missing = np.argwhere(~seen)
@@ -412,16 +416,9 @@ def _frames_from_rows(fh, shape, path):
             raise IngestError(f"{path}: frame t={current_t} missing cell (k={k}, rx={rx}, tx={tx})")
         return values
 
-    for lineno, line in enumerate(fh, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise IngestError(f"{path}: malformed row {line!r}")
+    for line, parts in _rows(fh, path, 6):
         try:
-            t, k, rx, tx = (int(parts[i]) for i in range(4))
-            re, im = float(parts[4]), float(parts[5])
+            t, k, rx, tx, re, im = *map(int, parts[:4]), *map(float, parts[4:])
         except ValueError as exc:
             raise IngestError(f"{path}: bad number in row {line!r}: {exc}") from None
         if not (math.isfinite(re) and math.isfinite(im)):
@@ -479,13 +476,7 @@ def load_observation(path) -> ObservationSeries:
         except ValueError as exc:
             raise IngestError(f"{path}: {exc}") from None
         values = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise IngestError(f"{path}: malformed row {line!r}")
+        for line, parts in _rows(fh, path, 2):
             try:
                 t, v = float(parts[0]), float(parts[1])
             except ValueError as exc:

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from obfusense import channel as ch
+from obfusense import cli
 from obfusense import experiments as ex
 from obfusense import io as oio
 from obfusense import irs as ir
@@ -598,6 +599,61 @@ def test_session_rejects_subcarriers_with_n_select_before_synthesis(monkeypatch)
     monkeypatch.setattr(ex, "FrameSimulator", lambda *a, **kw: pytest.fail("synthesised"))
     with pytest.raises(ValueError, match="give subcarriers or n_select, not both"):
         ex.session(quiet_scenario(), True, None, 2.0, subcarriers=[0, 1], n_select=2)
+
+
+_FS = oio.default_scenario().sample_rate
+
+
+def _simulate(tmp_path, minimal_config):
+    assert cli.main(["simulate", "--config", str(minimal_config), "--motion", "walk",
+                     "--defense", "on", "--duration", "2", "--out", str(tmp_path)]) == 0
+
+
+# each entry: the run, then the durations of its sessions in seconds
+_STUDIES = {
+    "cli simulate": (_simulate, [2.0]),
+    "parameter_study 2x1": (lambda *_: ex.parameter_study(oio.default_scenario(), [0.05, 0.1],
+                                                          [0.6], 2.0), [2.0, 2.0]),
+    "sweep size": (lambda *_: ex.sweep(oio.default_scenario(), "size", [0, 4], session_s=2.0),
+                   [2.0, 2.0]),
+    "sweep distance": (lambda *_: ex.sweep(oio.default_scenario(), "distance", [0.3, 0.5],
+                                           session_s=2.0), [2.0, 2.0]),
+    "coverage jobs=1": (lambda *_: ex.run_coverage_grid(
+        oio.default_scenario(), [(3.0, 2.0), (4.5, 3.5)], True, reference_s=3.0, session_s=2.0,
+        jobs=1), [3.0, 2.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("study", _STUDIES)
+def test_every_session_enters_one_wrapper_once(tmp_path, minimal_config, monkeypatch, study):
+    """Each session runs inside exactly one run_session or reference_and_selection call, and
+    the wrappers' observations count every frame the input durations imply: what a benchmark
+    counts by wrapping those two names."""
+    session, depth, depths, frames = ex.session, [0], [], []
+
+    def counted_session(*args, **kw):
+        depths.append(depth[0])
+        return session(*args, **kw)
+
+    def wrap(original):
+        def wrapper(*args, **kw):
+            depth[0] += 1
+            try:
+                result = original(*args, **kw)
+            finally:
+                depth[0] -= 1
+            frames.append((result[0] if isinstance(result, tuple) else result).meta["n_frames"])
+            return result
+        return wrapper
+
+    monkeypatch.setattr(ex, "session", counted_session)
+    for name in ("run_session", "reference_and_selection"):
+        monkeypatch.setattr(ex, name, wrap(getattr(ex, name)))
+    run, durations = _STUDIES[study]
+    run(tmp_path, minimal_config)
+    assert depths == [1] * len(durations)
+    assert len(frames) == len(durations)
+    assert sum(frames) == sum(round(d * _FS) for d in durations)
 
 
 # --- sweeps ----------------------------------------------------------------

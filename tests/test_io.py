@@ -5,6 +5,7 @@ import math
 import re
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obfusense import channel as ch
+from obfusense import cli
 from obfusense import io as oio
 from obfusense import sensing as sn
 
@@ -193,6 +195,39 @@ def test_default_reflector_is_midpoint(minimal_config):
     assert cfg.reflector.rpm == 20.0
 
 
+@pytest.mark.parametrize("sections, message", [
+    ("[irs]\nposition = 1.2 2.75\n",
+     "irs.position: irs_pos (1.2, 2.75) leaves the auto normal undefined"),
+    ("[irs]\nposition = 6.3 2.75\n",
+     "irs.position: irs_pos (6.3, 2.75) leaves the auto normal undefined"),
+    ("[irs]\nposition = 1.2 2.75\nnormal = 1 0\ngrid = 1x1\n",
+     "irs.position: surface element coincides with an endpoint"),
+    ("[experiment]\nreflector_position = 1.2 2.75\n",
+     "experiment.reflector_position: scatter point coincides with an endpoint"),
+    ("[experiment]\nreflector_position = 6.3 2.75\n",
+     "experiment.reflector_position: scatter point coincides with an endpoint"),
+    ("[experiment]\nwalk_waypoints =\n    0.5 2.75\n    3 2.75\n",
+     "experiment.walk_waypoints: the walk passes within 1e-9 m of an endpoint"),
+    ("[experiment]\nwalk_waypoints =\n    5 1\n    6.3 2.75\n    5 4\n",
+     "experiment.walk_waypoints: the walk passes within 1e-9 m of an endpoint"),
+], ids=["irs-on-anchor", "irs-on-eve", "irs-element-on-anchor", "reflector-on-anchor",
+        "reflector-on-eve", "walk-through-anchor", "walk-vertex-on-eve"])
+def test_geometry_on_an_endpoint_named_at_load(tmp_path, sections, message):
+    """What the engine rejects on the anchor or the eavesdropper fails at load under its key."""
+    path = write(tmp_path, "[anchor]\nposition = 1.2 2.75\n[eavesdropper]\nposition = 6.3 2.75\n"
+                 + sections)
+    with pytest.raises(oio.ConfigError) as info:
+        oio.load_scenario(path)
+    assert str(info.value) == message
+
+
+def test_anchor_on_eavesdropper_named_at_load(tmp_path):
+    path = write(tmp_path, "[anchor]\nposition = 1 1\n[eavesdropper]\nposition = 1 1\n")
+    with pytest.raises(oio.ConfigError, match="^eavesdropper.position: anchor and eavesdropper "
+                       "positions coincide$"):
+        oio.load_scenario(path)
+
+
 def _edited_config(section, key, value):
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(FULL_CONFIG)
@@ -360,6 +395,17 @@ def test_trace_header_sized_against_file(tmp_path, dims, rows):
     assert peak < 1 << 20
 
 
+def test_trace_of_blank_lines_has_no_frames(tmp_path, capsys):
+    path = tmp_path / "trace.csv"
+    _trace_file(path, (1, 1, 1), [""] * 11)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        back, _ = oio.ingest_trace(path)
+    assert back.shape == (0, 1, 1, 1) and not caught
+    assert cli.main(["ingest", "--trace", str(path), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == f"error: {path}: no frames\n"
+
+
 def test_trace_shortest_frame_accepted(tmp_path):
     path = tmp_path / "trace.csv"
     _trace_file(path, (1, 1, 1), [])
@@ -411,8 +457,7 @@ def test_trace_roundtrip_property(shape, data):
         assert p1.read_bytes() == p2.read_bytes()
 
 
-# 455 * 2 * 3 = 2730 cells per frame, so a block holds 3 frames (8190 rows) and
-# the 4-frame trace crosses one block seam, between rows 8189 and 8190.
+# 455 * 2 * 3 = 2730 cells per frame: row 8189 ends frame t = 2 and row 8190 starts t = 3.
 LONG_SHAPE, SEAM = (4, 455, 2, 3), 8190
 
 
@@ -466,6 +511,17 @@ MUTATIONS = {
     + [_set_field(rows[i], 4, "0.1000000000000000055511151231257827021181583404541015625e1")]
     + rows[i + 1:],
     "swap rows in frame": lambda rows, i: _swap(rows, i - 2),
+    "index of the next row": lambda rows, i: rows[:i]
+    + [",".join(rows[i + 1].split(",")[:4] + rows[i].split(",")[4:])] + rows[i + 1:],
+    # spellings int() and float() take and np.loadtxt refuses, or reads otherwise
+    "whitespace-only line": lambda rows, i: rows[:i] + [" \t "] + rows[i:],
+    "index 0_t": lambda rows, i: rows[:i] + [_set_field(rows[i], 0, "0_" + rows[i].split(",")[0])]
+    + rows[i + 1:],
+    "value 1_0": lambda rows, i: rows[:i] + [_set_field(rows[i], 4, "1_0")] + rows[i + 1:],
+    "t = 2**31 from here on": lambda rows, i: rows[:i]
+    + [_set_field(r, 0, str(2**31)) for r in rows[i:]],
+    "# inside a value": lambda rows, i: rows[:i]
+    + [_set_field(rows[i], 5, rows[i].split(",")[5] + "#1")] + rows[i + 1:],
 }
 
 
@@ -510,6 +566,45 @@ def test_ingest_without_final_newline_matches_row_parser(tmp_path):
     path, head, rows = _trace_rows(tmp_path, (3, 2, 2, 1))
     path.write_text("\n".join(head + rows))
     _assert_same_as_rows(path)
+
+
+@pytest.mark.parametrize("edit, end", [
+    (lambda rows: [r for f in (0, 4, 8) for r in rows[f:f + 4][::-1]], "\n"),  # shuffled
+    (lambda rows: _relabel_frame(rows, 8, 4, 5), "\n"),  # t = 0, 1, 5
+    (lambda rows: rows[:5] + [""] + rows[5:], "\n"),  # a blank line
+    (lambda rows: rows[:4] + [_set_field(rows[4], 0, "+1")] + rows[5:], "\n"),
+    (lambda rows: rows, ""),  # no final newline
+], ids=["shuffled", "gap in t", "blank line", "index +1", "no final newline"])
+def test_ingest_reads_non_canonical_trace_without_row_parser(tmp_path, monkeypatch, edit, end):
+    path, head, rows = _trace_rows(tmp_path, (3, 2, 2, 1))
+    path.write_text("\n".join(head + edit(rows)) + end)
+    expected = _outcome(_per_row, path)
+    assert expected[0] == "values"
+    monkeypatch.setattr(oio, "_frames_from_rows",
+                        lambda *args: pytest.fail("fell back to the row parser"))
+    assert _outcome(lambda p: oio.ingest_trace(p)[0], path) == expected
+
+
+_MUTANT_CHARS = st.sampled_from([*"0123456789,.+-e_ \t\n\r\x0c", "nan", "inf", "#", '"'])
+
+
+@settings(max_examples=100)
+@given(shape=st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(1, 2), st.integers(1, 2)),
+       edits=st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                                st.sampled_from(["replace", "insert", "delete"]), _MUTANT_CHARS),
+                      min_size=1, max_size=4))
+def test_ingest_matches_row_parser_under_character_mutation(shape, edits):
+    """Characters of the rows replaced, inserted or deleted: ingest gives the row parser's values
+    or its IngestError text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        oio.export_trace(small_frames(*shape, seed=3), path)
+        head, _, text = path.read_text().partition("t,k,rx,tx,re,im\n")
+        for where, op, chars in edits:
+            i = int(where * len(text))
+            text = text[:i] + ("" if op == "delete" else chars) + text[i + (op != "insert"):]
+        path.write_text(head + "t,k,rx,tx,re,im\n" + text)
+        _assert_same_as_rows(path)
 
 
 def test_ingest_canonical_trace_skips_row_parser(tmp_path, monkeypatch):
