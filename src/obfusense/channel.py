@@ -384,6 +384,17 @@ def build_static_paths(scenario: Scenario) -> Paths:
     return _join(los, _routes(WALL, d, gamma / (4.0 * np.pi * d), 1, _bounces(anchor, eve, pts)))
 
 
+def element_legs(scenario: Scenario, irs_layout: IrsLayout):
+    """(v1, v2, d1, d2): each element's 2D vectors (M, 2) to the anchor and to the eavesdropper
+    and their lengths (M,) with the element's height; ScenarioError if one is under 1e-9 m."""
+    hh = irs_layout.heights * irs_layout.heights
+    v1, v2 = (p - irs_layout.positions for p in _endpoints(scenario))
+    d1, d2 = (np.sqrt(v[:, 0] ** 2 + v[:, 1] ** 2 + hh) for v in (v1, v2))
+    if np.any(d1 < 1e-9) or np.any(d2 < 1e-9):
+        raise ScenarioError("surface element coincides with an endpoint")
+    return v1, v2, d1, d2
+
+
 def build_irs_paths(scenario: Scenario, irs_layout: IrsLayout) -> Paths:
     """One element path per surface element, anchor -> element -> eve; row m is element m.
 
@@ -391,22 +402,14 @@ def build_irs_paths(scenario: Scenario, irs_layout: IrsLayout) -> Paths:
     obliquity factors for incidence and departure; elements facing away from
     an endpoint keep their path with zero gain.
     """
-    anchor, eve = _endpoints(scenario)
     normal = np.asarray(scenario.irs_normal, dtype=float)
-    elem = irs_layout.positions
-    hh = irs_layout.heights * irs_layout.heights
-    v1 = anchor - elem
-    v2 = eve - elem
-    d1 = np.sqrt(v1[:, 0] ** 2 + v1[:, 1] ** 2 + hh)
-    d2 = np.sqrt(v2[:, 0] ** 2 + v2[:, 1] ** 2 + hh)
-    if np.any(d1 < 1e-9) or np.any(d2 < 1e-9):
-        raise ScenarioError("surface element coincides with an endpoint")
+    v1, v2, d1, d2 = element_legs(scenario, irs_layout)
     # vecdot rounds as np.dot of one element's vectors does; @, einsum and
     # (v * n).sum(1) differ in the last bit, which moves every trace byte
     cos1 = np.maximum(0.0, np.vecdot(v1, normal) / d1)
     cos2 = np.maximum(0.0, np.vecdot(v2, normal) / d2)
     amp = cos1 * cos2 / ((4.0 * np.pi) ** 2 * d1 * d2)
-    return _routes(IRS, d1 + d2, amp, 2, _bounces(anchor, eve, elem))
+    return _routes(IRS, d1 + d2, amp, 2, _bounces(*_endpoints(scenario), irs_layout.positions))
 
 
 def scatter_paths(scenario: Scenario, positions, gains) -> Paths:
@@ -534,9 +537,8 @@ class FrameSimulator:
     """Array frame engine for long frame streams.
 
     Builds the path tensors and routes once; frame() synthesises T frames per
-    call. `paths` holds the environment's paths (build_static_paths) followed
-    by one path per surface element (build_irs_paths). Blocking is measured
-    once per distinct 2D route (one per panel column), then indexed out.
+    call. Blocking is measured once per distinct 2D route (one per panel
+    column), then indexed out.
     """
 
     def __init__(self, scenario: Scenario):
@@ -548,7 +550,6 @@ class FrameSimulator:
         g_env = _tensors(env, scenario)
         self._n_env = len(env)
         self.n_elements = len(irs)
-        self.paths = _join(env, irs)
         # distinct routes: the environment's, then one per element position; _route: path -> route
         xy, column = np.unique(irs.via, axis=0, return_inverse=True)
         self._via = np.concatenate([env.via, xy])

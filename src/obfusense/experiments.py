@@ -206,7 +206,7 @@ def session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
             if keep_frames:
                 frames[a:b] = h
             np.abs(h, out=mags[a:b])
-    del ring, draws, synth, h  # the synthesis buffers go before observe allocates its own
+    del ring, draws, synth, h  # the synthesis buffers go before selection copies |H|
     meta = dict(seed=scenario.seed, stream=stream, defense_on=bool(defense_on),
                 duration_s=float(duration_s), n_frames=n_frames, irs_change_frames=change_frames)
     if person is not None:

@@ -14,6 +14,7 @@ is byte-identical.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import json
 import math
 import os
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import (PersonState, RotatingReflector, Scenario, ScenarioError, Trajectory, _unit,
-                      build_irs_paths, build_static_paths, check_surface_size, grid_layout,
+                      build_static_paths, check_surface_size, element_legs, grid_layout,
                       point_segment_distances, rect_room, scatter_paths)
 from .irs import SchedulerParams
 from .sensing import DetectionReport, ObservationSeries, window_samples
@@ -189,6 +190,16 @@ _KEYS = {
 }
 
 
+@contextlib.contextmanager
+def _utf8(path, error):
+    """path opened as UTF-8 text; a byte that does not decode raises error, naming path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x}") from None
+
+
 def load_scenario(path):
     """Parse a scenario config file; returns (Scenario, ExperimentConfig).
 
@@ -200,7 +211,7 @@ def load_scenario(path):
     """
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _utf8(path, ConfigError) as fh:
             parser.read_file(fh)
     except configparser.Error as exc:
         line = getattr(exc, "lineno", "?")
@@ -247,7 +258,7 @@ def load_scenario(path):
         raise ConfigError("experiment.n_select out of range")
     for key, rule in (  # the engine's rules for what may not sit on an endpoint
             ("eavesdropper.position", lambda: build_static_paths(scenario)),
-            ("irs.position", lambda: build_irs_paths(scenario, grid_layout(scenario))),
+            ("irs.position", lambda: element_legs(scenario, grid_layout(scenario))),
             ("experiment.reflector_position",
              lambda: scatter_paths(scenario, [cfg.reflector.position], 1.0))):
         try:
@@ -357,7 +368,7 @@ def ingest_trace(path):
     a number in a way loadtxt refuses and int() or float() take, is re-read row by
     row, which accepts the same files, returns the same values and names the fault.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8(path, IngestError) as fh:
         meta = _read_preamble(fh, path, _TRACE_COLUMNS)
         shape = tuple(_header_value(meta, path, key, int) for key in _TRACE_DIMS)
         sample_rate = _header_value(meta, path, "sample_rate")
@@ -467,7 +478,7 @@ def load_observation(path) -> ObservationSeries:
     Each row's t_seconds must sit on the lattice (i + n_w - 1) / sample_rate
     that export_observation writes, within 1e-9 s; n_w is sensing.window_samples.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with _utf8(path, IngestError) as fh:
         meta = _read_preamble(fh, path, ("t_seconds", "sigma_bar"))
         sample_rate, window_s = (_header_value(meta, path, key)
                                  for key in ("sample_rate", "window_s"))

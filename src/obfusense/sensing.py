@@ -49,22 +49,32 @@ def _series_values(obs) -> np.ndarray:
 
 
 def _component_order(arr: np.ndarray) -> np.ndarray:
-    """(time, K, n_rx, n_tx) array as (time, components), contiguous.
+    """A (time, K, n_rx, n_tx) array as a view whose rows, in C order, run through the components.
 
     Component n = k * (n_rx * n_tx) + tx * n_rx + rx: subcarrier-major with
     column-major antenna matrices. No other code fixes this order.
     """
-    # contiguous layout keeps downstream reductions bit-reproducible
-    return np.ascontiguousarray(arr.transpose(0, 1, 3, 2)).reshape(arr.shape[0], -1)
+    return arr.transpose(0, 1, 3, 2)
 
 
-def magnitude_matrix(frames) -> np.ndarray:
-    """Per-component magnitude time series, shape (time, K * n_rx * n_tx), of a
-    (time, K, n_rx, n_tx) array.
+def magnitude_matrix(frames, out=None) -> np.ndarray:
+    """Per-component magnitude time series (time, K * n_rx * n_tx) of a (time, K, n_rx, n_tx)
+    array, written into out (a contiguous float array of that shape) when given.
 
     Frames may be complex or magnitudes already: |x| of a magnitude is itself.
     """
-    return np.abs(_component_order(np.asarray(frames)))
+    arr = _component_order(np.asarray(frames))
+    out = np.empty((arr.shape[0], math.prod(arr.shape[1:]))) if out is None else out
+    return np.abs(arr, out=out.reshape(arr.shape)).reshape(out.shape)
+
+
+def _row_blocks(x, step: int, size: int, rows=magnitude_matrix):
+    """rows(x[a:a + size], out) for a = 0, step, 2 step, ... while a + size - step < len(x);
+    out is one float buffer for every block (magnitude_matrix: the block's |H| components)."""
+    buf = np.empty((min(size, len(x)), math.prod(x.shape[1:])))
+    for a in range(0, len(x) - size + step, step):
+        block = x[a:a + size]
+        yield rows(block, buf[:len(block)])
 
 
 def select_subcarriers(reference_frames, k: int) -> list:
@@ -81,54 +91,47 @@ def select_subcarriers(reference_frames, k: int) -> list:
     n_sub = arr.shape[1]
     if not (1 <= k <= n_sub):
         raise ValueError(f"k={k} out of range for {n_sub} subcarriers")
-    series = magnitude_matrix(arr).reshape(arr.shape[0], n_sub, -1).mean(axis=2)  # (time, K)
+    series = np.concatenate([mags.reshape(len(mags), n_sub, -1).mean(axis=2)  # (time, K)
+                             for mags in _row_blocks(arr, 256, 256)])
     centered = series - series.mean(axis=0, keepdims=True)
     norms = np.sqrt((centered ** 2).sum(axis=0))
-    safe = np.where(norms > 0, norms, 1.0)
-    unit = centered / safe
+    unit = centered / np.where(norms > 0, norms, 1.0)
     corr = unit.T @ unit
-    corr[norms == 0, :] = 0.0
-    corr[:, norms == 0] = 0.0
+    corr[np.logical_or.outer(norms == 0, norms == 0)] = 0.0
     np.fill_diagonal(corr, 0.0)
     scores = corr.sum(axis=1) / max(n_sub - 1, 1)
     order = np.lexsort((np.arange(n_sub), -scores))
     return sorted(int(i) for i in order[:k])
 
 
-def _sliding_std_columns(x: np.ndarray, n_w: int) -> np.ndarray:
-    """Column-wise trailing-window population std of a (time, components) matrix.
+def _sliding_stds(x, n_w: int, rows=magnitude_matrix):
+    """Column-wise trailing-window population stds of the (time, m) matrix rows(x), yielded
+    for one block of n_w windows after another (see _row_blocks).
 
-    O(T) per column. Windows are taken in blocks of n_w. A block's 2 n_w - 1
-    samples are centred on its sample n_w - 1, which every window of the
-    block contains, so a constant column gives exactly 0 and slow drift adds
-    little to the sums; each window's variance comes from prefix sums of the
-    centred values and their squares. A window is ill-conditioned where the
-    block's prefix sum of squares up to its last sample exceeds
-    1e3 * n_w * var, as after a step inside the block; such windows are
-    recomputed by the two-pass formula (subtract the window's own mean, then
-    average the squared deviations).
+    O(T) per column. A block's 2 n_w - 1 samples are centred on its sample
+    n_w - 1, which every window of the block contains, so a constant column
+    gives exactly 0 and slow drift adds little to the sums; each window's
+    variance comes from prefix sums of the centred values and their squares.
+    A window is ill-conditioned where the block's prefix sum of squares up to
+    its last sample exceeds 1e3 * n_w * var, as after a step inside the block;
+    such windows are recomputed by the two-pass formula (subtract the window's
+    own mean, then average the squared deviations).
     """
-    x = np.asarray(x, dtype=float)
-    n, m = x.shape
-    n_win = n - n_w + 1
-    out = np.empty((n_win, m))
-    windows = np.lib.stride_tricks.sliding_window_view(x, n_w, axis=0)  # (n_win, m, n_w)
-    c1 = np.zeros((2 * n_w, m))
-    c2 = np.zeros((2 * n_w, m))
-    for a in range(0, n_win, n_w):
-        nb = min(n_w, n_win - a)
-        seg = x[a:a + nb + n_w - 1] - x[a + n_w - 1]
+    c1 = np.zeros((2 * n_w, math.prod(x.shape[1:])))
+    c2 = np.zeros(c1.shape)
+    for block in _row_blocks(x, n_w, 2 * n_w - 1, rows):
+        nb = len(block) - n_w + 1
+        seg = block - block[n_w - 1]
         np.cumsum(seg, axis=0, out=c1[1:nb + n_w])
-        np.cumsum(seg * seg, axis=0, out=c2[1:nb + n_w])
+        np.cumsum(np.square(seg, out=seg), axis=0, out=c2[1:nb + n_w])
         s1 = c1[n_w:nb + n_w] - c1[:nb]
         var = (c2[n_w:nb + n_w] - c2[:nb] - s1 * s1 / n_w) / n_w
         ti, ji = np.nonzero(c2[n_w:nb + n_w] > 1e3 * n_w * var)
         if ti.size:
-            w = windows[a + ti, ji]
+            w = np.lib.stride_tricks.sliding_window_view(block, n_w, axis=0)[ti, ji]
             dev = w - w.mean(axis=1, keepdims=True)
             var[ti, ji] = np.einsum("iw,iw->i", dev, dev) / n_w
-        out[a:a + nb] = np.sqrt(np.maximum(var, 0.0))
-    return out
+        yield np.sqrt(np.maximum(var, 0.0, out=var), out=var)
 
 
 def window_samples(window_s: float, sample_rate: float) -> int:
@@ -165,10 +168,10 @@ def observe(frames, window_s: float, sample_rate: float,
     component mean is the observation.
     """
     n_w = window_samples(window_s, sample_rate)
-    mags = magnitude_matrix(frames)
-    if mags.shape[0] < n_w:
-        raise ValueError(f"{mags.shape[0]} frames shorter than window of {n_w}")
-    values = _sliding_std_columns(mags, n_w).mean(axis=1)
+    arr = np.asarray(frames)
+    if arr.shape[0] < n_w:
+        raise ValueError(f"{arr.shape[0]} frames shorter than window of {n_w}")
+    values = np.concatenate([std.mean(axis=1) for std in _sliding_stds(arr, n_w)])
     return ObservationSeries(values=values, sample_rate=sample_rate, window_s=window_s,
                              meta=dict(meta or {}))
 

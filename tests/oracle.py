@@ -317,7 +317,7 @@ def sliding_std(series, n_w: int) -> np.ndarray:
         raise ValueError("window must cover at least 2 samples")
     if x.shape[0] < n_w:
         raise ValueError(f"series length {x.shape[0]} shorter than window {n_w}")
-    return sn._sliding_std_columns(x[:, None], n_w)[:, 0]
+    return np.concatenate([std[:, 0] for std in sn._sliding_stds(x[:, None], n_w, np.positive)])
 
 
 def brute_force_observe(arr, n_w: int) -> np.ndarray:

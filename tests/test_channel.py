@@ -412,7 +412,10 @@ def test_blocking_on_distinct_routes_matches_per_path_oracle(grid):
     # a line across the fan of element -> eavesdropper routes, near the surface
     positions = np.column_stack([np.full(40, 1.6), np.linspace(2.2, 3.9, 40)])
     got = sim._attenuations(person, positions)
-    paths = orc.records(sim.paths, scn)
+    engine_paths = ch.build_static_paths(scn)  # the engine's order: environment, then elements
+    if grid is not None:
+        engine_paths = ch._join(engine_paths, ch.build_irs_paths(scn, ch.grid_layout(scn)))
+    paths = orc.records(engine_paths, scn)
     want = np.array([[orc._blocking_atten(p, replace(person, position=tuple(xy))) for p in paths]
                      for xy in positions])
     assert np.array_equal(got < 1.0, want < 1.0)
@@ -420,7 +423,7 @@ def test_blocking_on_distinct_routes_matches_per_path_oracle(grid):
     # away from numpy's vectorised power
     assert np.allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
     # bit for bit, the same array arithmetic on every path's own route
-    via = sim.paths.via
+    via = engine_paths.via
     anchor, eve = (np.broadcast_to(xy, via.shape) for xy in (scn.anchor_pos, scn.eve_pos))
     d = np.minimum(ch.point_segment_distances(positions, anchor, via),
                    ch.point_segment_distances(positions, via, eve))
@@ -450,7 +453,7 @@ def test_blocking_memory_grows_with_routes_not_elements():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert att.shape == (64, len(sim.paths))
+    assert att.shape == (64, len(ch.build_static_paths(sim.scenario)) + 64 * 64)
     assert peak <= 3 * att.nbytes
 
 

@@ -70,6 +70,11 @@ def write(tmp_path, text, name="scenario.cfg"):
     return path
 
 
+def not_utf8(path):
+    """The error a reader gives for a file ending in the bytes ff fe."""
+    return f"^{re.escape(str(path))}: not UTF-8 text: byte 0xff$"
+
+
 # --- load_scenario ---------------------------------------------------------
 
 def test_minimal_config_applies_defaults(minimal_config):
@@ -137,6 +142,27 @@ def test_unknown_section_rejected(tmp_path):
 def test_parse_error_reports_line(tmp_path):
     with pytest.raises(oio.ConfigError, match="line"):
         oio.load_scenario(write(tmp_path, "[anchor\nposition = 0 0\n"))
+
+
+def test_config_not_utf8_names_file(tmp_path):
+    path = write(tmp_path, FULL_CONFIG)
+    path.write_bytes(path.read_bytes() + b"\xff\xfe")
+    with pytest.raises(oio.ConfigError, match=not_utf8(path)):
+        oio.load_scenario(path)
+
+
+def test_large_grid_config_loads_under_a_mebibyte(tmp_path):
+    """A 64x64 surface is checked against the endpoints without building its 4096 paths."""
+    path = write(tmp_path, _edited_config("irs", "grid", "64x64").replace("elements = 256",
+                                                                         "elements = 4096"))
+    tracemalloc.start()
+    try:
+        scenario, _ = oio.load_scenario(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scenario.n_elements == 4096
+    assert peak < 1 << 20
 
 
 def test_grid_mismatch_rejected(tmp_path):
@@ -282,6 +308,14 @@ def test_trace_reexport_byte_identical(tmp_path):
     oio.export_trace(frames, p1)
     oio.export_trace(oio.ingest_trace(p1)[0], p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_trace_not_utf8_names_file(tmp_path):
+    path = tmp_path / "trace.csv"
+    oio.export_trace(small_frames(), path)
+    path.write_bytes(path.read_bytes() + b"\xff\xfe")
+    with pytest.raises(oio.IngestError, match=not_utf8(path)):
+        oio.ingest_trace(path)
 
 
 def test_trace_shuffled_rows_within_frame(tmp_path):
@@ -656,6 +690,13 @@ def test_observation_missing_header_key(tmp_path, key):
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(ln for ln in lines if not ln.startswith(f"# {key}=")))
     with pytest.raises(oio.IngestError, match=f"missing header key '{key}'"):
+        oio.load_observation(path)
+
+
+def test_observation_not_utf8_names_file(tmp_path):
+    path = write_observation(tmp_path)
+    path.write_bytes(path.read_bytes() + b"\xff\xfe")
+    with pytest.raises(oio.IngestError, match=not_utf8(path)):
         oio.load_observation(path)
 
 

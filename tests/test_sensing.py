@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,7 +14,7 @@ import oracle as orc
 
 def test_component_order_single_entry():
     v = np.array([[[3 + 4j]]])
-    assert np.array_equal(sn._component_order(v[None])[0], [3 + 4j])
+    assert np.array_equal(sn._component_order(v[None]).ravel(), [3 + 4j])
 
 
 def test_component_order_length():
@@ -30,7 +32,7 @@ def test_component_order_ordering():
     v2 = np.zeros((1, 2, 2), dtype=complex)
     v2[0, 1, 0] = 1.0
     v2[0, 0, 1] = 2.0
-    out2 = sn._component_order(v2[None])[0]
+    out2 = sn._component_order(v2[None]).ravel()
     assert out2[1] == 1.0 and out2[2] == 2.0
 
 
@@ -73,6 +75,33 @@ def test_select_constant_series_scores_zero():
     frames = arr[:, :, None, None]
     picked = sn.select_subcarriers(frames, 3)
     assert picked == [0, 1, 3]
+
+
+def select_full_matrix(frames, k):
+    """select_subcarriers' scores, from the whole (time, components) |H| matrix at once."""
+    n_sub = frames.shape[1]
+    series = sn.magnitude_matrix(frames).reshape(len(frames), n_sub, -1).mean(axis=2)
+    centered = series - series.mean(axis=0, keepdims=True)
+    norms = np.sqrt((centered ** 2).sum(axis=0))
+    unit = centered / np.where(norms > 0, norms, 1.0)
+    corr = unit.T @ unit
+    corr[norms == 0, :] = 0.0
+    corr[:, norms == 0] = 0.0
+    np.fill_diagonal(corr, 0.0)
+    scores = corr.sum(axis=1) / max(n_sub - 1, 1)
+    return sorted(int(i) for i in np.lexsort((np.arange(n_sub), -scores))[:k])
+
+
+@pytest.mark.parametrize("t", [2, 255, 257, 700])
+def test_select_matches_full_matrix_reference(t):
+    # one shared series plus subcarrier noise of growing amplitude, over row blocks of 256
+    rng = np.random.default_rng(t)
+    base = rng.uniform(1.0, 2.0, size=(t, 1, 1, 1))
+    amp = np.linspace(0.1, 2.0, 12)[None, :, None, None]
+    frames = base + amp * (rng.normal(size=(t, 12, 2, 3)) + 1j * rng.normal(size=(t, 12, 2, 3)))
+    for k in (1, 5, 12):
+        assert sn.select_subcarriers(frames, k) == select_full_matrix(frames, k)
+        assert sn.select_subcarriers(np.abs(frames), k) == select_full_matrix(frames, k)
 
 
 # --- sliding_std -----------------------------------------------------------
@@ -201,6 +230,41 @@ def test_observe_property_matches_brute_force(shape, data):
     obs = sn.observe(arr, n_w / 70.0, 70.0)
     np.testing.assert_allclose(obs.values, orc.brute_force_observe(arr, n_w), rtol=1e-12,
                                atol=0)
+
+
+@pytest.mark.parametrize("t, n_w, step, magnitudes", [
+    (503, 70, None, False), (503, 70, 251, False), (503, 70, 251, True), (300, 7, 150, False),
+    (70, 70, None, False), (71, 70, 35, True), (2, 2, None, False)])
+def test_observe_is_component_mean_of_column_stds(t, n_w, step, magnitudes):
+    """observe reads |H| one block of windows at a time; its values are, to the bit, the
+    component mean of each column's sliding std, over full and partial blocks."""
+    rng = np.random.default_rng(t + n_w)
+    frames = rng.normal(size=(t, 3, 2, 3)) + 1j * rng.normal(size=(t, 3, 2, 3))
+    if step is not None:  # a jump of 1e4 noise stds, whose windows take the two-pass formula
+        frames = 1e-3 * frames + np.where(np.arange(t) < step, 1.0, 11.0)[:, None, None, None]
+    if magnitudes:
+        frames = np.abs(frames)
+    mags = sn.magnitude_matrix(frames)
+    want = np.stack([orc.sliding_std(col, n_w) for col in mags.T], axis=1).mean(axis=1)
+    assert np.array_equal(sn.observe(frames, n_w / 70.0, 70.0).values, want)
+
+
+def test_observe_memory_is_one_block_not_the_session():
+    """A 60 s full-band |H| array (16 MB) is observed in under 4 MiB above its input, and
+    within 10% of what a 10 s array takes: the memory grows with n_w, not with time."""
+    rng = np.random.default_rng(16)
+    peaks = []
+    for seconds in (10, 60):
+        mags = rng.uniform(1.0, 2.0, size=(70 * seconds, 56, 3, 3))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sn.observe(mags, 1.0, 70.0)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 4 << 20
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 NOT_DISTINCT_IN_4 = "is not a distinct integer in \\[0, 4\\)"
