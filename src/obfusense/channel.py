@@ -128,6 +128,21 @@ class Scenario:
         return self.carrier_freq + (k - self.n_subcarriers / 2.0) * self.subcarrier_spacing
 
 
+def room_box(scenario: Scenario):
+    """Lower and upper corners (2,) of the room walls' bounding box; of the anchor and the
+    eavesdropper when the scenario has no walls."""
+    pts = np.asarray([p for w in scenario.room for p in w] if scenario.room
+                     else [scenario.anchor_pos, scenario.eve_pos], dtype=float)
+    return pts.min(axis=0), pts.max(axis=0)
+
+
+def in_room(scenario: Scenario, points) -> bool:
+    """Whether every point (..., 2) lies in the room walls' bounding box; a scenario
+    without walls takes any point."""
+    lo, hi = room_box(scenario)
+    return not scenario.room or bool(np.all((lo <= points) & (points <= hi)))
+
+
 @dataclass
 class PersonState:
     """RF interaction parameters of one person in the room.

@@ -163,8 +163,9 @@ def session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
     scheduler = irsmod.SchedulerParams(**scheduler)
     subs = slice(None) if subcarriers is None else np.asarray(subcarriers, dtype=int)
     frame = (len(np.arange(scenario.n_subcarriers)[subs]), scenario.n_rx, scenario.n_tx)
-    # float64 |H|, plus the complex128 frames when they are kept
-    channel.check_memory(duration_s * scenario.sample_rate * math.prod(frame)
+    # float64 |H|, plus the complex128 frames when they are kept, plus their selected copies
+    copies = 1 + (n_select / frame[0] if n_select is not None and n_select < frame[0] else 0)
+    channel.check_memory(duration_s * scenario.sample_rate * math.prod(frame) * copies
                          * (24 if keep_frames else 8), f"duration {duration_s:g} s")
     n_frames = int(round(duration_s * scenario.sample_rate))
     sim = simulator if simulator is not None else FrameSimulator(scenario)
@@ -245,19 +246,9 @@ def reference_and_selection(scenario: Scenario, defense_on: bool, reference_s: f
     return rec.observation, rec.subcarriers
 
 
-def _room_box(scenario: Scenario):
-    """Lower and upper corners (2,) of the room walls' bounding box; of the anchor and the
-    eavesdropper when the scenario has no walls."""
-    pts = np.asarray([p for w in scenario.room for p in w] if scenario.room
-                     else [scenario.anchor_pos, scenario.eve_pos], dtype=float)
-    return pts.min(axis=0), pts.max(axis=0)
-
-
 def _check_in_room(scenario: Scenario, pos, where: str) -> None:
-    """ScenarioError unless the surface at pos (2,) lies in the room walls' bounding box;
-    a scenario without walls takes any pos."""
-    lo, hi = _room_box(scenario)
-    if scenario.room and not np.all((lo <= pos) & (pos <= hi)):
+    """ScenarioError unless the surface at pos (2,) is channel.in_room."""
+    if not channel.in_room(scenario, pos):
         raise ScenarioError(f"surface at {where} falls outside the room")
 
 
@@ -267,7 +258,7 @@ def coverage_grid_positions(scenario: Scenario, nx: int = 5, ny: int = 4,
     observations of its session_s sessions (8 B per frame) exceed physical memory."""
     channel.check_memory(8.0 * nx * ny * np.round(session_s * scenario.sample_rate),
                          f"grid {nx}x{ny} of {session_s:g} s sessions")
-    lo, hi = _room_box(scenario)
+    lo, hi = channel.room_box(scenario)
     x = np.linspace(lo[0] + margin, hi[0] - margin, nx)
     y = np.linspace(lo[1] + margin, hi[1] - margin, ny)
     return np.array([(xi, yi) for yi in y for xi in x])

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import (PersonState, RotatingReflector, Scenario, ScenarioError, Trajectory, _unit,
-                      build_static_paths, check_surface_size, element_legs, grid_layout,
+                      build_static_paths, check_surface_size, element_legs, grid_layout, in_room,
                       point_segment_distances, rect_room, scatter_paths)
 from .irs import SchedulerParams
 from .sensing import DetectionReport, ObservationSeries, window_samples
@@ -266,6 +266,8 @@ def load_scenario(path):
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from None
     legs = np.asarray(cfg.walk.waypoints, dtype=float)
+    if not in_room(scenario, legs):
+        raise ConfigError("experiment.walk_waypoints: a waypoint falls outside the room")
     if point_segment_distances(np.array([anchor, eve]), legs[:-1], legs[1:]).min() < 1e-9:
         raise ConfigError("experiment.walk_waypoints: the walk passes within 1e-9 m of an endpoint")
     return scenario, cfg

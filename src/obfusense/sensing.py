@@ -117,16 +117,25 @@ def _sliding_stds(x, n_w: int, rows=magnitude_matrix):
     such windows are recomputed by the two-pass formula (subtract the window's
     own mean, then average the squared deviations).
     """
-    c1 = np.zeros((2 * n_w, math.prod(x.shape[1:])))
-    c2 = np.zeros(c1.shape)
+    # One scratch allocation per call, carved into c (prefix sums of seg, then of seg ** 2; row
+    # 0 stays 0), the centred block seg and s1. Three separate buffers give the same values but
+    # left a heap layout that slowed the frame synthesis after them (perfbench defense_grid).
+    k = min(2 * n_w - 1, len(x))
+    scratch = np.empty((3 * n_w + k, math.prod(x.shape[1:])))
+    c, seg_buf, s1_buf = scratch[:2 * n_w], scratch[2 * n_w:2 * n_w + k], scratch[2 * n_w + k:]
+    c[0] = 0.0
+    mask_buf = np.empty(s1_buf.shape, dtype=bool)
     for block in _row_blocks(x, n_w, 2 * n_w - 1, rows):
         nb = len(block) - n_w + 1
-        seg = block - block[n_w - 1]
-        np.cumsum(seg, axis=0, out=c1[1:nb + n_w])
-        np.cumsum(np.square(seg, out=seg), axis=0, out=c2[1:nb + n_w])
-        s1 = c1[n_w:nb + n_w] - c1[:nb]
-        var = (c2[n_w:nb + n_w] - c2[:nb] - s1 * s1 / n_w) / n_w
-        ti, ji = np.nonzero(c2[n_w:nb + n_w] > 1e3 * n_w * var)
+        seg = np.subtract(block, block[n_w - 1], out=seg_buf[:len(block)])
+        np.cumsum(seg, axis=0, out=c[1:nb + n_w])
+        s1 = np.subtract(c[n_w:nb + n_w], c[:nb], out=s1_buf[:nb])
+        np.cumsum(np.square(seg, out=seg), axis=0, out=c[1:nb + n_w])
+        var = c[n_w:nb + n_w] - c[:nb]  # a fresh array per block: callers may keep it
+        np.divide(np.multiply(s1, s1, out=s1), n_w, out=s1)
+        np.divide(np.subtract(var, s1, out=var), n_w, out=var)
+        thr = np.multiply(1e3 * n_w, var, out=s1)
+        ti, ji = np.nonzero(np.greater(c[n_w:nb + n_w], thr, out=mask_buf[:nb]))
         if ti.size:
             w = np.lib.stride_tricks.sliding_window_view(block, n_w, axis=0)[ti, ji]
             dev = w - w.mean(axis=1, keepdims=True)

@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import run_cli
+from conftest import SRC, run_cli
 from obfusense import channel, cli, experiments
 from obfusense import io as oio
 from obfusense import sensing as sn
@@ -55,6 +58,18 @@ def test_bad_config_exit_code(tmp_path):
     rc = invoke("simulate", "--config", cfg, "--motion", "none", "--defense", "off",
                 "--duration", 2, "--out", tmp_path / "x")
     assert rc == 3
+
+
+def test_walk_waypoint_outside_the_room_exits_3_naming_the_key(tmp_path, minimal_config, capsys):
+    """The walk obeys the surface's rule: its points lie in the room walls' bounding box."""
+    cfg = tmp_path / "far_walk.cfg"
+    cfg.write_text(minimal_config.read_text()
+                   + "walk_waypoints =\n    4 2.15\n    40 2.15\n")
+    assert invoke("simulate", "--config", cfg, "--motion", "walk", "--defense", "off",
+                  "--duration", 2, "--out", tmp_path / "x") == 3
+    assert capsys.readouterr().err == ("error: experiment.walk_waypoints: "
+                                       "a waypoint falls outside the room\n")
+    assert not (tmp_path / "x").exists()
 
 
 def test_attack_reference_equals_motion(tmp_path, minimal_config):
@@ -424,3 +439,43 @@ def test_cli_subprocess_smoke(tmp_path, minimal_config):
     assert (tmp_path / "sp" / "observation.csv").exists()
     rc, _, _ = run_cli(["nonsense"])
     assert rc == 2
+
+
+# The child imports the CLI as `obfusense` does at start-up and prints OpenBLAS's thread count,
+# read as perfbench/run.py reads it ("none" when numpy's OpenBLAS is not found).
+_BLAS_THREADS_CHILD = """
+import ctypes
+from pathlib import Path
+import obfusense.cli
+import numpy as np
+libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+for lib in sorted(libdir.glob("*openblas*")) if libdir.is_dir() else ():
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads"):
+        fn = getattr(ctypes.CDLL(str(lib)), symbol, None)
+        if fn is not None:
+            fn.restype = ctypes.c_int
+            print(fn())
+            raise SystemExit
+print("none")
+"""
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def cli_blas_threads(**env_vars):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(env_vars, PYTHONPATH=os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_CHILD], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "none":
+        pytest.skip("numpy's BLAS is not an OpenBLAS whose thread count can be read")
+    return int(proc.stdout)
+
+
+def test_cli_runs_one_blas_thread_by_default():
+    assert cli_blas_threads() == 1
+
+
+def test_cli_keeps_the_blas_thread_count_the_user_sets():
+    assert cli_blas_threads(OPENBLAS_NUM_THREADS="2") == min(2, os.cpu_count())

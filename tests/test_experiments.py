@@ -69,6 +69,20 @@ def test_session_larger_than_memory_rejected_before_allocating():
     assert peak < 50e6
 
 
+@pytest.mark.parametrize("keep_frames", [False, True])
+def test_selected_session_memory_counts_the_selected_copy(monkeypatch, keep_frames):
+    """With n_select = k < K the session holds the full band and its k-subcarrier copy at
+    once, so the guard needs 1 + k/K times the full band's bytes."""
+    scn = quiet_scenario()
+    full = 2 * 70 * scn.n_subcarriers * scn.n_rx * scn.n_tx * (24 if keep_frames else 8)
+    monkeypatch.setattr(ch, "_physical_memory", lambda: float(full * 1.25))
+    monkeypatch.setattr(ch.FrameSimulator, "frame",
+                        lambda *a, **kw: pytest.fail("a frame was synthesised"))
+    with pytest.raises(ValueError, match=r"^duration 2 s needs"):
+        ex.session(scn, False, None, 2.0, n_select=scn.n_subcarriers // 2,
+                   keep_frames=keep_frames)
+
+
 # --- Trajectory ------------------------------------------------------------
 
 def test_trajectory_validation():
