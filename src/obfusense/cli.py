@@ -22,7 +22,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from . import __version__, experiments, io as oio, sensing  # noqa: E402
+from . import __version__, experiments, io as oio, irs, sensing  # noqa: E402
 from .channel import ScenarioError  # noqa: E402
 
 OUT_ENV = "OBFUSENSE_OUT"
@@ -177,6 +177,7 @@ def cmd_sweep(args):
     scenario, cfg = _load(args)
     with _flag("--values"):
         values = _parse_values(args.values)
+        experiments.sweep_sessions(scenario, args.var, values)
     result = experiments.sweep(scenario, args.var, values, c=cfg.c, window_s=cfg.window_s,
                                session_s=args.duration, **cfg.settings())
     out = _out_dir(args)
@@ -193,8 +194,12 @@ def cmd_paramstudy(args):
     scenario, cfg = _load(args)
     with _flag("--R"):
         r_values = [float(v) for v in args.R.split(",")]
+        for r in r_values:
+            irs.SchedulerParams(progression_rate=r)
     with _flag("--P"):
         p_values = [float(v) for v in args.P.split(",")]
+        for p in p_values:
+            irs.SchedulerParams(hold_prob=p)
     cells = experiments.parameter_study(scenario, r_values, p_values, args.duration,
                                         c=cfg.c, window_s=cfg.window_s,
                                         update_rate=cfg.update_rate)

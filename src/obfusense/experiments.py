@@ -144,14 +144,16 @@ class Session:
 def session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
             window_s: float = 1.0, subcarriers=None, n_select: int | None = None, stream: int = 0,
             person_template: PersonState | None = None, keep_frames: bool = False,
-            simulator: FrameSimulator | None = None, active_elements=None, **scheduler) -> Session:
+            simulator: FrameSimulator | None = None, active_elements=None, noise=None,
+            **scheduler) -> Session:
     """One eavesdropping session and its record; every input is checked before synthesis.
 
     motion is None, a Trajectory or a RotatingReflector. With defense_on the surface scheduler
     (the irs.SchedulerParams keywords, validated even with the defense off) ticks at update_rate;
     off, the surface stays at its random initial configuration. The eavesdropper observes the
     given subcarriers (only those are synthesised), the n_select best (sensing.select_subcarriers;
-    all K when n_select >= K), or all K. A worker thread draws the noise NOISE_AHEAD chunks ahead.
+    all K when n_select >= K), or all K. A worker thread draws the noise NOISE_AHEAD chunks ahead,
+    unless noise holds the whole stream's draw (n_frames, 2, K, n_rx, n_tx) at full band.
     """
     if subcarriers is not None and n_select is not None:
         raise ValueError("give subcarriers or n_select, not both")
@@ -171,10 +173,15 @@ def session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
     sim = simulator if simulator is not None else FrameSimulator(scenario)
     if defense_on and sim.n_elements == 0:
         raise ScenarioError("defense requested but the scenario has no reflecting surface")
+    if noise is not None and not sim.noise_std:
+        raise ValueError("noise given for a noiseless scenario")
+    if noise is not None and noise.shape != (n_frames, 2) + sim.h_env.shape:
+        raise ValueError(f"noise has shape {noise.shape}, not {(n_frames, 2) + sim.h_env.shape}")
 
     rng = _noise_rng(scenario, stream)
     # allocated here, not on the worker, which would take a malloc arena of its own
-    ring = np.empty((NOISE_AHEAD + 1, FRAME_CHUNK, 2) + sim.h_env.shape) if sim.noise_std else None
+    ring = (np.empty((NOISE_AHEAD + 1, FRAME_CHUNK, 2) + sim.h_env.shape)
+            if sim.noise_std and noise is None else None)
     with ThreadPoolExecutor(1) as pool:
         def draw(j):  # chunk j's noise, into the slot that chunk j - NOISE_AHEAD - 1 freed
             if ring is not None and j * FRAME_CHUNK < n_frames:
@@ -200,14 +207,16 @@ def session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
             draws.append(draw(j + NOISE_AHEAD))
             b = min(a + FRAME_CHUNK, n_frames)
             first = cfg_index[a]
+            z = (noise[a:b] if noise is not None
+                 else None if draws[j] is None else draws[j].result())
             h = synth.frame(configs[first:cfg_index[b - 1] + 1], cfg_index[a:b] - first,
                             person=person, positions=None if person is None else person_xy[a:b],
                             scatters=() if factors is None else ((unit, factors[a:b]),),
-                            noise=None if draws[j] is None else draws[j].result()[:, :, subs])
+                            noise=None if z is None else z[:, :, subs])
             if keep_frames:
                 frames[a:b] = h
             np.abs(h, out=mags[a:b])
-    del ring, draws, synth, h  # the synthesis buffers go before selection copies |H|
+    del ring, draws, synth, h, z  # the synthesis buffers go before selection copies |H|
     meta = dict(seed=scenario.seed, stream=stream, defense_on=bool(defense_on),
                 duration_s=float(duration_s), n_frames=n_frames, irs_change_frames=change_frames)
     if person is not None:
@@ -227,12 +236,13 @@ def session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
 def run_session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
                 window_s: float = 1.0, subcarriers=None, stream: int = 0,
                 person_template: PersonState | None = None, active_elements=None,
-                simulator: FrameSimulator | None = None, keep_frames: bool = False,
+                simulator: FrameSimulator | None = None, keep_frames: bool = False, noise=None,
                 **scheduler):
     """session()'s observation, or (observation, frames) with keep_frames."""
     rec = session(scenario, defense_on, motion, duration_s, window_s=window_s, stream=stream,
                   subcarriers=subcarriers, person_template=person_template, simulator=simulator,
-                  active_elements=active_elements, keep_frames=keep_frames, **scheduler)
+                  active_elements=active_elements, keep_frames=keep_frames, noise=noise,
+                  **scheduler)
     return (rec.observation, rec.frames) if keep_frames else rec.observation
 
 
@@ -244,6 +254,18 @@ def reference_and_selection(scenario: Scenario, defense_on: bool, reference_s: f
                   n_select=scenario.n_subcarriers if n_select is None else n_select,
                   simulator=simulator, **scheduler)
     return rec.observation, rec.subcarriers
+
+
+def _shared_noise(sim: FrameSimulator, duration_s: float, stream: int, sessions: int):
+    """A study's one read-only draw of stream's noise, held for the whole study (16 B per full-band
+    cell beside a session's 8 B of |H|); None for one session or a noiseless scenario."""
+    if sessions < 2 or not sim.noise_std:
+        return None
+    n_frames = int(round(duration_s * sim.scenario.sample_rate))
+    channel.check_memory(24 * n_frames * sim.h_env.size, f"duration {duration_s:g} s")
+    noise = sim.noise(_noise_rng(sim.scenario, stream), np.empty((n_frames, 2) + sim.h_env.shape))
+    noise.flags.writeable = False
+    return noise
 
 
 def _check_in_room(scenario: Scenario, pos, where: str) -> None:
@@ -342,14 +364,30 @@ def sweep(scenario: Scenario, var: str, values, *, session_s: float = 120.0, c: 
     var "orientation": degrees the surface orbits the anchor. The panel and
     its normal rotate rigidly around the anchor; 0 degrees is the scenario's
     own placement (facing the eavesdropper side).
-    Only the size sweep leaves the geometry alone, so only it reuses one simulator.
+    Only the size sweep leaves the geometry alone, so only it reuses one simulator and
+    draws the sessions' shared noise stream once.
     """
-    if var not in _SWEEP_VARS:
-        raise ValueError(f"sweep variable must be one of {', '.join(_SWEEP_VARS)}, got {var!r}")
+    planned = sweep_sessions(scenario, var, values)
+    check_session(scenario, session_s, window_s)
+    irsmod.SchedulerParams(**scheduler)
+    shared = {}
     if var == "size":
         sim = FrameSimulator(scenario)
-        m = sim.n_elements
-    else:
+        shared = {"simulator": sim, "noise": _shared_noise(sim, session_s, stream, len(planned))}
+    cells = []
+    for value, scn, session in planned:
+        obs = run_session(scn, motion=None, duration_s=session_s, window_s=window_s,
+                          stream=stream, **session, **shared, **scheduler)
+        cells.append(_sweep_cell_stats(value, obs, c))
+    return SweepResult(sweep_var=_SWEEP_VARS[var], cells=cells)
+
+
+def sweep_sessions(scenario: Scenario, var: str, values) -> list:
+    """(value, scenario, session keywords) for each sweep value, every value checked before
+    any session runs: a ValueError or ScenarioError names the first bad one. See sweep."""
+    if var not in _SWEEP_VARS:
+        raise ValueError(f"sweep variable must be one of {', '.join(_SWEEP_VARS)}, got {var!r}")
+    if var != "size":
         if scenario.irs_pos is None:
             raise ScenarioError("scenario has no reflecting surface")
         anchor = np.asarray(scenario.anchor_pos, dtype=float)
@@ -359,7 +397,8 @@ def sweep(scenario: Scenario, var: str, values, *, session_s: float = 120.0, c: 
             raise ScenarioError("surface sits on the anchor; "
                                 f"{'axis' if var == 'distance' else 'orientation'} undefined")
         radial = offset / dist
-    cells = []
+    m = scenario.n_elements if scenario.irs_pos is not None else 0
+    planned = []
     for value in values:
         scn, session = scenario, {"defense_on": True}
         if var == "size":
@@ -370,7 +409,7 @@ def sweep(scenario: Scenario, var: str, values, *, session_s: float = 120.0, c: 
             if value < m:
                 pick_rng = np.random.default_rng((scenario.seed, _SUBSET_STREAM, value))
                 active = np.sort(pick_rng.choice(m, size=value, replace=False))
-            session = {"defense_on": value > 0, "active_elements": active, "simulator": sim}
+            session = {"defense_on": value > 0, "active_elements": active}
         elif var == "distance":
             if value <= 0:
                 raise ValueError("distances must be > 0")
@@ -386,10 +425,8 @@ def sweep(scenario: Scenario, var: str, values, *, session_s: float = 120.0, c: 
             _check_in_room(scenario, pos, f"orientation {value} deg")
             scn = replace(scenario, irs_pos=(float(pos[0]), float(pos[1])),
                           irs_normal=(float(nrm[0]), float(nrm[1])))
-        obs = run_session(scn, motion=None, duration_s=session_s, window_s=window_s,
-                          stream=stream, **session, **scheduler)
-        cells.append(_sweep_cell_stats(value, obs, c))
-    return SweepResult(sweep_var=_SWEEP_VARS[var], cells=cells)
+        planned.append((value, scn, session))
+    return planned
 
 
 def coherence_time(series, sample_rate: float) -> float:
@@ -415,16 +452,25 @@ def coherence_time(series, sample_rate: float) -> float:
 def parameter_study(scenario: Scenario, r_values, p_values, duration_s: float, *,
                     c: float = 11.0, window_s: float = 1.0, stream: int = 0,
                     update_rate: float = irsmod.SchedulerParams.update_rate) -> list:
-    """Scheduler parameter grid: observation statistics per (rate, hold) cell."""
+    """Scheduler parameter grid: observation statistics per (rate, hold) cell.
+
+    Every cell is checked before any synthesis. The cells share one simulator and one draw of
+    stream's noise, so they differ only in the surface."""
     r_values, p_values = list(r_values), list(p_values)
     if not r_values or not p_values:
         raise ValueError("parameter grids must be non-empty")
+    for r in r_values:
+        for p in p_values:
+            irsmod.SchedulerParams(progression_rate=float(r), hold_prob=float(p),
+                                   update_rate=update_rate)
+    check_session(scenario, duration_s, window_s)
     sim = FrameSimulator(scenario)
+    noise = _shared_noise(sim, duration_s, stream, len(r_values) * len(p_values))
     cells = []
     for r in r_values:
         for p in p_values:
             obs = run_session(scenario, True, None, duration_s, window_s=window_s,
-                              stream=stream, simulator=sim, progression_rate=float(r),
+                              stream=stream, simulator=sim, noise=noise, progression_rate=float(r),
                               hold_prob=float(p), update_rate=update_rate)
             med = float(np.median(obs.values))
             mad = float(np.median(np.abs(obs.values - med)))

@@ -1,7 +1,9 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +198,28 @@ def test_bad_value_list_names_flag(tmp_path, minimal_config, capsys, command, fl
     out = tmp_path / "out"
     assert invoke(command, "--config", minimal_config, *extra, flag, value, "--out", out) == 3
     assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    assert not out.exists()
+
+
+
+def test_paramstudy_checks_every_cell_before_synthesis(tmp_path, minimal_config, capsys,
+                                                      monkeypatch):
+    monkeypatch.setattr(channel.FrameSimulator, "frame",
+                        lambda *a, **kw: pytest.fail("a frame was synthesised"))
+    out = tmp_path / "ps"
+    assert invoke("paramstudy", "--config", minimal_config, "--R", "0.05", "--P", "0,1.5",
+                  "--duration", 2, "--out", out) == 3
+    assert capsys.readouterr().err == "error: --P: hold_prob must be in [0, 1), got 1.5\n"
+    assert not out.exists()
+
+
+def test_sweep_checks_every_value_before_its_first_session(tmp_path, minimal_config, capsys,
+                                                          monkeypatch):
+    monkeypatch.setattr(experiments, "run_session", lambda *a, **kw: pytest.fail("a session ran"))
+    out = tmp_path / "sweep"
+    assert invoke("sweep", "--config", minimal_config, "--var", "size", "--values", "64,999",
+                  "--duration", 2, "--out", out) == 3
+    assert capsys.readouterr().err.startswith("error: --values: active count 999 out of range")
     assert not out.exists()
 
 
@@ -479,3 +503,13 @@ def test_cli_runs_one_blas_thread_by_default():
 
 def test_cli_keeps_the_blas_thread_count_the_user_sets():
     assert cli_blas_threads(OPENBLAS_NUM_THREADS="2") == min(2, os.cpu_count())
+
+
+def test_readme_commands_parse():
+    """Every README line that runs the CLI parses with the CLI's own parser."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [ln for ln in readme.read_text().splitlines() if ln.startswith("obfusense ")]
+    assert len(lines) == 11
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

@@ -778,6 +778,94 @@ def test_parameter_study_zero_length_rejected():
         ex.parameter_study(scn, [], [0.4], 6.0)
 
 
+
+# --- a study's shared noise draw -------------------------------------------
+
+# each entry: the study on a scenario, its sessions, and their duration in seconds
+_SHARED_STUDIES = {
+    "parameter_study 2x2": (lambda scn: ex.parameter_study(scn, [0.025, 0.05], [0.0, 0.6], 2.0),
+                            4, 2.0),
+    "sweep size x3": (lambda scn: ex.sweep(scn, "size", [0, 64, 256], session_s=2.0, stream=3),
+                      3, 2.0),
+}
+
+
+def _record_noise(monkeypatch):
+    """Patch FrameSimulator.noise to record each filled array and the thread that filled it."""
+    noise, calls = ch.FrameSimulator.noise, []
+
+    def recorded(self, rng, out):
+        calls.append((out, threading.current_thread()))
+        return noise(self, rng, out)
+
+    monkeypatch.setattr(ch.FrameSimulator, "noise", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("study", _SHARED_STUDIES)
+def test_study_draws_its_noise_once_and_each_cell_matches_its_own_session(monkeypatch, study):
+    run, n_sessions, duration = _SHARED_STUDIES[study]
+    scn = quiet_scenario()
+    run_session, cells = ex.run_session, []
+
+    def recorded(*args, **kw):
+        cells.append((args, kw, run_session(*args, **kw)))
+        return cells[-1][2]
+
+    monkeypatch.setattr(ex, "run_session", recorded)
+    calls = _record_noise(monkeypatch)
+    run(scn)
+    assert len(calls) == 1 and len(cells) == n_sessions
+    (shared, thread), = calls
+    assert thread is threading.main_thread() and not shared.flags.writeable
+    stream = cells[0][1]["stream"]
+    fresh = ch.FrameSimulator(scn).noise(ex._noise_rng(scn, stream), np.empty(shared.shape))
+    assert shared.shape[0] == round(duration * _FS) and np.array_equal(shared, fresh)
+    monkeypatch.undo()
+    for args, kw, obs in cells:
+        assert kw["noise"] is shared
+        own = {k: v for k, v in kw.items() if k not in ("noise", "simulator")}
+        assert np.array_equal(obs.values, ex.run_session(*args, **own).values)
+
+
+def test_one_cell_study_draws_on_its_worker_and_noiseless_study_draws_nothing(monkeypatch):
+    calls = _record_noise(monkeypatch)
+    ex.parameter_study(quiet_scenario(), [0.05], [0.6], 2.0)
+    assert calls and all(t is not threading.main_thread() for _, t in calls)
+    calls.clear()
+    ex.parameter_study(quiet_scenario(snr_db=float("inf")), [0.05], [0.0, 0.6], 2.0)
+    ex.sweep(quiet_scenario(snr_db=float("inf")), "size", [0, 256], session_s=2.0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("scn, shape, message", [
+    (quiet_scenario(), (139, 2, 56, 3, 3), r"^noise has shape \(139, 2, 56, 3, 3\), not \(140,"),
+    (quiet_scenario(), (140, 2, 28, 3, 3), r"^noise has shape \(140, 2, 28, 3, 3\), not \(140,"),
+    (quiet_scenario(snr_db=float("inf")), (140, 2, 56, 3, 3),
+     r"^noise given for a noiseless scenario"),
+], ids=["frames", "band", "noiseless"])
+def test_session_rejects_wrong_noise_before_any_frame(monkeypatch, scn, shape, message):
+    monkeypatch.setattr(ch.FrameSimulator, "frame",
+                        lambda *a, **kw: pytest.fail("a frame was synthesised"))
+    with pytest.raises(ValueError, match=message):
+        ex.session(scn, True, None, 2.0, noise=np.zeros(shape))
+
+
+@pytest.mark.parametrize("run", [
+    lambda scn: ex.parameter_study(scn, [0.05], [0.0, 0.6], 6.0),
+    lambda scn: ex.sweep(scn, "size", [64, 256], session_s=6.0),
+], ids=["parameter_study 1x2", "sweep size x2"])
+def test_study_memory_guard_counts_the_shared_noise(monkeypatch, run):
+    """A study holds its noise (16 B per full-band cell) beside a session's |H| (8 B): memory
+    for 16 B per cell runs each session alone, but not the study."""
+    scn = quiet_scenario()
+    cells = round(6.0 * _FS) * scn.n_subcarriers * scn.n_rx * scn.n_tx
+    monkeypatch.setattr(ch, "_physical_memory", lambda: float(16 * cells))
+    monkeypatch.setattr(ch.FrameSimulator, "frame",
+                        lambda *a, **kw: pytest.fail("a frame was synthesised"))
+    with pytest.raises(ValueError, match=r"^duration 6 s needs"):
+        run(scn)
+
 # --- coverage grid ---------------------------------------------------------
 
 def test_coverage_grid_shapes_and_rates():
