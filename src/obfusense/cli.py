@@ -89,6 +89,8 @@ def _parse_values(text: str):
     """Comma list (1,2,3) or start:stop:step range (32:256:32, inclusive) of finite
     numbers; a range gives at most MAX_RANGE_VALUES values, checked before any is built."""
     if ":" in text:
+        if text.count(":") != 2:
+            raise ValueError(f"range {text!r} must be start:stop:step")
         start, stop, step_ = (float(v) for v in text.split(":"))
         if not all(map(math.isfinite, (start, stop, step_))):
             raise ValueError(f"range {text!r}: start, stop and step must be finite")
@@ -105,6 +107,8 @@ def _parse_values(text: str):
 
 def cmd_simulate(args):
     scenario, cfg = _load(args)
+    with _flag("--stream"):
+        experiments.check_stream(args.stream)
     motion = {"none": None, "walk": cfg.walk, "reflector": cfg.reflector}[args.motion]
     person = cfg.person() if args.motion == "walk" else None
     obs, frames = experiments.run_session(
@@ -145,6 +149,8 @@ def cmd_attack(args):
 
 def cmd_coverage(args):
     scenario, cfg = _load(args)
+    with _flag("--jobs"):
+        experiments.check_jobs(args.jobs)
     with _flag("--grid"):
         grid = experiments.coverage_grid_positions(scenario, *oio.parse_grid(args.grid),
                                                    session_s=args.session_s)

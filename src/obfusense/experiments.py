@@ -95,6 +95,18 @@ def check_session(scenario: Scenario, duration_s: float, window_s: float) -> Non
         raise ValueError("session shorter than the observation window")
 
 
+def check_stream(stream) -> None:
+    """ValueError unless stream is an integer >= 0, as the streams' seed sequences need."""
+    if not isinstance(stream, (int, np.integer)) or stream < 0:
+        raise ValueError(f"stream must be an integer >= 0, got {stream!r}")
+
+
+def check_jobs(jobs: int) -> None:
+    """ValueError unless jobs is >= 1."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+
+
 def _schedule(n_elements, defense_on, times, sample_rate, scheduler: irsmod.SchedulerParams,
               active_elements, rng_irs):
     """Scheduler pass: (configs (C, M), cfg_index (T,), change frames).
@@ -160,6 +172,7 @@ def session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
     if n_select is not None and n_select < 1:  # sensing.select_subcarriers' rule, before synthesis
         raise ValueError(f"k={n_select} out of range for {scenario.n_subcarriers} subcarriers")
     check_session(scenario, duration_s, window_s)
+    check_stream(stream)
     if subcarriers is not None:
         subcarriers = sensing.check_subcarriers(subcarriers, scenario.n_subcarriers)
     scheduler = irsmod.SchedulerParams(**scheduler)
@@ -299,8 +312,7 @@ def run_coverage_grid(scenario: Scenario, grid, defense_on: bool, c: float = 11.
     variant. Cells run in min(jobs, cells, CPU count) worker processes; every
     cell reuses the reference's simulator.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    check_jobs(jobs)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid is empty")
@@ -400,6 +412,8 @@ def sweep_sessions(scenario: Scenario, var: str, values) -> list:
     m = scenario.n_elements if scenario.irs_pos is not None else 0
     planned = []
     for value in values:
+        if not math.isfinite(value):
+            raise ValueError(f"sweep value {value} is not finite")
         scn, session = scenario, {"defense_on": True}
         if var == "size":
             value = int(value)

@@ -3,8 +3,8 @@
 Three documented schemas, all versioned:
   - trace CSV: `# key=value` header lines, then `t,k,rx,tx,re,im` rows over a
     complete (t, k, rx, tx) lattice, written in canonical order; ingest reads
-    them in one np.loadtxt call, in any order within a frame, and re-reads row
-    by row only for spellings loadtxt refuses or to name a fault;
+    them in one np.loadtxt pass, in any order within a frame, and names the
+    first fault;
   - observation CSV: `t_seconds,sigma_bar` rows plus sample-rate/window header
     lines;
   - report JSON: threshold, rates, ROC points, AUC, provenance.
@@ -365,10 +365,9 @@ def ingest_trace(path):
     room for one frame: a 12-byte row `0,0,0,0,0,0` a cell, less the last
     newline. The (t, k, rx, tx) lattice must be complete for every frame and
     frame indices must not go backwards; row order inside one frame is free.
-    Row i of values is the i-th frame in the file. All rows are read by one
-    np.loadtxt call and checked at once. A file that fails there, or that spells
-    a number in a way loadtxt refuses and int() or float() take, is re-read row by
-    row, which accepts the same files, returns the same values and names the fault.
+    Row i of values is the i-th frame in the file. The rows are read once
+    (_read_rows) and checked at once; only when a check fails does _fault find the
+    first fault for the IngestError.
     """
     with _utf8(path, IngestError) as fh:
         meta = _read_preamble(fh, path, _TRACE_COLUMNS)
@@ -379,79 +378,57 @@ def ingest_trace(path):
         if size - start < need:
             raise IngestError(f"{path}: header dimensions {shape} need {need} bytes of rows for "
                               f"one frame; the {size}-byte file has {size - start} after its header")
-        values = _frames_from_table(fh, shape)
-        if values is None:
-            fh.seek(start)
-            frames = list(_frames_from_rows(fh, shape, path))
-            values = np.stack(frames) if frames else np.zeros((0, *shape), dtype=complex)
-    return values, sample_rate
+        rows = _read_rows(fh, path, [("index", np.int32, 4), ("value", float, 2)])
+    index, value = rows["index"], rows["value"].view(complex)[:, 0]
+    with contextlib.suppress(ValueError):  # a cell outside shape, or rows short of whole frames
+        cells = np.ravel_multi_index(tuple(index[:, 1:].T), shape)
+        t = index[:, 0].reshape(-1, math.prod(shape))
+        if (t == t[:, :1]).all() and (t[1:, 0] > t[:-1, 0]).all():  # one t a frame, rising
+            cells.reshape(t.shape)[:] += np.arange(0, cells.size, t.shape[1])[:, None]
+            values = np.full(cells.size, np.nan, dtype=complex)  # a cell no row sets is not finite
+            values[cells] = value
+            if np.isfinite(values).all():
+                return values.reshape(-1, *shape), sample_rate
+    raise IngestError(f"{path}: {_fault(index, value, shape)}")
 
 
-def _frames_from_table(fh, shape):
-    """Every row read by one np.loadtxt call and checked at once: finite values, cells inside
-    shape, t never going back, each run of equal t holding every cell once. None on any
-    failure or on a spelling loadtxt refuses; the row parser then decides."""
+def _read_rows(fh, path, dtype):
+    """The rows after the preamble, from one np.loadtxt call (none for blank lines only); a
+    row it refuses raises an IngestError with its message, which names the row and column."""
     try:
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # "input contained no data" too
-            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
-                              dtype=[("index", np.int32, 4), ("value", float, 2)])
-        cells = np.ravel_multi_index(tuple(rows["index"][:, 1:].T), shape)
-        t = rows["index"][:, 0].reshape(-1, math.prod(shape))
-    except (ValueError, Warning):
-        return None
-    if (t != t[:, :1]).any() or (t[1:, 0] <= t[:-1, 0]).any():
-        return None
-    cells.reshape(t.shape)[:] += np.arange(0, cells.size, t.shape[1])[:, None]  # frame offsets
-    values = np.full(cells.size, np.nan, dtype=complex)  # so a cell no row sets is not finite
-    values[cells] = rows["value"].view(complex)[:, 0]
-    return values.reshape(-1, *shape) if np.isfinite(values).all() else None
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(fh, delimiter=",", comments=None, ndmin=1, dtype=dtype)
+    except ValueError as exc:
+        raise IngestError(f"{path}: {exc}") from None
 
 
-def _rows(fh, path, n_fields):
-    """(line, fields) for each non-blank line of fh, stripped and split at commas; an
-    IngestError naming the first line with another number of fields."""
-    for line in filter(None, map(str.strip, fh)):
-        parts = line.split(",")
-        if len(parts) != n_fields:
-            raise IngestError(f"{path}: malformed row {line!r}")
-        yield line, parts
-
-
-def _frames_from_rows(fh, shape, path):
-    """Frames row by row with Python's int and float; an IngestError names the first fault."""
-    current_t = values = seen = None
-
-    def flush():
-        missing = np.argwhere(~seen)
-        if missing.size:
-            k, rx, tx = missing[0]
-            raise IngestError(f"{path}: frame t={current_t} missing cell (k={k}, rx={rx}, tx={tx})")
-        return values
-
-    for line, parts in _rows(fh, path, 6):
-        try:
-            t, k, rx, tx, re, im = *map(int, parts[:4]), *map(float, parts[4:])
-        except ValueError as exc:
-            raise IngestError(f"{path}: bad number in row {line!r}: {exc}") from None
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise IngestError(f"{path}: non-finite value at t={t}")
-        if not (0 <= k < shape[0] and 0 <= rx < shape[1] and 0 <= tx < shape[2]):
-            raise IngestError(f"{path}: index (k={k}, rx={rx}, tx={tx}) outside header dimensions")
-        if current_t is None or t != current_t:
-            if current_t is not None:
-                if t < current_t:
-                    raise IngestError(f"{path}: frame index goes backwards at t={t}")
-                yield flush()
-            current_t = t
-            values = np.zeros(shape, dtype=complex)
-            seen = np.zeros(shape, dtype=bool)
-        if seen[k, rx, tx]:
-            raise IngestError(f"{path}: duplicate cell (t={t}, k={k}, rx={rx}, tx={tx})")
-        values[k, rx, tx] = complex(re, im)
-        seen[k, rx, tx] = True
-    if current_t is not None:
-        yield flush()
+def _fault(index, value, shape) -> str:
+    """The first fault of rows that ingest_trace rejects. Row by row in file order, a frame being a
+    run of equal t: a non-finite value, a cell outside shape, t going back, a missing cell in the
+    frame the row ends, a cell already in the row's frame; then a missing cell in the last frame."""
+    t, n, n_cells = index[:, 0], len(index), math.prod(shape)
+    cells = np.ravel_multi_index(tuple(index[:, 1:].T), shape, mode="clip")
+    frame = np.r_[0, np.cumsum(t[1:] != t[:-1])]
+    ends = np.r_[np.flatnonzero(np.diff(frame)) + 1, n]  # the row after each frame
+    faults = np.zeros((5, n + 1), dtype=bool)  # [check, row], one column past the last row
+    faults[0, :n] = ~np.isfinite(value)
+    faults[1, :n] = ((index[:, 1:] < 0) | (index[:, 1:] >= shape)).any(axis=1)
+    faults[2, 1:n] = t[1:] < t[:-1]
+    faults[3, ends] = np.diff(np.r_[0, ends]) != n_cells
+    faults[4, :n] = True  # then cleared on the first row of each (frame, cell)
+    faults[4, np.unique(frame * n_cells + cells, return_index=True)[1]] = False
+    i = faults.any(axis=0).argmax()
+    check = faults[:, i].argmax()
+    t_i, k, rx, tx = index[min(i, n - 1)]
+    if check == 3:  # the first cell that the frame ending before row i lacks
+        seen = np.bincount(cells[np.searchsorted(frame, frame[i - 1]):i], minlength=n_cells)
+        t_i, (k, rx, tx) = t[i - 1], np.unravel_index(seen.argmin(), shape)
+    return (f"non-finite value at t={t_i}",
+            f"index (k={k}, rx={rx}, tx={tx}) outside header dimensions",
+            f"frame index goes backwards at t={t_i}",
+            f"frame t={t_i} missing cell (k={k}, rx={rx}, tx={tx})",
+            f"duplicate cell (t={t_i}, k={k}, rx={rx}, tx={tx})")[check]
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +454,9 @@ def export_observation(obs: ObservationSeries, path):
 def load_observation(path) -> ObservationSeries:
     """Read an observation CSV; the header must give sample_rate and window_s.
 
-    Each row's t_seconds must sit on the lattice (i + n_w - 1) / sample_rate
-    that export_observation writes, within 1e-9 s; n_w is sensing.window_samples.
+    Each row i (from 0) must have its t_seconds on the lattice (i + n_w - 1) /
+    sample_rate that export_observation writes, within 1e-9 s; n_w is
+    sensing.window_samples. The rows are read once (_read_rows).
     """
     with _utf8(path, IngestError) as fh:
         meta = _read_preamble(fh, path, ("t_seconds", "sigma_bar"))
@@ -488,19 +466,15 @@ def load_observation(path) -> ObservationSeries:
             n_w = window_samples(window_s, sample_rate)
         except ValueError as exc:
             raise IngestError(f"{path}: {exc}") from None
-        values = []
-        for line, parts in _rows(fh, path, 2):
-            try:
-                t, v = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise IngestError(f"{path}: bad number in row {line!r}: {exc}") from None
-            expected = (len(values) + n_w - 1) / sample_rate
-            if not abs(t - expected) <= 1e-9:
-                raise IngestError(f"{path}: row {line!r}: t_seconds {t!r} is off the lattice, "
-                                  f"expected {expected!r}")
-            values.append(v)
+        rows = _read_rows(fh, path, [("t", float), ("v", float)])
+    expected = (np.arange(len(rows)) + (n_w - 1)) / sample_rate
+    off = ~(np.abs(rows["t"] - expected) <= 1e-9)
+    if off.any():
+        i = off.argmax()
+        raise IngestError(f"{path}: row {i}: t_seconds {float(rows['t'][i])!r} is off the "
+                          f"lattice, expected {float(expected[i])!r}")
     try:
-        return ObservationSeries(values=np.asarray(values), sample_rate=sample_rate,
+        return ObservationSeries(values=rows["v"].copy(), sample_rate=sample_rate,
                                  window_s=window_s, meta={"path": str(path)})
     except ValueError as exc:
         raise IngestError(f"{path}: {exc}") from None

@@ -1,10 +1,12 @@
-"""Reference models for the tests: the per-path channel, small scheduler helpers and a
-brute-force observation.
+"""Reference models for the tests: the per-path channel, small scheduler helpers, a
+brute-force observation and a row-by-row trace reader.
 
 The channel oracle keeps one `Path` record per propagation path and forms a
 frame as the literal weighted sum of the paths' responses, one path at a time.
 The array frame engine (channel.FrameSimulator) must agree with it; the
 physics-identity, engine-against-oracle and criterion tests compare the two.
+The trace reader parses one row at a time with Python's int and float and
+stops at the first fault; io.ingest_trace must agree with it.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import numpy as np
 
 from obfusense import channel as ch
 from obfusense import irs as ir
+from obfusense.io import IngestError
 from obfusense import sensing as sn
 
 # Sub-stream tag for per-frame noise generators (see frame_noise_rng).
@@ -334,3 +337,50 @@ def brute_force_observe(arr, n_w: int) -> np.ndarray:
             acc += math.sqrt(((win - mean) ** 2).sum() / n_w)
         out[ti - n_w + 1] = acc / mags.shape[1]
     return out
+
+
+def trace_rows(fh, path, n_fields):
+    """(line, fields) for each non-blank line of fh, stripped and split at commas; an
+    IngestError naming the first line with another number of fields."""
+    for line in filter(None, map(str.strip, fh)):
+        parts = line.split(",")
+        if len(parts) != n_fields:
+            raise IngestError(f"{path}: malformed row {line!r}")
+        yield line, parts
+
+
+def frames_from_rows(fh, shape, path):
+    """Trace frames row by row with Python's int and float; an IngestError names the first
+    fault."""
+    current_t = values = seen = None
+
+    def flush():
+        missing = np.argwhere(~seen)
+        if missing.size:
+            k, rx, tx = missing[0]
+            raise IngestError(f"{path}: frame t={current_t} missing cell (k={k}, rx={rx}, tx={tx})")
+        return values
+
+    for line, parts in trace_rows(fh, path, 6):
+        try:
+            t, k, rx, tx, re, im = *map(int, parts[:4]), *map(float, parts[4:])
+        except ValueError as exc:
+            raise IngestError(f"{path}: bad number in row {line!r}: {exc}") from None
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise IngestError(f"{path}: non-finite value at t={t}")
+        if not (0 <= k < shape[0] and 0 <= rx < shape[1] and 0 <= tx < shape[2]):
+            raise IngestError(f"{path}: index (k={k}, rx={rx}, tx={tx}) outside header dimensions")
+        if current_t is None or t != current_t:
+            if current_t is not None:
+                if t < current_t:
+                    raise IngestError(f"{path}: frame index goes backwards at t={t}")
+                yield flush()
+            current_t = t
+            values = np.zeros(shape, dtype=complex)
+            seen = np.zeros(shape, dtype=bool)
+        if seen[k, rx, tx]:
+            raise IngestError(f"{path}: duplicate cell (t={t}, k={k}, rx={rx}, tx={tx})")
+        values[k, rx, tx] = complex(re, im)
+        seen[k, rx, tx] = True
+    if current_t is not None:
+        yield flush()

@@ -223,6 +223,21 @@ def test_sweep_checks_every_value_before_its_first_session(tmp_path, minimal_con
     assert not out.exists()
 
 
+@pytest.mark.parametrize("var, values, message", [
+    ("size", "1:2", "range '1:2' must be start:stop:step"),
+    ("size", "1:2:3:4", "range '1:2:3:4' must be start:stop:step"),
+    ("size", "64,inf", "sweep value inf is not finite"),
+    ("orientation", "inf", "sweep value inf is not finite"),
+    ("distance", "nan", "sweep value nan is not finite"),
+], ids=["two-part range", "four-part range", "size inf", "orientation inf", "distance nan"])
+def test_sweep_values_errors_are_clear(tmp_path, minimal_config, capsys, var, values, message):
+    out = tmp_path / "sweep"
+    assert invoke("sweep", "--config", minimal_config, "--var", var, "--values", values,
+                  "--out", out) == 3
+    assert capsys.readouterr().err == f"error: --values: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["0:inf:1", "nan:1:1", "0:1:inf", "-inf:0:1"])
 def test_range_values_must_be_finite(text):
     with pytest.raises(ValueError, match="must be finite"):
@@ -261,8 +276,8 @@ def test_attack_non_finite_threshold_names_flag(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("window_s, message", [
-    (1e308, "row '-0.014285714285714285,0.1': t_seconds -0.014285714285714285 is off the "
-            "lattice"),  # n_w = 2 ** 62, not int(inf)
+    (1e308, "row 0: t_seconds -0.014285714285714285 is off the lattice"),  # n_w = 2 ** 62,
+    # not int(inf)
     (0.001, "window_s 0.001 s gives n_w = 0 at sample_rate 70"),
 ], ids=["huge", "under_2_samples"])
 def test_attack_observation_window_follows_window_rule(tmp_path, capsys, window_s, message):
@@ -281,6 +296,21 @@ def test_coverage_jobs_below_one_rejected(tmp_path, minimal_config, capsys):
     assert invoke("coverage", "--config", minimal_config, "--jobs", 0,
                   "--out", tmp_path / "cov") == 3
     assert "jobs must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, message", [
+    (("simulate", "--duration", 2, "--stream", -1),
+     "--stream: stream must be an integer >= 0, got -1"),
+    (("coverage", "--jobs", 0), "--jobs: jobs must be >= 1, got 0"),
+], ids=["stream", "jobs"])
+def test_bad_stream_or_jobs_named_before_synthesis(tmp_path, minimal_config, capsys, monkeypatch,
+                                                   command, message):
+    monkeypatch.setattr(channel.FrameSimulator, "__init__",
+                        lambda *a, **kw: pytest.fail("a simulator was built"))
+    out = tmp_path / "out"
+    assert invoke(*command, "--config", minimal_config, "--out", out) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid", ["3", "0x2"])

@@ -249,6 +249,9 @@ CHECKED = [  # (id, sessions, duration_s, window_s, session keywords, message)
     ("huge_window", SESSIONS, 20.0, 1e308, {}, r"^session shorter than the observation window"),
     ("n_select", ["reference_and_selection"], 3.0, 1.0, {"n_select": 0},
      r"^k=0 out of range for 56 subcarriers$"),
+    ("stream", SESSIONS, 3.0, 1.0, {"stream": -1}, r"^stream must be an integer >= 0, got -1$"),
+    ("fractional_stream", SESSIONS, 3.0, 1.0, {"stream": 1.5},
+     r"^stream must be an integer >= 0, got 1.5$"),
 ]
 
 

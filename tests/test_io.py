@@ -6,8 +6,8 @@ import re
 import tempfile
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +18,8 @@ from obfusense import channel as ch
 from obfusense import cli
 from obfusense import io as oio
 from obfusense import sensing as sn
+
+import oracle as orc
 
 
 FULL_CONFIG = """\
@@ -449,19 +451,21 @@ def test_trace_shortest_frame_accepted(tmp_path):
     assert back.shape == (1, 1, 1, 1)
 
 
-@pytest.mark.parametrize("row, message", [
-    ("0,0,0,0,1.0", "malformed row"),
-    ("0,0,0,0,nan,1.0", "non-finite"),
-    ("0,5,0,0,1.0,2.0", "outside header"),
-    ("0,0,0,0,1.0,abc", r"row '0,0,0,0,1.0,abc'"),
-    ("0.5,0,0,0,1.0,2.0", r"row '0.5,0,0,0,1.0,2.0'"),
-])
+@pytest.mark.parametrize("row, message", [  # the first three are np.loadtxt's own texts
+    ("0,0,0,0,1.0", "the dtype passed requires 6 columns but 5 were found at row 1"),
+    ("0,0,0,0,1.0,abc", "could not convert string 'abc' to float64 at row 0, column 6."),
+    ("0.5,0,0,0,1.0,2.0", "could not convert string '0.5' to int32 at row 0, column 1."),
+    ("0,0,0,0,nan,1.0", "non-finite value at t=0"),
+    ("0,5,0,0,1.0,2.0", "index (k=5, rx=0, tx=0) outside header dimensions"),
+], ids=["0,0,0,0,1.0-malformed row", "0,0,0,0,1.0,abc-row '0,0,0,0,1.0,abc'",
+        "0.5,0,0,0,1.0,2.0-row '0.5,0,0,0,1.0,2.0'", "0,0,0,0,nan,1.0-non-finite",
+        "0,5,0,0,1.0,2.0-outside header"])
 def test_trace_bad_row_named(tmp_path, row, message):
     path = tmp_path / "trace.csv"
     oio.export_trace(small_frames(n=1, k=1, rx=1, tx=1), path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:6] + [row]) + "\n")
-    with pytest.raises(oio.IngestError, match=message):
+    with pytest.raises(oio.IngestError, match=f"^{re.escape(f'{path}: {message}')}"):
         oio.ingest_trace(path)
 
 
@@ -480,8 +484,7 @@ def test_trace_roundtrip_property(shape, data):
     values = np.empty(shape, dtype=complex)
     values.real = np.reshape(flat[:n // 2], shape)
     values.imag = np.reshape(flat[n // 2:], shape)
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(oio, "_frames_from_rows", side_effect=AssertionError("fell back")):
+    with tempfile.TemporaryDirectory() as tmp:
         p1, p2 = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
         oio.export_trace(values, p1)
         back, sample_rate = oio.ingest_trace(p1)
@@ -554,17 +557,23 @@ MUTATIONS = {
     "value 1_0": lambda rows, i: rows[:i] + [_set_field(rows[i], 4, "1_0")] + rows[i + 1:],
     "t = 2**31 from here on": lambda rows, i: rows[:i]
     + [_set_field(r, 0, str(2**31)) for r in rows[i:]],
+    "index in non-ASCII digits": lambda rows, i: rows[:i] + [_set_field(rows[i], 1, "".join(
+        chr(0x660 + int(c)) for c in rows[i].split(",")[1]))] + rows[i + 1:],
     "# inside a value": lambda rows, i: rows[:i]
     + [_set_field(rows[i], 5, rows[i].split(",")[5] + "#1")] + rows[i + 1:],
 }
+# the mutations that leave a file the reference reads and np.loadtxt refuses
+REFUSED_SPELLINGS = ("whitespace-only line", "index 0_t", "value 1_0", "t = 2**31 from here on",
+                     "index in non-ASCII digits")
 
 
 def _per_row(path):
-    """Reference result: today's row parser on the whole file."""
+    """Reference result: the oracle's row-by-row reader on the whole file."""
     with open(path, encoding="utf-8") as fh:
         meta = oio._read_preamble(fh, path, oio._TRACE_COLUMNS)
         shape = tuple(int(meta[key]) for key in oio._TRACE_DIMS)
-        return np.stack(list(oio._frames_from_rows(fh, shape, path)))
+        frames = list(orc.frames_from_rows(fh, shape, path))
+    return np.stack(frames) if frames else np.zeros((0, *shape), dtype=complex)
 
 
 def _outcome(read, path):
@@ -575,8 +584,34 @@ def _outcome(read, path):
     return "values", values.shape, values.tobytes()
 
 
+def _holds_refused_spelling(path):
+    """Whether the rows spell something as int() and float() do and np.loadtxt does not: a
+    whitespace-only line, a `_` digit separator, a non-ASCII digit or an index of 2**31 or
+    more in size."""
+    lines = path.read_text(encoding="utf-8").partition("t,k,rx,tx,re,im\n")[2].split("\n")
+
+    def huge(field):
+        try:
+            return abs(int(field)) >= 2**31
+        except ValueError:
+            return False
+
+    return any(line.isspace() or "_" in line or not line.isascii()
+               or any(map(huge, line.split(",")[:4])) for line in lines)
+
+
 def _assert_same_as_rows(path):
-    assert _outcome(lambda p: oio.ingest_trace(p)[0], path) == _outcome(_per_row, path)
+    """ingest gives the reference reader's values or its fault text, unless np.loadtxt refuses
+    a row: its message then follows the path, and the reference rejects the file too or
+    reads a spelling that no writer uses. Returns ingest's outcome."""
+    got = _outcome(lambda p: oio.ingest_trace(p)[0], path)
+    expected = _outcome(_per_row, path)
+    if got[0] == "error" and " at row " in got[1]:
+        assert got[1].startswith(f"{path}: ")
+        assert expected[0] == "error" or _holds_refused_spelling(path)
+    else:
+        assert got == expected
+    return got
 
 
 @pytest.mark.parametrize("name", MUTATIONS)
@@ -584,8 +619,10 @@ def _assert_same_as_rows(path):
                                         (LONG_SHAPE, SEAM)])
 def test_ingest_matches_row_parser_under_mutation(tmp_path, name, shape, row):
     path, head, rows = _trace_rows(tmp_path, shape)
-    path.write_text("\n".join(head + MUTATIONS[name](rows, row)) + "\n")
-    _assert_same_as_rows(path)
+    path.write_text("\n".join(head + MUTATIONS[name](rows, row)) + "\n", encoding="utf-8")
+    got = _assert_same_as_rows(path)
+    if name in REFUSED_SPELLINGS:
+        assert got[0] == "error" and " at row " in got[1]
 
 
 @pytest.mark.parametrize("t", [1, 4, 2])  # backwards, a gap, a repeated t
@@ -609,13 +646,11 @@ def test_ingest_without_final_newline_matches_row_parser(tmp_path):
     (lambda rows: rows[:4] + [_set_field(rows[4], 0, "+1")] + rows[5:], "\n"),
     (lambda rows: rows, ""),  # no final newline
 ], ids=["shuffled", "gap in t", "blank line", "index +1", "no final newline"])
-def test_ingest_reads_non_canonical_trace_without_row_parser(tmp_path, monkeypatch, edit, end):
+def test_ingest_reads_non_canonical_trace_without_row_parser(tmp_path, edit, end):
     path, head, rows = _trace_rows(tmp_path, (3, 2, 2, 1))
     path.write_text("\n".join(head + edit(rows)) + end)
     expected = _outcome(_per_row, path)
     assert expected[0] == "values"
-    monkeypatch.setattr(oio, "_frames_from_rows",
-                        lambda *args: pytest.fail("fell back to the row parser"))
     assert _outcome(lambda p: oio.ingest_trace(p)[0], path) == expected
 
 
@@ -628,8 +663,8 @@ _MUTANT_CHARS = st.sampled_from([*"0123456789,.+-e_ \t\n\r\x0c", "nan", "inf", "
                                 st.sampled_from(["replace", "insert", "delete"]), _MUTANT_CHARS),
                       min_size=1, max_size=4))
 def test_ingest_matches_row_parser_under_character_mutation(shape, edits):
-    """Characters of the rows replaced, inserted or deleted: ingest gives the row parser's values
-    or its IngestError text."""
+    """Characters of the rows replaced, inserted or deleted: ingest agrees with the row-by-row
+    reference reader (see _assert_same_as_rows)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
         oio.export_trace(small_frames(*shape, seed=3), path)
@@ -641,14 +676,64 @@ def test_ingest_matches_row_parser_under_character_mutation(shape, edits):
         _assert_same_as_rows(path)
 
 
-def test_ingest_canonical_trace_skips_row_parser(tmp_path, monkeypatch):
+def test_ingest_canonical_trace_skips_row_parser(tmp_path):
     frames = small_frames(*LONG_SHAPE, seed=9)
     path = tmp_path / "trace.csv"
     oio.export_trace(frames, path)
-    monkeypatch.setattr(oio, "_frames_from_rows",
-                        lambda *args: pytest.fail("fell back to the row parser"))
     back, _ = oio.ingest_trace(path)
     assert back.tobytes() == frames.tobytes()
+
+
+class _CountingHandle:
+    """A text file handle that counts the lines read through it."""
+
+    def __init__(self, fh):
+        self.fh, self.lines = fh, 0
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        line = self.readline()
+        if not line:
+            raise StopIteration
+        return line
+
+    def readline(self, *args):
+        line = self.fh.readline(*args)
+        self.lines += bool(line)
+        return line
+
+
+@pytest.mark.parametrize("kind", ["trace", "trace with a nan last value", "observation"])
+def test_rows_are_read_once(tmp_path, monkeypatch, kind):
+    path = tmp_path / "data.csv"
+    if kind == "observation":
+        oio.export_observation(sn.ObservationSeries(values=np.linspace(0.1, 0.5, 40),
+                                                    sample_rate=70.0, window_s=1.0), path)
+    else:
+        oio.export_trace(small_frames(*LONG_SHAPE[:3], 1, seed=9), path)
+    if "nan" in kind:
+        path.write_text(path.read_text()[:-1].rpartition(",")[0] + ",nan\n")
+    handles, utf8 = [], oio._utf8
+
+    @contextmanager
+    def counting(*args):
+        with utf8(*args) as fh:
+            handles.append(_CountingHandle(fh))
+            yield handles[-1]
+
+    monkeypatch.setattr(oio, "_utf8", counting)
+    read = oio.load_observation if kind == "observation" else oio.ingest_trace
+    if "nan" in kind:
+        with pytest.raises(oio.IngestError, match=re.escape(f"{path}: non-finite value at t=3")):
+            read(path)
+    else:
+        read(path)
+    assert [h.lines for h in handles] == [len(path.read_text().splitlines())]
 
 
 # --- observation CSV -------------------------------------------------------
@@ -700,13 +785,17 @@ def test_observation_not_utf8_names_file(tmp_path):
         oio.load_observation(path)
 
 
-@pytest.mark.parametrize("t", ["0.5", "1.0000001", "x"])
-def test_observation_bad_t_seconds_row_named(tmp_path, t):
+@pytest.mark.parametrize("t, message", [
+    ("0.5", "row 1: t_seconds 0.5 is off the lattice, expected 1.0"),
+    ("1.0000001", "row 1: t_seconds 1.0000001 is off the lattice, expected 1.0"),
+    ("x", "could not convert string 'x' to float64 at row 1, column 1."),  # np.loadtxt's text
+], ids=["0.5", "1.0000001", "x"])
+def test_observation_bad_t_seconds_row_named(tmp_path, t, message):
     path = write_observation(tmp_path)
     lines = path.read_text().splitlines()
     lines[5] = f"{t},0.2"  # second data row, whose t_seconds must be 70/70 = 1.0
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(oio.IngestError, match=f"row '{t},0.2'"):
+    with pytest.raises(oio.IngestError, match=f"^{re.escape(f'{path}: {message}')}$"):
         oio.load_observation(path)
 
 
