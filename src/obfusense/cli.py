@@ -22,7 +22,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from . import __version__, experiments, io as oio, irs, sensing  # noqa: E402
+from . import __version__, experiments, io as oio, sensing  # noqa: E402
 from .channel import ScenarioError  # noqa: E402
 
 OUT_ENV = "OBFUSENSE_OUT"
@@ -77,12 +77,14 @@ def _out_dir(args) -> Path:
 
 
 @contextmanager
-def _flag(name: str):
-    """Prefix a ValueError raised inside the block with the flag it came from."""
+def _flag(name: str | dict):
+    """Prefix a ValueError raised inside the block with the flag it came from: name, or from a
+    {field: flag} dict the flag of the field its message starts with (io._named's rule)."""
     try:
         yield
     except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
+        flag = name.get(str(exc).split(" ", 1)[0]) if isinstance(name, dict) else name
+        raise (ValueError(f"{flag}: {exc}") if flag else exc) from None
 
 
 def _parse_values(text: str):
@@ -107,13 +109,12 @@ def _parse_values(text: str):
 
 def cmd_simulate(args):
     scenario, cfg = _load(args)
-    with _flag("--stream"):
-        experiments.check_stream(args.stream)
     motion = {"none": None, "walk": cfg.walk, "reflector": cfg.reflector}[args.motion]
     person = cfg.person() if args.motion == "walk" else None
-    obs, frames = experiments.run_session(
-        scenario, args.defense == "on", motion, args.duration, window_s=cfg.window_s,
-        stream=args.stream, person_template=person, keep_frames=True, **cfg.settings())
+    with _flag({"stream": "--stream"}):
+        obs, frames = experiments.run_session(
+            scenario, args.defense == "on", motion, args.duration, window_s=cfg.window_s,
+            stream=args.stream, person_template=person, keep_frames=True, **cfg.settings())
     out = _out_dir(args)
     oio.export_trace(frames, out / "trace.csv", scenario.sample_rate)
     oio.export_observation(obs, out / "observation.csv")
@@ -149,17 +150,16 @@ def cmd_attack(args):
 
 def cmd_coverage(args):
     scenario, cfg = _load(args)
-    with _flag("--jobs"):
-        experiments.check_jobs(args.jobs)
     with _flag("--grid"):
         grid = experiments.coverage_grid_positions(scenario, *oio.parse_grid(args.grid),
                                                    session_s=args.session_s)
-    result = experiments.run_coverage_grid(
-        scenario, grid, args.defense == "on", cfg.c,
-        reference_s=args.reference_s if args.reference_s is not None else cfg.reference_s,
-        session_s=args.session_s, rpm=cfg.reflector.rpm,
-        reflector_gain_db=cfg.reflector.peak_scatter_gain_db, window_s=cfg.window_s,
-        n_select=cfg.n_select, jobs=args.jobs, **cfg.settings())
+    with _flag({"jobs": "--jobs"}):
+        result = experiments.run_coverage_grid(
+            scenario, grid, args.defense == "on", cfg.c,
+            reference_s=args.reference_s if args.reference_s is not None else cfg.reference_s,
+            session_s=args.session_s, rpm=cfg.reflector.rpm,
+            reflector_gain_db=cfg.reflector.peak_scatter_gain_db, window_s=cfg.window_s,
+            n_select=cfg.n_select, jobs=args.jobs, **cfg.settings())
     out = _out_dir(args)
     oio.write_csv(out / "coverage.csv", ("x", "y", "detection_rate", "detection_rate_maxref"),
                   np.column_stack((result.positions, result.rates, result.rates_maxref)))
@@ -200,15 +200,12 @@ def cmd_paramstudy(args):
     scenario, cfg = _load(args)
     with _flag("--R"):
         r_values = [float(v) for v in args.R.split(",")]
-        for r in r_values:
-            irs.SchedulerParams(progression_rate=r)
     with _flag("--P"):
         p_values = [float(v) for v in args.P.split(",")]
-        for p in p_values:
-            irs.SchedulerParams(hold_prob=p)
-    cells = experiments.parameter_study(scenario, r_values, p_values, args.duration,
-                                        c=cfg.c, window_s=cfg.window_s,
-                                        update_rate=cfg.update_rate)
+    with _flag({"progression_rate": "--R", "hold_prob": "--P"}):
+        cells = experiments.parameter_study(scenario, r_values, p_values, args.duration,
+                                            c=cfg.c, window_s=cfg.window_s,
+                                            update_rate=cfg.update_rate)
     out = _out_dir(args)
     oio.write_csv(out / "paramstudy.csv", [f.name for f in fields(experiments.ParamStudyCell)],
                   map(astuple, cells))

@@ -95,18 +95,6 @@ def check_session(scenario: Scenario, duration_s: float, window_s: float) -> Non
         raise ValueError("session shorter than the observation window")
 
 
-def check_stream(stream) -> None:
-    """ValueError unless stream is an integer >= 0, as the streams' seed sequences need."""
-    if not isinstance(stream, (int, np.integer)) or stream < 0:
-        raise ValueError(f"stream must be an integer >= 0, got {stream!r}")
-
-
-def check_jobs(jobs: int) -> None:
-    """ValueError unless jobs is >= 1."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-
-
 def _schedule(n_elements, defense_on, times, sample_rate, scheduler: irsmod.SchedulerParams,
               active_elements, rng_irs):
     """Scheduler pass: (configs (C, M), cfg_index (T,), change frames).
@@ -117,7 +105,7 @@ def _schedule(n_elements, defense_on, times, sample_rate, scheduler: irsmod.Sche
     configuration (a later change on the same frame supersedes an earlier
     one, so C <= T); frame i uses row cfg_index[i].
     """
-    scheduler.check_update_rate(sample_rate)
+    scheduler.check_update_rate(sample_rate)  # plan() runs it first; this guards direct calls
     full_bits = rng_irs.integers(0, 2, size=n_elements, dtype=np.uint8)
     coeffs = irsmod.coefficients(full_bits)
     configs, change_frames = {0: coeffs.copy()}, []  # first frame -> coefficients
@@ -136,6 +124,32 @@ def _schedule(n_elements, defense_on, times, sample_rate, scheduler: irsmod.Sche
             tick += 1
     cfg_index = np.searchsorted(list(configs), np.arange(len(times)), side="right") - 1
     return np.array(list(configs.values())), cfg_index, change_frames
+
+
+def plan(scenario: Scenario, defense_on: bool, duration_s: float, *, window_s: float = 1.0,
+         subcarriers=None, n_select: int | None = None, stream: int = 0,
+         keep_frames: bool = False, **scheduler):
+    """(n_frames, subcarriers as ints or None, irs.SchedulerParams) of session() on these inputs,
+    all checked here: session() and each study's cells run this before any simulator or draw."""
+    if subcarriers is not None and n_select is not None:
+        raise ValueError("give subcarriers or n_select, not both")
+    if n_select is not None and n_select < 1:  # sensing.select_subcarriers' rule, before synthesis
+        raise ValueError(f"k={n_select} out of range for {scenario.n_subcarriers} subcarriers")
+    check_session(scenario, duration_s, window_s)
+    if not isinstance(stream, (int, np.integer)) or stream < 0:  # as the seed sequences need
+        raise ValueError(f"stream must be an integer >= 0, got {stream!r}")
+    if subcarriers is not None:
+        subcarriers = sensing.check_subcarriers(subcarriers, scenario.n_subcarriers)
+    scheduler = irsmod.SchedulerParams(**scheduler)
+    scheduler.check_update_rate(scenario.sample_rate)
+    if defense_on and scenario.irs_pos is None:
+        raise ScenarioError("defense requested but the scenario has no reflecting surface")
+    width = scenario.n_subcarriers if subcarriers is None else len(subcarriers)
+    # float64 |H|, plus the complex128 frames when they are kept, plus their selected copies
+    copies = 1 + (n_select / width if n_select is not None and n_select < width else 0)
+    channel.check_memory(duration_s * scenario.sample_rate * (width * scenario.n_rx * scenario.n_tx)
+                         * copies * (24 if keep_frames else 8), f"duration {duration_s:g} s")
+    return int(round(duration_s * scenario.sample_rate)), subcarriers, scheduler
 
 
 @dataclass
@@ -158,7 +172,7 @@ def session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
             person_template: PersonState | None = None, keep_frames: bool = False,
             simulator: FrameSimulator | None = None, active_elements=None, noise=None,
             **scheduler) -> Session:
-    """One eavesdropping session and its record; every input is checked before synthesis.
+    """One eavesdropping session and its record; plan() checks every input before the simulator.
 
     motion is None, a Trajectory or a RotatingReflector. With defense_on the surface scheduler
     (the irs.SchedulerParams keywords, validated even with the defense off) ticks at update_rate;
@@ -167,25 +181,11 @@ def session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
     all K when n_select >= K), or all K. A worker thread draws the noise NOISE_AHEAD chunks ahead,
     unless noise holds the whole stream's draw (n_frames, 2, K, n_rx, n_tx) at full band.
     """
-    if subcarriers is not None and n_select is not None:
-        raise ValueError("give subcarriers or n_select, not both")
-    if n_select is not None and n_select < 1:  # sensing.select_subcarriers' rule, before synthesis
-        raise ValueError(f"k={n_select} out of range for {scenario.n_subcarriers} subcarriers")
-    check_session(scenario, duration_s, window_s)
-    check_stream(stream)
-    if subcarriers is not None:
-        subcarriers = sensing.check_subcarriers(subcarriers, scenario.n_subcarriers)
-    scheduler = irsmod.SchedulerParams(**scheduler)
+    n_frames, subcarriers, scheduler = plan(
+        scenario, defense_on, duration_s, window_s=window_s, subcarriers=subcarriers,
+        n_select=n_select, stream=stream, keep_frames=keep_frames, **scheduler)
     subs = slice(None) if subcarriers is None else np.asarray(subcarriers, dtype=int)
-    frame = (len(np.arange(scenario.n_subcarriers)[subs]), scenario.n_rx, scenario.n_tx)
-    # float64 |H|, plus the complex128 frames when they are kept, plus their selected copies
-    copies = 1 + (n_select / frame[0] if n_select is not None and n_select < frame[0] else 0)
-    channel.check_memory(duration_s * scenario.sample_rate * math.prod(frame) * copies
-                         * (24 if keep_frames else 8), f"duration {duration_s:g} s")
-    n_frames = int(round(duration_s * scenario.sample_rate))
     sim = simulator if simulator is not None else FrameSimulator(scenario)
-    if defense_on and sim.n_elements == 0:
-        raise ScenarioError("defense requested but the scenario has no reflecting surface")
     if noise is not None and not sim.noise_std:
         raise ValueError("noise given for a noiseless scenario")
     if noise is not None and noise.shape != (n_frames, 2) + sim.h_env.shape:
@@ -213,9 +213,9 @@ def session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
             factors = motion.factors(times)
             unit = channel.scatter_tensors(scenario, [motion.position], subcarriers)
 
-        mags = np.empty((n_frames, *frame))
-        frames = np.empty(mags.shape, dtype=complex) if keep_frames else None
         synth = sim if subcarriers is None else sim.at_subcarriers(subs)
+        mags = np.empty((n_frames,) + synth.h_env.shape)
+        frames = np.empty(mags.shape, dtype=complex) if keep_frames else None
         for j, a in enumerate(range(0, n_frames, FRAME_CHUNK)):
             draws.append(draw(j + NOISE_AHEAD))
             b = min(a + FRAME_CHUNK, n_frames)
@@ -269,16 +269,21 @@ def reference_and_selection(scenario: Scenario, defense_on: bool, reference_s: f
     return rec.observation, rec.subcarriers
 
 
-def _shared_noise(sim: FrameSimulator, duration_s: float, stream: int, sessions: int):
-    """A study's one read-only draw of stream's noise, held for the whole study (16 B per full-band
-    cell beside a session's 8 B of |H|); None for one session or a noiseless scenario."""
-    if sessions < 2 or not sim.noise_std:
-        return None
-    n_frames = int(round(duration_s * sim.scenario.sample_rate))
-    channel.check_memory(24 * n_frames * sim.h_env.size, f"duration {duration_s:g} s")
-    noise = sim.noise(_noise_rng(sim.scenario, stream), np.empty((n_frames, 2) + sim.h_env.shape))
+def _study_simulator(scenario: Scenario, duration_s: float, stream: int, sessions: int):
+    """A study's one simulator and one read-only draw of stream's noise (None for one session or a
+    noiseless scenario), held for the whole study: 16 B per full-band cell beside a session's 8 B
+    of |H|, checked against physical memory before the simulator is built."""
+    shape = (int(round(duration_s * scenario.sample_rate)), 2, scenario.n_subcarriers,
+             scenario.n_rx, scenario.n_tx)
+    shared = sessions > 1 and not math.isinf(scenario.snr_db)  # channel.noise_std's rule
+    if shared:
+        channel.check_memory(12 * math.prod(shape), f"duration {duration_s:g} s")  # 24 B a cell
+    sim = FrameSimulator(scenario)
+    if not (shared and sim.noise_std):  # noise_std also underflows to 0 at a huge finite snr_db
+        return sim, None
+    noise = sim.noise(_noise_rng(scenario, stream), np.empty(shape))
     noise.flags.writeable = False
-    return noise
+    return sim, noise
 
 
 def _check_in_room(scenario: Scenario, pos, where: str) -> None:
@@ -312,11 +317,14 @@ def run_coverage_grid(scenario: Scenario, grid, defense_on: bool, c: float = 11.
     variant. Cells run in min(jobs, cells, CPU count) worker processes; every
     cell reuses the reference's simulator.
     """
-    check_jobs(jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid is empty")
-    check_session(scenario, session_s, window_s)
+    plan(scenario, defense_on, reference_s, window_s=window_s, n_select=n_select, **scheduler)
+    plan(scenario, defense_on, session_s, window_s=window_s, **scheduler,  # a cell, as selected
+         subcarriers=None if n_select is None else range(min(n_select, scenario.n_subcarriers)))
     sim = FrameSimulator(scenario)
     ref_obs, subs = reference_and_selection(scenario, defense_on, reference_s,
                                             n_select=n_select, window_s=window_s, stream=0,
@@ -380,16 +388,15 @@ def sweep(scenario: Scenario, var: str, values, *, session_s: float = 120.0, c: 
     draws the sessions' shared noise stream once.
     """
     planned = sweep_sessions(scenario, var, values)
-    check_session(scenario, session_s, window_s)
-    irsmod.SchedulerParams(**scheduler)
-    shared = {}
+    for _, scn, session in planned:
+        plan(scn, session["defense_on"], session_s, window_s=window_s, stream=stream, **scheduler)
+    sim = noise = None
     if var == "size":
-        sim = FrameSimulator(scenario)
-        shared = {"simulator": sim, "noise": _shared_noise(sim, session_s, stream, len(planned))}
+        sim, noise = _study_simulator(scenario, session_s, stream, len(planned))
     cells = []
     for value, scn, session in planned:
         obs = run_session(scn, motion=None, duration_s=session_s, window_s=window_s,
-                          stream=stream, **session, **shared, **scheduler)
+                          stream=stream, simulator=sim, noise=noise, **session, **scheduler)
         cells.append(_sweep_cell_stats(value, obs, c))
     return SweepResult(sweep_var=_SWEEP_VARS[var], cells=cells)
 
@@ -468,29 +475,25 @@ def parameter_study(scenario: Scenario, r_values, p_values, duration_s: float, *
                     update_rate: float = irsmod.SchedulerParams.update_rate) -> list:
     """Scheduler parameter grid: observation statistics per (rate, hold) cell.
 
-    Every cell is checked before any synthesis. The cells share one simulator and one draw of
+    plan() checks every cell before the simulator. The cells share one simulator and one draw of
     stream's noise, so they differ only in the surface."""
-    r_values, p_values = list(r_values), list(p_values)
-    if not r_values or not p_values:
+    p_values = list(p_values)  # read once per rate
+    grid = [dict(progression_rate=float(r), hold_prob=float(p), update_rate=update_rate)
+            for r in r_values for p in p_values]
+    if not grid:
         raise ValueError("parameter grids must be non-empty")
-    for r in r_values:
-        for p in p_values:
-            irsmod.SchedulerParams(progression_rate=float(r), hold_prob=float(p),
-                                   update_rate=update_rate)
-    check_session(scenario, duration_s, window_s)
-    sim = FrameSimulator(scenario)
-    noise = _shared_noise(sim, duration_s, stream, len(r_values) * len(p_values))
+    for cell in grid:
+        plan(scenario, True, duration_s, window_s=window_s, stream=stream, **cell)
+    sim, noise = _study_simulator(scenario, duration_s, stream, len(grid))
     cells = []
-    for r in r_values:
-        for p in p_values:
-            obs = run_session(scenario, True, None, duration_s, window_s=window_s,
-                              stream=stream, simulator=sim, noise=noise, progression_rate=float(r),
-                              hold_prob=float(p), update_rate=update_rate)
-            med = float(np.median(obs.values))
-            mad = float(np.median(np.abs(obs.values - med)))
-            cells.append(ParamStudyCell(
-                progression_rate=float(r), hold_prob=float(p), median=med, mad=mad,
-                threshold=sensing.calibrate_threshold(obs, c),
-                euclidean_norm=float(np.linalg.norm(obs.values)),
-                coherence_time_s=coherence_time(obs.values, scenario.sample_rate)))
+    for cell in grid:
+        obs = run_session(scenario, True, None, duration_s, window_s=window_s, stream=stream,
+                          simulator=sim, noise=noise, **cell)
+        med = float(np.median(obs.values))
+        mad = float(np.median(np.abs(obs.values - med)))
+        cells.append(ParamStudyCell(
+            progression_rate=cell["progression_rate"], hold_prob=cell["hold_prob"], median=med,
+            mad=mad, threshold=sensing.calibrate_threshold(obs, c),
+            euclidean_norm=float(np.linalg.norm(obs.values)),
+            coherence_time_s=coherence_time(obs.values, scenario.sample_rate)))
     return cells

@@ -202,14 +202,18 @@ def test_bad_value_list_names_flag(tmp_path, minimal_config, capsys, command, fl
 
 
 
+@pytest.mark.parametrize("r, p, message", [
+    ("0.05", "0,1.5", "--P: hold_prob must be in [0, 1), got 1.5"),
+    ("0.9", "0.6", "--R: progression_rate must be in (0, 0.5], got 0.9"),
+], ids=["P", "R"])
 def test_paramstudy_checks_every_cell_before_synthesis(tmp_path, minimal_config, capsys,
-                                                      monkeypatch):
+                                                      monkeypatch, r, p, message):
     monkeypatch.setattr(channel.FrameSimulator, "frame",
                         lambda *a, **kw: pytest.fail("a frame was synthesised"))
     out = tmp_path / "ps"
-    assert invoke("paramstudy", "--config", minimal_config, "--R", "0.05", "--P", "0,1.5",
+    assert invoke("paramstudy", "--config", minimal_config, "--R", r, "--P", p,
                   "--duration", 2, "--out", out) == 3
-    assert capsys.readouterr().err == "error: --P: hold_prob must be in [0, 1), got 1.5\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -241,17 +241,31 @@ SESSIONS = {
     "run_session": lambda scn, s, w, **kw: ex.run_session(scn, True, None, s, window_s=w, **kw),
     "reference_and_selection": lambda scn, s, w, **kw: ex.reference_and_selection(
         scn, True, s, window_s=w, **kw),
+    "parameter_study": lambda scn, s, w, **kw: ex.parameter_study(
+        scn, [0.05], [0.0, 0.6], s, window_s=w, **kw),
+    "sweep_size": lambda scn, s, w, **kw: ex.sweep(
+        scn, "size", [64, 256], session_s=s, window_s=w, **kw),
+    "sweep_distance": lambda scn, s, w, **kw: ex.sweep(
+        scn, "distance", [0.3, 0.6], session_s=s, window_s=w, **kw),
+    "run_coverage_grid": lambda scn, s, w, **kw: ex.run_coverage_grid(
+        scn, [(3.0, 2.0)], True, reference_s=s, session_s=s, window_s=w, **kw),
 }
-CHECKED = [  # (id, sessions, duration_s, window_s, session keywords, message)
+STREAMED = [s for s in SESSIONS if s != "run_coverage_grid"]
+CHECKED = [  # (id, sessions, duration_s, window_s, session and "scenario" keywords, message)
     ("window", SESSIONS, 20.0, 0.01, {}, r"^window_s 0.01 s gives n_w = 1 at sample_rate 70"),
     ("duration", SESSIONS, math.inf, 1.0, {}, r"^duration_s must be finite and > 0, got inf"),
     ("short", SESSIONS, 0.5, 1.0, {}, r"^session shorter than the observation window"),
     ("huge_window", SESSIONS, 20.0, 1e308, {}, r"^session shorter than the observation window"),
-    ("n_select", ["reference_and_selection"], 3.0, 1.0, {"n_select": 0},
+    ("n_select", ["reference_and_selection", "run_coverage_grid"], 3.0, 1.0, {"n_select": 0},
      r"^k=0 out of range for 56 subcarriers$"),
-    ("stream", SESSIONS, 3.0, 1.0, {"stream": -1}, r"^stream must be an integer >= 0, got -1$"),
-    ("fractional_stream", SESSIONS, 3.0, 1.0, {"stream": 1.5},
+    ("stream", STREAMED, 3.0, 1.0, {"stream": -1}, r"^stream must be an integer >= 0, got -1$"),
+    ("fractional_stream", STREAMED, 3.0, 1.0, {"stream": 1.5},
      r"^stream must be an integer >= 0, got 1.5$"),
+    ("update_rate", SESSIONS, 3.0, 1.0, {"update_rate": 1e9},
+     r"^update_rate must be at most 100 ticks per frame"),
+    ("no_surface", ["run_session", "reference_and_selection", "parameter_study",
+                    "run_coverage_grid"], 3.0, 1.0,
+     {"scenario": {"irs_pos": None, "irs_normal": None}}, r"^defense requested"),
 ]
 
 
@@ -264,8 +278,10 @@ def test_session_inputs_checked_before_synthesis(monkeypatch, session, duration_
                         lambda *a, **kw: pytest.fail("a simulator was built"))
     monkeypatch.setattr(ch.FrameSimulator, "frame",
                         lambda *a, **kw: pytest.fail("a frame was synthesised"))
+    keywords = dict(keywords)
+    scn = quiet_scenario(**keywords.pop("scenario", {}))
     with pytest.raises(ValueError, match=message):
-        SESSIONS[session](quiet_scenario(), duration_s, window_s, **keywords)
+        SESSIONS[session](scn, duration_s, window_s, **keywords)
 
 
 def test_defense_without_surface_rejected():
@@ -864,6 +880,8 @@ def test_study_memory_guard_counts_the_shared_noise(monkeypatch, run):
     scn = quiet_scenario()
     cells = round(6.0 * _FS) * scn.n_subcarriers * scn.n_rx * scn.n_tx
     monkeypatch.setattr(ch, "_physical_memory", lambda: float(16 * cells))
+    monkeypatch.setattr(ch.FrameSimulator, "__init__",
+                        lambda *a, **kw: pytest.fail("a simulator was built"))
     monkeypatch.setattr(ch.FrameSimulator, "frame",
                         lambda *a, **kw: pytest.fail("a frame was synthesised"))
     with pytest.raises(ValueError, match=r"^duration 6 s needs"):

@@ -28,3 +28,18 @@ def test_modules_import_only_lower_layers():
     for name in ("experiments", "io"):
         assert imports[name] <= BASE, (name, imports[name])
     assert {name for name, deps in imports.items() if deps & {"experiments", "io"}} == {"cli"}
+
+
+def test_session_checks_are_called_only_in_plan():
+    """experiments.plan is the one list of a session's checks: no study keeps its own copy of
+    check_session or SchedulerParams (a method call such as check_update_rate is not counted)."""
+    tree = ast.parse((SRC / "experiments.py").read_text(encoding="utf-8"))
+
+    def checks(node):
+        return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                and getattr(call.func, "attr", getattr(call.func, "id", None))
+                in ("check_session", "SchedulerParams")]
+
+    plan = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "plan")
+    assert checks(tree) == checks(plan) != []
