@@ -630,8 +630,8 @@ class FrameSimulator:
             h += scatter
         else:
             h = (configs @ self._g_irs)[:, :width].view(complex).reshape((len(configs),) + shape)
+            h += self.h_env  # once per configuration, before the frames repeat them
             h = h[cfg_index]
-            h += self.h_env
         for unit, factors in scatters:
             h += np.asarray(factors, dtype=complex)[:, None, None, None] * unit
         if noise is not None:

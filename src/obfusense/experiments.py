@@ -145,10 +145,10 @@ def plan(scenario: Scenario, defense_on: bool, duration_s: float, *, window_s: f
     if defense_on and scenario.irs_pos is None:
         raise ScenarioError("defense requested but the scenario has no reflecting surface")
     width = scenario.n_subcarriers if subcarriers is None else len(subcarriers)
-    # float64 |H|, plus the complex128 frames when they are kept, plus their selected copies
+    # float64 |H| (selection moves within it), plus the complex128 frames and their selected copy
     copies = 1 + (n_select / width if n_select is not None and n_select < width else 0)
     channel.check_memory(duration_s * scenario.sample_rate * (width * scenario.n_rx * scenario.n_tx)
-                         * copies * (24 if keep_frames else 8), f"duration {duration_s:g} s")
+                         * (8 + (16 * copies if keep_frames else 0)), f"duration {duration_s:g} s")
     return int(round(duration_s * scenario.sample_rate)), subcarriers, scheduler
 
 
@@ -214,7 +214,8 @@ def session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
             unit = channel.scatter_tensors(scenario, [motion.position], subcarriers)
 
         synth = sim if subcarriers is None else sim.at_subcarriers(subs)
-        mags = np.empty((n_frames,) + synth.h_env.shape)
+        buf = np.empty((n_frames,) + sensing._component_order(synth.h_env[None]).shape[1:])
+        mags = sensing._component_order(buf)  # |H| as (T, K', n_rx, n_tx); sensing reads buf's rows
         frames = np.empty(mags.shape, dtype=complex) if keep_frames else None
         for j, a in enumerate(range(0, n_frames, FRAME_CHUNK)):
             draws.append(draw(j + NOISE_AHEAD))
@@ -229,7 +230,7 @@ def session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
             if keep_frames:
                 frames[a:b] = h
             np.abs(h, out=mags[a:b])
-    del ring, draws, synth, h, z  # the synthesis buffers go before selection copies |H|
+    del ring, draws, synth, h, z  # the synthesis buffers go before selection and observe run
     meta = dict(seed=scenario.seed, stream=stream, defense_on=bool(defense_on),
                 duration_s=float(duration_s), n_frames=n_frames, irs_change_frames=change_frames)
     if person is not None:
@@ -237,7 +238,11 @@ def session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
     band = list(range(scenario.n_subcarriers))
     if n_select is not None:
         subcarriers = band if n_select >= len(band) else sensing.select_subcarriers(mags, n_select)
-        mags = mags[:, subcarriers]
+    if n_select is not None and n_select < len(band):  # the selection moves to the front of |H|
+        kept = np.ndarray(buf[:, :n_select].shape, buffer=buf)
+        for a in range(0, n_frames, FRAME_CHUNK):  # rows ascend: a block lands on rows read
+            kept[a:a + FRAME_CHUNK] = buf[a:a + FRAME_CHUNK, subcarriers]
+        mags = sensing._component_order(kept)
         frames = None if frames is None else frames[:, subcarriers]
     if subcarriers is not None:
         meta["subcarriers"] = subcarriers

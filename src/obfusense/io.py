@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import configparser
 import contextlib
+import itertools
 import json
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass, replace
 
@@ -394,13 +396,24 @@ def ingest_trace(path):
 
 def _read_rows(fh, path, dtype):
     """The rows after the preamble, from one np.loadtxt call (none for blank lines only); a
-    row it refuses raises an IngestError with its message, which names the row and column."""
+    row it refuses raises an IngestError with its message, the row restated as its line (_line)."""
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             return np.loadtxt(fh, delimiter=",", comments=None, ndmin=1, dtype=dtype)
-    except ValueError as exc:
-        raise IngestError(f"{path}: {exc}") from None
+    except ValueError as exc:  # loadtxt counts rows from 1 for a wrong field count, else from 0
+        from_one = " columns but " in str(exc)
+        text = re.sub(r"at row (\d+)(?!.*at row)",  # the last: a refused field may hold the words
+                      lambda m: f"at line {_line(fh, int(m[1]) - from_one)}", str(exc))
+        raise IngestError(f"{path}: {text}") from None
+
+
+def _line(fh, row: int) -> int:
+    """The line number (from 1) in fh of data row `row` (from 0; no empty line is a row)."""
+    fh.seek(0)
+    lines = enumerate(fh, 1)
+    next(n for n, text in lines if not text.startswith("#"))  # the preamble ends at the column row
+    return next(itertools.islice((n for n, text in lines if text != "\n"), row, None))
 
 
 def _fault(index, value, shape) -> str:
@@ -467,12 +480,12 @@ def load_observation(path) -> ObservationSeries:
         except ValueError as exc:
             raise IngestError(f"{path}: {exc}") from None
         rows = _read_rows(fh, path, [("t", float), ("v", float)])
-    expected = (np.arange(len(rows)) + (n_w - 1)) / sample_rate
-    off = ~(np.abs(rows["t"] - expected) <= 1e-9)
-    if off.any():
-        i = off.argmax()
-        raise IngestError(f"{path}: row {i}: t_seconds {float(rows['t'][i])!r} is off the "
-                          f"lattice, expected {float(expected[i])!r}")
+        expected = (np.arange(len(rows)) + (n_w - 1)) / sample_rate
+        off = ~(np.abs(rows["t"] - expected) <= 1e-9)
+        if off.any():
+            i = off.argmax()
+            raise IngestError(f"{path}: line {_line(fh, i)}: t_seconds {float(rows['t'][i])!r} is "
+                              f"off the lattice, expected {float(expected[i])!r}")
     try:
         return ObservationSeries(values=rows["v"].copy(), sample_rate=sample_rate,
                                  window_s=window_s, meta={"path": str(path)})

@@ -51,8 +51,8 @@ def _series_values(obs) -> np.ndarray:
 def _component_order(arr: np.ndarray) -> np.ndarray:
     """A (time, K, n_rx, n_tx) array as a view whose rows, in C order, run through the components.
 
-    Component n = k * (n_rx * n_tx) + tx * n_rx + rx: subcarrier-major with
-    column-major antenna matrices. No other code fixes this order.
+    Component n = k * (n_rx * n_tx) + tx * n_rx + rx: subcarrier-major with column-major antenna
+    matrices. No other code fixes this order; session lays out |H| through this self-inverse view.
     """
     return arr.transpose(0, 1, 3, 2)
 
@@ -70,8 +70,15 @@ def magnitude_matrix(frames, out=None) -> np.ndarray:
 
 def _row_blocks(x, step: int, size: int, rows=magnitude_matrix):
     """rows(x[a:a + size], out) for a = 0, step, 2 step, ... while a + size - step < len(x);
-    out is one float buffer for every block (magnitude_matrix: the block's |H| components)."""
-    buf = np.empty((min(size, len(x)), math.prod(x.shape[1:])))
+    out is one float buffer for every block (magnitude_matrix: the block's |H| components). A
+    float64 x whose component order is C-contiguous (as session writes |H|) and that has no sign
+    bit set is its own magnitude matrix, bit for bit: its blocks are then views, with no buffer."""
+    n_buf = min(size, len(x))
+    if rows is magnitude_matrix and x.dtype == float and _component_order(x).flags.c_contiguous:
+        flat = _component_order(x).reshape(len(x), -1)
+        if flat.view(np.int64).min(initial=0) >= 0:
+            x, rows, n_buf = flat, lambda block, out: block, 0
+    buf = np.empty((n_buf, math.prod(x.shape[1:])))
     for a in range(0, len(x) - size + step, step):
         block = x[a:a + size]
         yield rows(block, buf[:len(block)])
@@ -135,8 +142,8 @@ def _sliding_stds(x, n_w: int, rows=magnitude_matrix):
         np.divide(np.multiply(s1, s1, out=s1), n_w, out=s1)
         np.divide(np.subtract(var, s1, out=var), n_w, out=var)
         thr = np.multiply(1e3 * n_w, var, out=s1)
-        ti, ji = np.nonzero(np.greater(c[n_w:nb + n_w], thr, out=mask_buf[:nb]))
-        if ti.size:
+        if (mask := np.greater(c[n_w:nb + n_w], thr, out=mask_buf[:nb])).any():
+            ti, ji = np.nonzero(mask)
             w = np.lib.stride_tricks.sliding_window_view(block, n_w, axis=0)[ti, ji]
             dev = w - w.mean(axis=1, keepdims=True)
             var[ti, ji] = np.einsum("iw,iw->i", dev, dev) / n_w

@@ -280,7 +280,7 @@ def test_attack_non_finite_threshold_names_flag(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("window_s, message", [
-    (1e308, "row 0: t_seconds -0.014285714285714285 is off the lattice"),  # n_w = 2 ** 62,
+    (1e308, "line 5: t_seconds -0.014285714285714285 is off the lattice"),  # n_w = 2 ** 62,
     # not int(inf)
     (0.001, "window_s 0.001 s gives n_w = 0 at sample_rate 70"),
 ], ids=["huge", "under_2_samples"])

@@ -71,16 +71,38 @@ def test_session_larger_than_memory_rejected_before_allocating():
 
 @pytest.mark.parametrize("keep_frames", [False, True])
 def test_selected_session_memory_counts_the_selected_copy(monkeypatch, keep_frames):
-    """With n_select = k < K the session holds the full band and its k-subcarrier copy at
-    once, so the guard needs 1 + k/K times the full band's bytes."""
+    """With n_select = k < K the session holds the full band's |H| once (the selection moves
+    within it) and, with keep_frames, the complex frames and their k-subcarrier copy: the guard
+    rejects it just below those bytes, before any frame, and it runs at 1.25 times them."""
     scn = quiet_scenario()
-    full = 2 * 70 * scn.n_subcarriers * scn.n_rx * scn.n_tx * (24 if keep_frames else 8)
-    monkeypatch.setattr(ch, "_physical_memory", lambda: float(full * 1.25))
-    monkeypatch.setattr(ch.FrameSimulator, "frame",
-                        lambda *a, **kw: pytest.fail("a frame was synthesised"))
-    with pytest.raises(ValueError, match=r"^duration 2 s needs"):
-        ex.session(scn, False, None, 2.0, n_select=scn.n_subcarriers // 2,
-                   keep_frames=keep_frames)
+    sim = ch.FrameSimulator(scn)  # built first: its surface check needs more than the session
+    k = scn.n_subcarriers // 2
+    holds = 2 * 70 * scn.n_subcarriers * scn.n_rx * scn.n_tx * (
+        8 + (16 * (1 + k / scn.n_subcarriers) if keep_frames else 0))
+    with monkeypatch.context() as m:
+        m.setattr(ch, "_physical_memory", lambda: 0.999 * holds)
+        m.setattr(ch.FrameSimulator, "frame",
+                  lambda *a, **kw: pytest.fail("a frame was synthesised"))
+        with pytest.raises(ValueError, match=r"^duration 2 s needs"):
+            ex.session(scn, False, None, 2.0, n_select=k, keep_frames=keep_frames, simulator=sim)
+    monkeypatch.setattr(ch, "_physical_memory", lambda: 1.25 * holds)
+    rec = ex.session(scn, False, None, 2.0, n_select=k, keep_frames=keep_frames, simulator=sim)
+    assert rec.mags.shape == (140, k, scn.n_rx, scn.n_tx)
+
+
+def test_selected_reference_holds_h_once():
+    """A 60 s reference that selects 28 of 56 subcarriers, on a simulator built beforehand,
+    peaks under 23 MiB: its 16.2 MiB of full-band |H|, within which the selection moves, plus
+    the noise ring and the sensing scratch (25.0 MiB when the selection was a copy)."""
+    scn = quiet_scenario()
+    sim = ch.FrameSimulator(scn)
+    tracemalloc.start()
+    try:
+        ex.reference_and_selection(scn, False, 60.0, n_select=28, simulator=sim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 23 * 2 ** 20
 
 
 # --- Trajectory ------------------------------------------------------------
@@ -595,6 +617,25 @@ def test_session_record_frames_give_mags_bit_for_bit(subs):
     assert np.abs(rec.frames).tobytes() == rec.mags.tobytes()
     if subs is not None:
         assert rec.subcarriers == subs == rec.observation.meta["subcarriers"]
+
+
+@pytest.mark.parametrize("n_select", [1, 28, 55])
+def test_selected_session_is_the_full_band_at_its_subcarriers(n_select):
+    """n_select moves the selected subcarriers to the front of the session's |H|, block by
+    block: mags, frames and observation equal the full band's at those subcarriers, to the
+    bit, over three full chunks and a partial one."""
+    scn = quiet_scenario(snr_db=20.0)
+    sim = ch.FrameSimulator(scn)
+    duration = (3 * ex.FRAME_CHUNK + 5) / scn.sample_rate
+    kw = dict(stream=4, simulator=sim, keep_frames=True)
+    full = ex.session(scn, True, None, duration, **kw)
+    rec = ex.session(scn, True, None, duration, n_select=n_select, **kw)
+    subs = rec.subcarriers
+    assert subs == sn.select_subcarriers(full.mags, n_select) and len(subs) == n_select
+    assert rec.mags.tobytes() == full.mags[:, subs].tobytes()
+    assert rec.frames.tobytes() == full.frames[:, subs].tobytes()
+    want = sn.observe(full.mags[:, subs], 1.0, scn.sample_rate)
+    assert rec.observation.values.tobytes() == want.values.tobytes()
 
 
 def test_session_n_select_equals_reference_and_selection():

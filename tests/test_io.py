@@ -451,10 +451,10 @@ def test_trace_shortest_frame_accepted(tmp_path):
     assert back.shape == (1, 1, 1, 1)
 
 
-@pytest.mark.parametrize("row, message", [  # the first three are np.loadtxt's own texts
-    ("0,0,0,0,1.0", "the dtype passed requires 6 columns but 5 were found at row 1"),
-    ("0,0,0,0,1.0,abc", "could not convert string 'abc' to float64 at row 0, column 6."),
-    ("0.5,0,0,0,1.0,2.0", "could not convert string '0.5' to int32 at row 0, column 1."),
+@pytest.mark.parametrize("row, message", [  # the first three are np.loadtxt's texts, at the file's line
+    ("0,0,0,0,1.0", "the dtype passed requires 6 columns but 5 were found at line 7"),
+    ("0,0,0,0,1.0,abc", "could not convert string 'abc' to float64 at line 7, column 6."),
+    ("0.5,0,0,0,1.0,2.0", "could not convert string '0.5' to int32 at line 7, column 1."),
     ("0,0,0,0,nan,1.0", "non-finite value at t=0"),
     ("0,5,0,0,1.0,2.0", "index (k=5, rx=0, tx=0) outside header dimensions"),
 ], ids=["0,0,0,0,1.0-malformed row", "0,0,0,0,1.0,abc-row '0,0,0,0,1.0,abc'",
@@ -465,6 +465,22 @@ def test_trace_bad_row_named(tmp_path, row, message):
     oio.export_trace(small_frames(n=1, k=1, rx=1, tx=1), path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:6] + [row]) + "\n")
+    with pytest.raises(oio.IngestError, match=f"^{re.escape(f'{path}: {message}')}"):
+        oio.ingest_trace(path)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0,0,0,0,1.0", "the dtype passed requires 6 columns but 5 were found at line 10;"),
+    ("0,0,0,0,1.0,abc", "could not convert string 'abc' to float64 at line 10, column 6."),
+    ("0,0,0,0,1.0,at row 1", "could not convert string 'at row 1' to float64 at line 10,"),
+], ids=["field count", "conversion", "field naming a row"])
+def test_trace_bad_row_after_blank_lines_names_its_line(tmp_path, row, message):
+    """np.loadtxt counts rows without the empty lines, from 1 for a wrong field count and from
+    0 otherwise; the error names the row's line in the file either way."""
+    path = tmp_path / "trace.csv"
+    oio.export_trace(small_frames(n=2, k=1, rx=1, tx=1), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:6] + ["", lines[6], "", row]) + "\n")  # row on line 10
     with pytest.raises(oio.IngestError, match=f"^{re.escape(f'{path}: {message}')}"):
         oio.ingest_trace(path)
 
@@ -606,7 +622,7 @@ def _assert_same_as_rows(path):
     reads a spelling that no writer uses. Returns ingest's outcome."""
     got = _outcome(lambda p: oio.ingest_trace(p)[0], path)
     expected = _outcome(_per_row, path)
-    if got[0] == "error" and " at row " in got[1]:
+    if got[0] == "error" and " at line " in got[1]:
         assert got[1].startswith(f"{path}: ")
         assert expected[0] == "error" or _holds_refused_spelling(path)
     else:
@@ -622,7 +638,7 @@ def test_ingest_matches_row_parser_under_mutation(tmp_path, name, shape, row):
     path.write_text("\n".join(head + MUTATIONS[name](rows, row)) + "\n", encoding="utf-8")
     got = _assert_same_as_rows(path)
     if name in REFUSED_SPELLINGS:
-        assert got[0] == "error" and " at row " in got[1]
+        assert got[0] == "error" and " at line " in got[1]
 
 
 @pytest.mark.parametrize("t", [1, 4, 2])  # backwards, a gap, a repeated t
@@ -786,14 +802,27 @@ def test_observation_not_utf8_names_file(tmp_path):
 
 
 @pytest.mark.parametrize("t, message", [
-    ("0.5", "row 1: t_seconds 0.5 is off the lattice, expected 1.0"),
-    ("1.0000001", "row 1: t_seconds 1.0000001 is off the lattice, expected 1.0"),
-    ("x", "could not convert string 'x' to float64 at row 1, column 1."),  # np.loadtxt's text
+    ("0.5", "line 6: t_seconds 0.5 is off the lattice, expected 1.0"),
+    ("1.0000001", "line 6: t_seconds 1.0000001 is off the lattice, expected 1.0"),
+    ("x", "could not convert string 'x' to float64 at line 6, column 1."),  # np.loadtxt's text
 ], ids=["0.5", "1.0000001", "x"])
 def test_observation_bad_t_seconds_row_named(tmp_path, t, message):
     path = write_observation(tmp_path)
     lines = path.read_text().splitlines()
     lines[5] = f"{t},0.2"  # second data row, whose t_seconds must be 70/70 = 1.0
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(oio.IngestError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        oio.load_observation(path)
+
+
+@pytest.mark.parametrize("t, message", [
+    ("0.5", "line 8: t_seconds 0.5 is off the lattice, expected 1.0"),
+    ("x", "could not convert string 'x' to float64 at line 8, column 1."),
+], ids=["lattice", "conversion"])
+def test_observation_bad_row_after_blank_lines_names_its_line(tmp_path, t, message):
+    path = write_observation(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[5:6] = ["", "", f"{t},0.2"]  # the second data row, now on line 8
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(oio.IngestError, match=f"^{re.escape(f'{path}: {message}')}$"):
         oio.load_observation(path)

@@ -269,6 +269,66 @@ def test_observe_memory_is_one_block_not_the_session():
         assert peaks[1] <= 1.1 * peaks[0], n_sub
 
 
+# --- |H| in session layout ------------------------------------------------------
+
+def session_layout(mags):
+    """mags (T, K, n_rx, n_tx) as experiments.session holds |H|: a view of a buffer whose C order
+    is the component order."""
+    view = sn._component_order(np.ascontiguousarray(sn._component_order(mags)))
+    assert not view.flags.c_contiguous and sn._component_order(view).flags.c_contiguous
+    return view
+
+
+@pytest.mark.parametrize("t, n_w, step, constant", [
+    (503, 70, None, False), (503, 70, 251, False), (503, 70, 251, True), (300, 7, 150, False),
+    (70, 70, None, False), (71, 70, 35, True), (2, 2, None, True)])
+def test_session_layout_read_in_place_bit_for_bit(t, n_w, step, constant):
+    """observe and select_subcarriers read |H| in session layout in place, and give to the bit
+    what they give for a C-order copy: fallback windows, partial last blocks (of n_w and of
+    256 rows), T = n_w and constant columns."""
+    rng = np.random.default_rng(t + n_w)
+    mags = rng.uniform(0.5, 2.0, size=(t, 4, 2, 3))
+    if step is not None:  # a jump of 1e4 noise stds, whose windows take the two-pass formula
+        mags = 1e-3 * mags + np.where(np.arange(t) < step, 1.0, 11.0)[:, None, None, None]
+    if constant:  # one constant column, and a subcarrier whose series has no variance
+        mags[:, 0, 1, 2] = 0.7
+        mags[:, 2] = 1.3
+    view, copy = session_layout(mags), mags.copy()
+    assert (sn.observe(view, n_w / 70.0, 70.0).values.tobytes()
+            == sn.observe(copy, n_w / 70.0, 70.0).values.tobytes())
+    for k in (1, 2, 4):
+        assert sn.select_subcarriers(view, k) == sn.select_subcarriers(copy, k)
+
+
+@pytest.mark.parametrize("entry", [-0.8, -0.0], ids=["negative", "negative_zero"])
+def test_session_layout_with_a_sign_bit_is_read_as_its_magnitude(entry):
+    """A real input with an entry whose sign bit is set is read as |x|, as it always was."""
+    rng = np.random.default_rng(17)
+    mags = rng.uniform(0.5, 2.0, size=(150, 4, 2, 3))
+    mags[40, 2, 1, 0] = entry
+    view, magnitude = session_layout(mags), np.abs(mags)  # C order: read through a copy
+    assert (sn.observe(view, 0.5, 70.0).values.tobytes()
+            == sn.observe(magnitude, 0.5, 70.0).values.tobytes())
+    for k in (1, 2):
+        assert sn.select_subcarriers(view, k) == sn.select_subcarriers(magnitude, k)
+
+
+def test_observe_reads_session_layout_without_a_block_buffer():
+    """observe of |H| in session layout takes its row blocks as views: it peaks at least 0.9 of
+    a block buffer ((2 n_w - 1) rows of |H|) under the same values in C order."""
+    mags = np.random.default_rng(18).uniform(1.0, 2.0, size=(700, 28, 3, 3))
+    peaks = []
+    for x in (mags, session_layout(mags)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sn.observe(x, 1.0, 70.0)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] - 0.9 * (2 * 70 - 1) * 28 * 9 * 8
+
+
 NOT_DISTINCT_IN_4 = "is not a distinct integer in \\[0, 4\\)"
 BAD_SUBCARRIERS = [([-1, 0], "subcarrier -1 " + NOT_DISTINCT_IN_4),
                    ([3, 3], "subcarrier 3 " + NOT_DISTINCT_IN_4),
