@@ -69,10 +69,10 @@ def _load(args):
     return scenario, cfg
 
 
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get(OUT_ENV) or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+def _out_dir(args, make: bool = True) -> Path:
+    path = Path(args.out or os.environ.get(OUT_ENV) or ".")
+    if make:
+        path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -111,12 +111,13 @@ def cmd_simulate(args):
     scenario, cfg = _load(args)
     motion = {"none": None, "walk": cfg.walk, "reflector": cfg.reflector}[args.motion]
     person = cfg.person() if args.motion == "walk" else None
-    with _flag({"stream": "--stream"}):
-        obs, frames = experiments.run_session(
+    out = _out_dir(args, make=False)  # the trace writer makes it at the first frames
+    shape = (scenario.n_subcarriers, scenario.n_rx, scenario.n_tx)
+    with (_flag({"stream": "--stream"}),
+          oio.trace_writer(out / "trace.csv", shape, scenario.sample_rate) as write):
+        obs = experiments.run_session(
             scenario, args.defense == "on", motion, args.duration, window_s=cfg.window_s,
-            stream=args.stream, person_template=person, keep_frames=True, **cfg.settings())
-    out = _out_dir(args)
-    oio.export_trace(frames, out / "trace.csv", scenario.sample_rate)
+            stream=args.stream, person_template=person, sink=write, **cfg.settings())
     oio.export_observation(obs, out / "observation.csv")
     _write_manifest(out, args, config_path=args.config, seed=scenario.seed)
     print(f"wrote {out / 'trace.csv'} and {out / 'observation.csv'}")

@@ -127,10 +127,10 @@ def _schedule(n_elements, defense_on, times, sample_rate, scheduler: irsmod.Sche
 
 
 def plan(scenario: Scenario, defense_on: bool, duration_s: float, *, window_s: float = 1.0,
-         subcarriers=None, n_select: int | None = None, stream: int = 0,
-         keep_frames: bool = False, **scheduler):
+         subcarriers=None, n_select: int | None = None, stream: int = 0, **scheduler):
     """(n_frames, subcarriers as ints or None, irs.SchedulerParams) of session() on these inputs,
-    all checked here: session() and each study's cells run this before any simulator or draw."""
+    all checked here: session() and each study's cells run this before any simulator or draw.
+    The memory guard counts the float64 |H| only, within which selection moves: 8 B a cell."""
     if subcarriers is not None and n_select is not None:
         raise ValueError("give subcarriers or n_select, not both")
     if n_select is not None and n_select < 1:  # sensing.select_subcarriers' rule, before synthesis
@@ -145,10 +145,8 @@ def plan(scenario: Scenario, defense_on: bool, duration_s: float, *, window_s: f
     if defense_on and scenario.irs_pos is None:
         raise ScenarioError("defense requested but the scenario has no reflecting surface")
     width = scenario.n_subcarriers if subcarriers is None else len(subcarriers)
-    # float64 |H| (selection moves within it), plus the complex128 frames and their selected copy
-    copies = 1 + (n_select / width if n_select is not None and n_select < width else 0)
     channel.check_memory(duration_s * scenario.sample_rate * (width * scenario.n_rx * scenario.n_tx)
-                         * (8 + (16 * copies if keep_frames else 0)), f"duration {duration_s:g} s")
+                         * 8, f"duration {duration_s:g} s")
     return int(round(duration_s * scenario.sample_rate)), subcarriers, scheduler
 
 
@@ -159,7 +157,6 @@ class Session:
     subcarriers: list
     times: np.ndarray
     mags: np.ndarray  # (T, K', n_rx, n_tx)
-    frames: np.ndarray | None  # complex, as mags; kept with keep_frames only
     configs: np.ndarray  # (C, M) int8 coefficients
     cfg_index: np.ndarray  # (T,): frame i uses configs[cfg_index[i]]
     change_frames: list
@@ -169,7 +166,7 @@ class Session:
 
 def session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
             window_s: float = 1.0, subcarriers=None, n_select: int | None = None, stream: int = 0,
-            person_template: PersonState | None = None, keep_frames: bool = False,
+            person_template: PersonState | None = None, sink=None,
             simulator: FrameSimulator | None = None, active_elements=None, noise=None,
             **scheduler) -> Session:
     """One eavesdropping session and its record; plan() checks every input before the simulator.
@@ -180,10 +177,12 @@ def session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
     given subcarriers (only those are synthesised), the n_select best (sensing.select_subcarriers;
     all K when n_select >= K), or all K. A worker thread draws the noise NOISE_AHEAD chunks ahead,
     unless noise holds the whole stream's draw (n_frames, 2, K, n_rx, n_tx) at full band.
+    sink(h), when given, gets each chunk's complex frames (T', K', n_rx, n_tx) in frame order, at
+    the synthesised subcarriers (the full band with n_select), and must not write into h.
     """
     n_frames, subcarriers, scheduler = plan(
         scenario, defense_on, duration_s, window_s=window_s, subcarriers=subcarriers,
-        n_select=n_select, stream=stream, keep_frames=keep_frames, **scheduler)
+        n_select=n_select, stream=stream, **scheduler)
     subs = slice(None) if subcarriers is None else np.asarray(subcarriers, dtype=int)
     sim = simulator if simulator is not None else FrameSimulator(scenario)
     if noise is not None and not sim.noise_std:
@@ -216,7 +215,6 @@ def session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
         synth = sim if subcarriers is None else sim.at_subcarriers(subs)
         buf = np.empty((n_frames,) + sensing._component_order(synth.h_env[None]).shape[1:])
         mags = sensing._component_order(buf)  # |H| as (T, K', n_rx, n_tx); sensing reads buf's rows
-        frames = np.empty(mags.shape, dtype=complex) if keep_frames else None
         for j, a in enumerate(range(0, n_frames, FRAME_CHUNK)):
             draws.append(draw(j + NOISE_AHEAD))
             b = min(a + FRAME_CHUNK, n_frames)
@@ -227,8 +225,8 @@ def session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
                             person=person, positions=None if person is None else person_xy[a:b],
                             scatters=() if factors is None else ((unit, factors[a:b]),),
                             noise=None if z is None else z[:, :, subs])
-            if keep_frames:
-                frames[a:b] = h
+            if sink is not None:
+                sink(h)
             np.abs(h, out=mags[a:b])
     del ring, draws, synth, h, z  # the synthesis buffers go before selection and observe run
     meta = dict(seed=scenario.seed, stream=stream, defense_on=bool(defense_on),
@@ -243,25 +241,23 @@ def session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
         for a in range(0, n_frames, FRAME_CHUNK):  # rows ascend: a block lands on rows read
             kept[a:a + FRAME_CHUNK] = buf[a:a + FRAME_CHUNK, subcarriers]
         mags = sensing._component_order(kept)
-        frames = None if frames is None else frames[:, subcarriers]
     if subcarriers is not None:
         meta["subcarriers"] = subcarriers
     obs = sensing.observe(mags, window_s, scenario.sample_rate, meta=meta)
-    return Session(obs, band if subcarriers is None else subcarriers, times, mags, frames,
-                   configs, cfg_index, change_frames, person_xy, moving)
+    return Session(obs, band if subcarriers is None else subcarriers, times, mags, configs,
+                   cfg_index, change_frames, person_xy, moving)
 
 
 def run_session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
                 window_s: float = 1.0, subcarriers=None, stream: int = 0,
                 person_template: PersonState | None = None, active_elements=None,
-                simulator: FrameSimulator | None = None, keep_frames: bool = False, noise=None,
-                **scheduler):
-    """session()'s observation, or (observation, frames) with keep_frames."""
-    rec = session(scenario, defense_on, motion, duration_s, window_s=window_s, stream=stream,
-                  subcarriers=subcarriers, person_template=person_template, simulator=simulator,
-                  active_elements=active_elements, keep_frames=keep_frames, noise=noise,
-                  **scheduler)
-    return (rec.observation, rec.frames) if keep_frames else rec.observation
+                simulator: FrameSimulator | None = None, sink=None, noise=None,
+                **scheduler) -> sensing.ObservationSeries:
+    """session()'s observation."""
+    return session(scenario, defense_on, motion, duration_s, window_s=window_s, stream=stream,
+                   subcarriers=subcarriers, person_template=person_template, simulator=simulator,
+                   active_elements=active_elements, sink=sink, noise=noise,
+                   **scheduler).observation
 
 
 def reference_and_selection(scenario: Scenario, defense_on: bool, reference_s: float, *,
@@ -299,11 +295,15 @@ def _check_in_room(scenario: Scenario, pos, where: str) -> None:
 
 def coverage_grid_positions(scenario: Scenario, nx: int = 5, ny: int = 4,
                             margin: float = 0.75, *, session_s: float = 60.0) -> np.ndarray:
-    """Uniform nx-by-ny grid over the room interior; ValueError when the
-    observations of its session_s sessions (8 B per frame) exceed physical memory."""
+    """Uniform nx-by-ny grid over the room interior, margin in from each wall; ValueError when
+    margin is negative or more than half the room on an axis, or when the observations of its
+    session_s sessions (8 B per frame) exceed physical memory."""
     channel.check_memory(8.0 * nx * ny * np.round(session_s * scenario.sample_rate),
                          f"grid {nx}x{ny} of {session_s:g} s sessions")
     lo, hi = channel.room_box(scenario)
+    if not (margin >= 0 and np.all(2 * margin <= hi - lo)):
+        raise ValueError(f"margin {margin:g} m must be >= 0 and at most half of each side of the "
+                         f"{hi[0] - lo[0]:g} x {hi[1] - lo[1]:g} m room")
     x = np.linspace(lo[0] + margin, hi[0] - margin, nx)
     y = np.linspace(lo[1] + margin, hi[1] - margin, ny)
     return np.array([(xi, yi) for yi in y for xi in x])

@@ -344,19 +344,45 @@ _TRACE_COLUMNS = ("t", "k", "rx", "tx", "re", "im")
 
 
 def export_trace(values, path, sample_rate: float = 70.0):
-    """Write a (T, K, n_rx, n_tx) array as the canonical trace CSV: row i is frame t = i,
-    cells in (k, rx, tx) order. The header's dimensions are the array's."""
+    """Write a (T, K, n_rx, n_tx) array as the canonical trace CSV: trace_writer, fed once."""
     values = np.asarray(values, dtype=complex)
-    if values.ndim != 4 or not values.shape[0]:
-        raise ValueError(f"expected a (T, K, n_rx, n_tx) array with T >= 1, got shape {values.shape}")
-    shape = values.shape[1:]
-    cells = [f"{k},{rx},{tx}," for k, rx, tx in np.ndindex(shape)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_preamble(fh, dict(zip(_TRACE_DIMS, shape), sample_rate=repr(float(sample_rate))),
-                        _TRACE_COLUMNS)
-        for t, v in enumerate(values.reshape(values.shape[0], -1)):
-            fh.write("".join([f"{t},{c}{real},{imag}\n" for c, real, imag in zip(
-                cells, map(repr, v.real.tolist()), map(repr, v.imag.tolist()))]))
+    with trace_writer(path, values.shape[1:], sample_rate) as write:
+        write(values)
+
+
+@contextlib.contextmanager
+def trace_writer(path, shape: tuple, sample_rate: float = 70.0):
+    """Yield write(chunk), which writes a complex (T', *shape) array, T' >= 1, as the trace's next
+    T' frames; the first chunk makes the file and its directory. A block that raises removes it."""
+    fh, t = None, 0
+    with contextlib.ExitStack() as files:
+        def write(chunk):
+            nonlocal fh, t
+            if chunk.ndim != 4 or chunk.shape[1:] != tuple(shape) or not len(chunk):
+                raise ValueError(f"expected a (T, K, n_rx, n_tx) array with T >= 1 and (K, n_rx, "
+                                 f"n_tx) = {shape}, got shape {chunk.shape}")
+            if fh is None:
+                os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+                fh = files.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+                _write_preamble(fh, dict(zip(_TRACE_DIMS, shape),
+                                         sample_rate=repr(float(sample_rate))), _TRACE_COLUMNS)
+            t = _write_trace_rows(fh, chunk, t)
+        try:
+            yield write
+        except BaseException:
+            if fh is not None:
+                fh.close()
+                os.remove(path)
+            raise
+
+
+def _write_trace_rows(fh, values, t0: int) -> int:
+    """Write values (T, K, n_rx, n_tx) as the rows of frames t0 .. t0 + T - 1; returns t0 + T."""
+    cells = [f"{k},{rx},{tx}," for k, rx, tx in np.ndindex(values.shape[1:])]
+    for t, v in enumerate(values.reshape(len(values), -1), t0):
+        fh.write("".join([f"{t},{c}{real},{imag}\n" for c, real, imag in zip(
+            cells, map(repr, v.real.tolist()), map(repr, v.imag.tolist()))]))
+    return t0 + len(values)
 
 
 def ingest_trace(path):
@@ -402,9 +428,10 @@ def _read_rows(fh, path, dtype):
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             return np.loadtxt(fh, delimiter=",", comments=None, ndmin=1, dtype=dtype)
     except ValueError as exc:  # loadtxt counts rows from 1 for a wrong field count, else from 0
-        from_one = " columns but " in str(exc)
+        text = str(exc).removesuffix("; use `usecols` to select a subset and avoid this error")
+        from_one = " columns but " in text
         text = re.sub(r"at row (\d+)(?!.*at row)",  # the last: a refused field may hold the words
-                      lambda m: f"at line {_line(fh, int(m[1]) - from_one)}", str(exc))
+                      lambda m: f"at line {_line(fh, int(m[1]) - from_one)}", text)
         raise IngestError(f"{path}: {text}") from None
 
 

@@ -283,9 +283,9 @@ def test_criterion_13_cli_determinism(tmp_path):
 
 def test_criterion_14_io_roundtrip(tmp_path):
     scn = oio.default_scenario(seed=4)
-    obs, frames = ex.run_session(scn, True, None, 5.0, keep_frames=True)
     path = tmp_path / "trace.csv"
-    oio.export_trace(frames, path, scn.sample_rate)
+    with oio.trace_writer(path, (scn.n_subcarriers, scn.n_rx, scn.n_tx), scn.sample_rate) as write:
+        obs = ex.run_session(scn, True, None, 5.0, sink=write)
     back, _ = oio.ingest_trace(path)
     recomputed = sn.observe(back, obs.window_s, scn.sample_rate)
     exact = np.array_equal(recomputed.values, obs.values)

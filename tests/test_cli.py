@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -333,6 +334,18 @@ def test_coverage_grid_over_memory_exits_3_naming_grid(tmp_path, minimal_config,
     assert not (tmp_path / "cov").exists()
 
 
+def test_coverage_grid_in_a_narrow_room_exits_3_naming_grid(tmp_path, capsys):
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text("[room]\nwalls = 0 0 3 0\n  3 0 3 0.5\n  3 0.5 0 0.5\n  0 0.5 0 0\n"
+                   "[anchor]\nposition = 0.5 0.25\n[eavesdropper]\nposition = 2.5 0.25\n"
+                   "[irs]\nposition = 0.4 0.4\n"
+                   "[experiment]\nwalk_waypoints = 1.5 0.1\n  1.5 0.4\n")
+    assert invoke("coverage", "--config", cfg, "--grid", "2x2", "--out", tmp_path / "cov") == 3
+    assert capsys.readouterr().err == ("error: --grid: margin 0.75 m must be >= 0 and at most "
+                                       "half of each side of the 3 x 0.5 m room\n")
+    assert not (tmp_path / "cov").exists()
+
+
 def test_coverage_uses_config_reflector(tmp_path, minimal_config, monkeypatch):
     cfg = tmp_path / "rpm.cfg"
     cfg.write_text(minimal_config.read_text() + "reflector_rpm = 40\n")
@@ -397,6 +410,53 @@ def test_rejected_simulate_leaves_no_out_dir(tmp_path, minimal_config):
     assert invoke("simulate", "--config", minimal_config, "--motion", "none", "--defense", "off",
                   "--duration", 1e12, "--out", tmp_path / "x") == 3
     assert not (tmp_path / "x").exists()
+
+
+def test_simulate_failing_mid_session_exits_4_and_leaves_no_trace(tmp_path, minimal_config,
+                                                                  capsys, monkeypatch):
+    """The frame engine fails on the second chunk, after the first chunk's rows are on disk:
+    simulate exits 4 and removes trace.csv, which would read as a valid, shorter trace."""
+    out, frame, seen = tmp_path / "out", channel.FrameSimulator.frame, []
+
+    def failing(self, *args, **kw):
+        seen.append((out / "trace.csv").exists())
+        if len(seen) == 2:
+            raise RuntimeError("engine fault")
+        return frame(self, *args, **kw)
+
+    monkeypatch.setattr(channel.FrameSimulator, "frame", failing)
+    assert invoke("simulate", "--config", minimal_config, "--motion", "walk", "--defense", "on",
+                  "--duration", 3, "--out", out) == 4
+    assert capsys.readouterr().err == "runtime error: engine fault\n"
+    assert seen == [False, True] and not (out / "trace.csv").exists()
+
+
+def test_simulate_enters_run_session_once(tmp_path, minimal_config, monkeypatch):
+    """The benchmark's tracer counts sessions on experiments.run_session: simulate's one
+    session goes through it once, and through experiments.session nowhere else."""
+    calls = []
+    for name in ("run_session", "session"):
+        def spy(*args, _run=getattr(experiments, name), _name=name, **kw):
+            calls.append(_name)
+            return _run(*args, **kw)
+        monkeypatch.setattr(experiments, name, spy)
+    assert invoke("simulate", "--config", minimal_config, "--motion", "walk", "--defense", "on",
+                  "--duration", 2, "--out", tmp_path / "out") == 0
+    assert calls == ["run_session", "session"]
+
+
+def test_simulate_streams_its_trace(tmp_path, minimal_config):
+    """A 10 s defended walk (700 frames, 2.7 MiB of |H|, 5.4 MiB of complex frames) peaks under
+    11 MiB in process: the trace rows are written chunk by chunk, no complex copy of the
+    session is kept (14.3 MiB when it was)."""
+    tracemalloc.start()
+    try:
+        assert invoke("simulate", "--config", minimal_config, "--motion", "walk", "--defense",
+                      "on", "--duration", 10, "--out", tmp_path / "out") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * 2 ** 20
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

@@ -30,6 +30,13 @@ def quiet_scenario(seed=3, **kw):
     return scn
 
 
+def with_frames(run, *args, **kw):
+    """(run(*args, sink=..., **kw), the complex frames its sink got, joined in frame order)."""
+    chunks = []
+    result = run(*args, sink=lambda h: chunks.append(h.copy()), **kw)
+    return result, np.concatenate(chunks)
+
+
 # --- scheduler keywords ----------------------------------------------------
 
 def test_reference_and_selection_misspelled_scheduler_keyword():
@@ -69,24 +76,23 @@ def test_session_larger_than_memory_rejected_before_allocating():
     assert peak < 50e6
 
 
-@pytest.mark.parametrize("keep_frames", [False, True])
-def test_selected_session_memory_counts_the_selected_copy(monkeypatch, keep_frames):
+@pytest.mark.parametrize("sink", [None, lambda h: None], ids=["no_sink", "sink"])
+def test_selected_session_memory_guard_counts_h_once(monkeypatch, sink):
     """With n_select = k < K the session holds the full band's |H| once (the selection moves
-    within it) and, with keep_frames, the complex frames and their k-subcarrier copy: the guard
-    rejects it just below those bytes, before any frame, and it runs at 1.25 times them."""
+    within it), with or without a sink: the guard rejects it just below those bytes, before any
+    frame, and it runs at 1.25 times them."""
     scn = quiet_scenario()
     sim = ch.FrameSimulator(scn)  # built first: its surface check needs more than the session
     k = scn.n_subcarriers // 2
-    holds = 2 * 70 * scn.n_subcarriers * scn.n_rx * scn.n_tx * (
-        8 + (16 * (1 + k / scn.n_subcarriers) if keep_frames else 0))
+    holds = 2 * 70 * scn.n_subcarriers * scn.n_rx * scn.n_tx * 8
     with monkeypatch.context() as m:
         m.setattr(ch, "_physical_memory", lambda: 0.999 * holds)
         m.setattr(ch.FrameSimulator, "frame",
                   lambda *a, **kw: pytest.fail("a frame was synthesised"))
         with pytest.raises(ValueError, match=r"^duration 2 s needs"):
-            ex.session(scn, False, None, 2.0, n_select=k, keep_frames=keep_frames, simulator=sim)
+            ex.session(scn, False, None, 2.0, n_select=k, sink=sink, simulator=sim)
     monkeypatch.setattr(ch, "_physical_memory", lambda: 1.25 * holds)
-    rec = ex.session(scn, False, None, 2.0, n_select=k, keep_frames=keep_frames, simulator=sim)
+    rec = ex.session(scn, False, None, 2.0, n_select=k, sink=sink, simulator=sim)
     assert rec.mags.shape == (140, k, scn.n_rx, scn.n_tx)
 
 
@@ -402,8 +408,8 @@ def test_defended_session_matches_per_frame_oracle(kind):
     person = ch.PersonState(position=(0.0, 0.0))
     motion = (ch.Trajectory(waypoints=[(4.0, 2.15), (4.0, 3.35)], speed=0.45) if kind == "walk"
               else ch.RotatingReflector(position=(3.75, 2.75)))
-    _, got = ex.run_session(scn, True, motion, 1.5, stream=2, person_template=person,
-                            keep_frames=True, hold_prob=0.0)
+    _, got = with_frames(ex.run_session, scn, True, motion, 1.5, stream=2,
+                         person_template=person, hold_prob=0.0)
     want = oracle_frames(scn, motion, 1.5, 2, person, hold_prob=0.0)
     assert got.shape == want.shape
     assert np.allclose(got, want, rtol=1e-12, atol=1e-18)
@@ -420,9 +426,9 @@ def test_chunked_noise_matches_per_frame_draws():
     for motion, n_frames in [(None, ex.FRAME_CHUNK + 60), (WALK, 3 * ex.FRAME_CHUNK + 5),
                              (ch.RotatingReflector(position=(3.75, 2.75)), 3 * ex.FRAME_CHUNK + 5)]:
         duration = n_frames / scn.sample_rate
-        _, noisy = ex.run_session(scn, True, motion, duration, stream=5, keep_frames=True)
-        _, clean = ex.run_session(replace(scn, snr_db=float("inf")), True, motion, duration,
-                                  stream=5, keep_frames=True)
+        _, noisy = with_frames(ex.run_session, scn, True, motion, duration, stream=5)
+        _, clean = with_frames(ex.run_session, replace(scn, snr_db=float("inf")), True, motion,
+                               duration, stream=5)
         assert noisy.shape[0] > ex.FRAME_CHUNK
         sigma = ch.FrameSimulator(scn).noise_std / math.sqrt(2.0)
         rng = ex._noise_rng(scn, 5)
@@ -487,16 +493,16 @@ def test_restricted_session_matches_full_band(motion, defense):
     sim = ch.FrameSimulator(scn)
     n_frames = 3 * ex.FRAME_CHUNK + 5
     duration = n_frames / scn.sample_rate
-    kw = dict(stream=5, person_template=None, active_elements=None, simulator=sim,
-              keep_frames=True)
-    rec = ex.session(scn, defense, motion, duration, **kw)
-    full, full_frames = rec.mags, rec.frames
+    kw = dict(stream=5, person_template=None, active_elements=None, simulator=sim)
+    rec, full_frames = with_frames(ex.session, scn, defense, motion, duration, **kw)
+    full = rec.mags
     def same(a, b):
         return a.tobytes() == b.tobytes()
 
     for subs in (SUBS_28, SUBS_6):
-        rec = ex.session(scn, defense, motion, duration, subcarriers=subs, **kw)
-        mags, frames = rec.mags, rec.frames
+        rec, frames = with_frames(ex.session, scn, defense, motion, duration, subcarriers=subs,
+                                  **kw)
+        mags = rec.mags
         assert mags.shape == frames.shape == (n_frames, len(subs), 3, 3)
         assert same(mags, full[:, subs])
         assert same(frames, full_frames[:, subs])
@@ -550,12 +556,13 @@ def test_every_subset_width_matches_full_band_bit_for_bit():
     sim = ch.FrameSimulator(scn)
     rng = np.random.default_rng(8)
     for motion in (None, WALK):
-        full = ex.session(scn, True, motion, 1.0, stream=3, simulator=sim, keep_frames=True)
+        full, full_frames = with_frames(ex.session, scn, True, motion, 1.0, stream=3,
+                                        simulator=sim)
         for width in range(1, 57):
             subs = [int(k) for k in rng.permutation(56)[:width]]
-            rec = ex.session(scn, True, motion, 1.0, subcarriers=subs, stream=3, simulator=sim,
-                             keep_frames=True)
-            assert rec.frames.tobytes() == full.frames[:, subs].tobytes(), (motion, subs)
+            rec, frames = with_frames(ex.session, scn, True, motion, 1.0, subcarriers=subs,
+                                      stream=3, simulator=sim)
+            assert frames.tobytes() == full_frames[:, subs].tobytes(), (motion, subs)
             assert rec.mags.tobytes() == full.mags[:, subs].tobytes(), (motion, subs)
 
 
@@ -568,8 +575,10 @@ from obfusense import channel, experiments, io
 scn = io.default_scenario(seed=3)
 walk = channel.Trajectory(waypoints=[(4.0, 2.15), (4.0, 3.35)], speed=0.45)
 for s, subs in [(scn, %r), (replace(scn, n_subcarriers=30), None)]:
-    _, frames = experiments.run_session(s, True, walk, 2.0, subcarriers=subs, keep_frames=True)
-    print(hashlib.sha256(frames.tobytes()).hexdigest())
+    digest = hashlib.sha256()
+    experiments.run_session(s, True, walk, 2.0, subcarriers=subs,
+                            sink=lambda h: digest.update(h.tobytes()))
+    print(digest.hexdigest())
 """ % SUBS_6
 
 
@@ -600,7 +609,7 @@ def test_session_record_schedule_matches_change_frames():
     assert rec.person_xy.shape == (n, 2) and rec.moving.shape == (n,)
     assert rec.person_xy is rec.observation.meta["person_xy"]
     assert rec.subcarriers == list(range(scn.n_subcarriers))
-    assert rec.frames is None and rec.mags.shape == (n, scn.n_subcarriers, 3, 3)
+    assert rec.mags.shape == (n, scn.n_subcarriers, 3, 3)
     assert "subcarriers" not in rec.observation.meta
 
 
@@ -612,9 +621,9 @@ def test_session_record_without_motion_has_no_person():
 
 @pytest.mark.parametrize("subs", [None, SUBS_6], ids=["full", "subset"])
 def test_session_record_frames_give_mags_bit_for_bit(subs):
-    rec = ex.session(quiet_scenario(), True, WALK, 2.0, subcarriers=subs, keep_frames=True)
-    assert rec.frames.shape == rec.mags.shape
-    assert np.abs(rec.frames).tobytes() == rec.mags.tobytes()
+    rec, frames = with_frames(ex.session, quiet_scenario(), True, WALK, 2.0, subcarriers=subs)
+    assert frames.shape == rec.mags.shape
+    assert np.abs(frames).tobytes() == rec.mags.tobytes()
     if subs is not None:
         assert rec.subcarriers == subs == rec.observation.meta["subcarriers"]
 
@@ -622,18 +631,19 @@ def test_session_record_frames_give_mags_bit_for_bit(subs):
 @pytest.mark.parametrize("n_select", [1, 28, 55])
 def test_selected_session_is_the_full_band_at_its_subcarriers(n_select):
     """n_select moves the selected subcarriers to the front of the session's |H|, block by
-    block: mags, frames and observation equal the full band's at those subcarriers, to the
-    bit, over three full chunks and a partial one."""
+    block: mags and observation equal the full band's at those subcarriers, to the bit, over
+    three full chunks and a partial one. The sink gets the full band, as synthesised."""
     scn = quiet_scenario(snr_db=20.0)
     sim = ch.FrameSimulator(scn)
     duration = (3 * ex.FRAME_CHUNK + 5) / scn.sample_rate
-    kw = dict(stream=4, simulator=sim, keep_frames=True)
-    full = ex.session(scn, True, None, duration, **kw)
-    rec = ex.session(scn, True, None, duration, n_select=n_select, **kw)
+    kw = dict(stream=4, simulator=sim)
+    full, full_frames = with_frames(ex.session, scn, True, None, duration, **kw)
+    rec, frames = with_frames(ex.session, scn, True, None, duration, n_select=n_select, **kw)
     subs = rec.subcarriers
     assert subs == sn.select_subcarriers(full.mags, n_select) and len(subs) == n_select
     assert rec.mags.tobytes() == full.mags[:, subs].tobytes()
-    assert rec.frames.tobytes() == full.frames[:, subs].tobytes()
+    assert frames.shape == full_frames.shape  # the full band
+    assert frames[:, subs].tobytes() == full_frames[:, subs].tobytes()
     want = sn.observe(full.mags[:, subs], 1.0, scn.sample_rate)
     assert rec.observation.values.tobytes() == want.values.tobytes()
 
@@ -938,6 +948,20 @@ def test_coverage_grid_shapes_and_rates():
     assert result.rates.shape == (4,)
     assert np.all((result.rates >= 0) & (result.rates <= 1))
     assert np.all((result.rates_maxref >= 0) & (result.rates_maxref <= 1))
+
+
+@pytest.mark.parametrize("width, height, margin", [(3.0, 0.5, 0.75), (3.0, 1.2, 0.75),
+                                                    (1.4, 5.5, 0.75), (7.5, 5.5, -0.1)],
+                         ids=["outside", "backwards", "narrow_x", "negative"])
+def test_coverage_grid_margin_must_leave_an_interior(width, height, margin):
+    """A margin over half the room on an axis would put positions outside it (0.5 m: y = 0.75
+    and -0.25) or run the rows backwards (1.2 m); a negative one puts them outside."""
+    scn = replace(quiet_scenario(), room=ch.rect_room(width, height))
+    with pytest.raises(ValueError, match=rf"^margin {margin:g} m must be >= 0 and at most half "
+                                         rf"of each side of the {width:g} x {height:g} m room$"):
+        ex.coverage_grid_positions(scn, 2, 2, margin)
+    line = ex.coverage_grid_positions(replace(scn, room=ch.rect_room(3.0, 1.5)), 2, 2)
+    assert np.array_equal(line[:, 1], [0.75] * 4)  # exactly half: one row, in the room
 
 
 def test_coverage_grid_bounded_by_physical_memory(monkeypatch):

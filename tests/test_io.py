@@ -312,6 +312,57 @@ def test_trace_reexport_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def schema_trace(values, sample_rate) -> bytes:
+    """The trace CSV of values as the schema spells it out, one row per cell in (t, k, rx, tx)
+    order."""
+    k, rx, tx = values.shape[1:]
+    lines = ["# schema_version=1", f"# n_subcarriers={k}", f"# n_rx={rx}", f"# n_tx={tx}",
+             f"# sample_rate={sample_rate!r}", "t,k,rx,tx,re,im"]
+    lines += [f"{t},{k},{rx},{tx},{float(v.real)!r},{float(v.imag)!r}"
+              for (t, k, rx, tx), v in np.ndenumerate(values)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 3 * 64 + 5])
+def test_trace_writer_chunks_give_the_whole_array_trace(tmp_path, n):
+    """Fed 64-frame chunks (a session's experiments.FRAME_CHUNK), the writer writes the bytes of
+    export_trace of the whole array, which are the schema's: t runs on across chunk bounds."""
+    values = small_frames(n, k=3, rx=2, tx=2, seed=n)
+    whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
+    oio.export_trace(values, whole, 50.0)
+    with oio.trace_writer(chunked, values.shape[1:], 50.0) as write:
+        for a in range(0, n, 64):
+            write(values[a:a + 64])
+    assert chunked.read_bytes() == whole.read_bytes() == schema_trace(values, 50.0)
+
+
+def test_trace_writer_makes_nothing_before_its_first_chunk(tmp_path):
+    path = tmp_path / "out" / "trace.csv"
+    with oio.trace_writer(path, (2, 1, 1)):
+        pass
+    refused = r"^expected a \(T, K, n_rx, n_tx\) array with T >= 1"
+    no_frame, no_t_axis, wider = small_frames(n=0), small_frames(n=2)[0], small_frames(n=2, k=3)
+    for values in (no_frame, no_t_axis, wider):
+        with pytest.raises(ValueError, match=refused):
+            with oio.trace_writer(path, (2, 1, 1)) as write:
+                write(values)
+    for values in (no_frame, no_t_axis):  # export_trace takes the header from the array
+        with pytest.raises(ValueError, match=refused):
+            oio.export_trace(values, path)
+    assert not (tmp_path / "out").exists()
+
+
+def test_trace_writer_removes_its_file_when_the_block_raises(tmp_path):
+    """A partial trace would read as a valid, shorter one."""
+    path = tmp_path / "out" / "trace.csv"
+    with pytest.raises(RuntimeError, match="^stop$"):
+        with oio.trace_writer(path, (2, 1, 1)) as write:
+            write(small_frames(n=2))
+            assert path.exists()
+            raise RuntimeError("stop")
+    assert not path.exists() and path.parent.is_dir()
+
+
 def test_trace_not_utf8_names_file(tmp_path):
     path = tmp_path / "trace.csv"
     oio.export_trace(small_frames(), path)
@@ -465,14 +516,15 @@ def test_trace_bad_row_named(tmp_path, row, message):
     oio.export_trace(small_frames(n=1, k=1, rx=1, tx=1), path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:6] + [row]) + "\n")
-    with pytest.raises(oio.IngestError, match=f"^{re.escape(f'{path}: {message}')}"):
+    with pytest.raises(oio.IngestError, match=f"^{re.escape(f'{path}: {message}')}$"):
         oio.ingest_trace(path)
 
 
 @pytest.mark.parametrize("row, message", [
-    ("0,0,0,0,1.0", "the dtype passed requires 6 columns but 5 were found at line 10;"),
+    ("0,0,0,0,1.0", "the dtype passed requires 6 columns but 5 were found at line 10"),
     ("0,0,0,0,1.0,abc", "could not convert string 'abc' to float64 at line 10, column 6."),
-    ("0,0,0,0,1.0,at row 1", "could not convert string 'at row 1' to float64 at line 10,"),
+    ("0,0,0,0,1.0,at row 1", "could not convert string 'at row 1' to float64 at line 10, "
+                             "column 6."),
 ], ids=["field count", "conversion", "field naming a row"])
 def test_trace_bad_row_after_blank_lines_names_its_line(tmp_path, row, message):
     """np.loadtxt counts rows without the empty lines, from 1 for a wrong field count and from
@@ -481,7 +533,7 @@ def test_trace_bad_row_after_blank_lines_names_its_line(tmp_path, row, message):
     oio.export_trace(small_frames(n=2, k=1, rx=1, tx=1), path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:6] + ["", lines[6], "", row]) + "\n")  # row on line 10
-    with pytest.raises(oio.IngestError, match=f"^{re.escape(f'{path}: {message}')}"):
+    with pytest.raises(oio.IngestError, match=f"^{re.escape(f'{path}: {message}')}$"):
         oio.ingest_trace(path)
 
 
