@@ -30,6 +30,9 @@ _worker_sim = None  # a coverage pool worker's simulator, set once by _set_worke
 # holds NOISE_AHEAD + 1 chunks, 0.5 MB each with 56 subcarriers and 3x3 antennas.
 FRAME_CHUNK = 64
 NOISE_AHEAD = 2
+# What a session holds for its whole length, a frame: six float64s for its times, cfg_index,
+# scheduler tick times and observation, and a walk's positions or a reflector's factors.
+_FRAME_BYTES = 48
 
 
 @dataclass
@@ -130,7 +133,8 @@ def plan(scenario: Scenario, defense_on: bool, duration_s: float, *, window_s: f
          subcarriers=None, n_select: int | None = None, stream: int = 0, **scheduler):
     """(n_frames, subcarriers as ints or None, irs.SchedulerParams) of session() on these inputs,
     all checked here: session() and each study's cells run this before any simulator or draw.
-    The memory guard counts the float64 |H| only, within which selection moves: 8 B a cell."""
+    The memory guard counts what a session holds for its whole length: _FRAME_BYTES a frame, and
+    with n_select the full band's float64 |H| too, 8 B a cell."""
     if subcarriers is not None and n_select is not None:
         raise ValueError("give subcarriers or n_select, not both")
     if n_select is not None and n_select < 1:  # sensing.select_subcarriers' rule, before synthesis
@@ -144,19 +148,18 @@ def plan(scenario: Scenario, defense_on: bool, duration_s: float, *, window_s: f
     scheduler.check_update_rate(scenario.sample_rate)
     if defense_on and scenario.irs_pos is None:
         raise ScenarioError("defense requested but the scenario has no reflecting surface")
-    width = scenario.n_subcarriers if subcarriers is None else len(subcarriers)
-    channel.check_memory(duration_s * scenario.sample_rate * (width * scenario.n_rx * scenario.n_tx)
-                         * 8, f"duration {duration_s:g} s")
+    cells = 0 if n_select is None else scenario.n_subcarriers * scenario.n_rx * scenario.n_tx
+    channel.check_memory(duration_s * scenario.sample_rate * (_FRAME_BYTES + 8 * cells),
+                         f"duration {duration_s:g} s")
     return int(round(duration_s * scenario.sample_rate)), subcarriers, scheduler
 
 
 @dataclass
 class Session:
-    """A session at its observed subcarriers (mags[:, i] is subcarriers[i]) and its schedule."""
+    """A session's observation, its observed subcarriers and its schedule."""
     observation: sensing.ObservationSeries
     subcarriers: list
     times: np.ndarray
-    mags: np.ndarray  # (T, K', n_rx, n_tx)
     configs: np.ndarray  # (C, M) int8 coefficients
     cfg_index: np.ndarray  # (T,): frame i uses configs[cfg_index[i]]
     change_frames: list
@@ -213,8 +216,11 @@ def session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
             unit = channel.scatter_tensors(scenario, [motion.position], subcarriers)
 
         synth = sim if subcarriers is None else sim.at_subcarriers(subs)
-        buf = np.empty((n_frames,) + sensing._component_order(synth.h_env[None]).shape[1:])
-        mags = sensing._component_order(buf)  # |H| as (T, K', n_rx, n_tx); sensing reads buf's rows
+        shape = sensing._component_order(synth.h_env[None]).shape[1:]  # (K', n_tx, n_rx)
+        rows = np.empty((FRAME_CHUNK, math.prod(shape)))
+        n_w = sensing.window_samples(window_s, scenario.sample_rate)
+        observer = sensing.Observer(n_w, rows.shape[1], n_frames) if n_select is None else None
+        held = None if n_select is None else np.empty((n_frames,) + shape)  # |H| to select on
         for j, a in enumerate(range(0, n_frames, FRAME_CHUNK)):
             draws.append(draw(j + NOISE_AHEAD))
             b = min(a + FRAME_CHUNK, n_frames)
@@ -227,24 +233,28 @@ def session(scenario: Scenario, defense_on: bool, motion, duration_s: float, *,
                             noise=None if z is None else z[:, :, subs])
             if sink is not None:
                 sink(h)
-            np.abs(h, out=mags[a:b])
-    del ring, draws, synth, h, z  # the synthesis buffers go before selection and observe run
+            mags = sensing.magnitude_matrix(h, out=rows[:b - a] if held is None else held[a:b])
+            if observer is not None:
+                observer.feed(mags)
+    del ring, draws, synth, h, z, rows, mags  # the synthesis buffers go before selection runs
     meta = dict(seed=scenario.seed, stream=stream, defense_on=bool(defense_on),
                 duration_s=float(duration_s), n_frames=n_frames, irs_change_frames=change_frames)
     if person is not None:
         meta.update(moving=moving, person_xy=person_xy)
     band = list(range(scenario.n_subcarriers))
-    if n_select is not None:
-        subcarriers = band if n_select >= len(band) else sensing.select_subcarriers(mags, n_select)
-    if n_select is not None and n_select < len(band):  # the selection moves to the front of |H|
-        kept = np.ndarray(buf[:, :n_select].shape, buffer=buf)
-        for a in range(0, n_frames, FRAME_CHUNK):  # rows ascend: a block lands on rows read
-            kept[a:a + FRAME_CHUNK] = buf[a:a + FRAME_CHUNK, subcarriers]
-        mags = sensing._component_order(kept)
+    if n_select is not None:  # the selected columns of |H|, 64 frames at a time
+        subcarriers = (band if n_select >= len(band)
+                       else sensing.select_subcarriers(sensing._component_order(held), n_select))
+        kept = np.empty((FRAME_CHUNK, len(subcarriers)) + shape[1:])
+        observer = sensing.Observer(n_w, kept[0].size, n_frames)
+        for a in range(0, n_frames, FRAME_CHUNK):
+            b = min(a + FRAME_CHUNK, n_frames)
+            observer.feed(np.take(held[a:b], subcarriers, axis=1, out=kept[:b - a])
+                          .reshape(b - a, -1))
     if subcarriers is not None:
         meta["subcarriers"] = subcarriers
-    obs = sensing.observe(mags, window_s, scenario.sample_rate, meta=meta)
-    return Session(obs, band if subcarriers is None else subcarriers, times, mags, configs,
+    obs = sensing.ObservationSeries(observer.finish(), scenario.sample_rate, window_s, meta)
+    return Session(obs, band if subcarriers is None else subcarriers, times, configs,
                    cfg_index, change_frames, person_xy, moving)
 
 
@@ -272,13 +282,14 @@ def reference_and_selection(scenario: Scenario, defense_on: bool, reference_s: f
 
 def _study_simulator(scenario: Scenario, duration_s: float, stream: int, sessions: int):
     """A study's one simulator and one read-only draw of stream's noise (None for one session or a
-    noiseless scenario), held for the whole study: 16 B per full-band cell beside a session's 8 B
-    of |H|, checked against physical memory before the simulator is built."""
+    noiseless scenario), held for the whole study: 16 B per full-band cell beside a session's
+    _FRAME_BYTES a frame, checked against physical memory before the simulator is built."""
     shape = (int(round(duration_s * scenario.sample_rate)), 2, scenario.n_subcarriers,
              scenario.n_rx, scenario.n_tx)
     shared = sessions > 1 and not math.isinf(scenario.snr_db)  # channel.noise_std's rule
     if shared:
-        channel.check_memory(12 * math.prod(shape), f"duration {duration_s:g} s")  # 24 B a cell
+        channel.check_memory(8 * math.prod(shape) + _FRAME_BYTES * shape[0],
+                             f"duration {duration_s:g} s")
     sim = FrameSimulator(scenario)
     if not (shared and sim.noise_std):  # noise_std also underflows to 0 at a huge finite snr_db
         return sim, None

@@ -353,8 +353,9 @@ def export_trace(values, path, sample_rate: float = 70.0):
 @contextlib.contextmanager
 def trace_writer(path, shape: tuple, sample_rate: float = 70.0):
     """Yield write(chunk), which writes a complex (T', *shape) array, T' >= 1, as the trace's next
-    T' frames; the first chunk makes the file and its directory. A block that raises removes it."""
-    fh, t = None, 0
+    T' frames. The first chunk makes the directory and path + ".part", which replaces path when
+    the block exits cleanly; a block that raises removes it and leaves path as it was."""
+    part, fh, t = f"{os.fspath(path)}.part", None, 0
     with contextlib.ExitStack() as files:
         def write(chunk):
             nonlocal fh, t
@@ -362,17 +363,20 @@ def trace_writer(path, shape: tuple, sample_rate: float = 70.0):
                 raise ValueError(f"expected a (T, K, n_rx, n_tx) array with T >= 1 and (K, n_rx, "
                                  f"n_tx) = {shape}, got shape {chunk.shape}")
             if fh is None:
-                os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-                fh = files.enter_context(open(path, "w", encoding="utf-8", newline="\n"))
+                os.makedirs(os.path.dirname(part) or ".", exist_ok=True)
+                fh = files.enter_context(open(part, "w", encoding="utf-8", newline="\n"))
                 _write_preamble(fh, dict(zip(_TRACE_DIMS, shape),
                                          sample_rate=repr(float(sample_rate))), _TRACE_COLUMNS)
             t = _write_trace_rows(fh, chunk, t)
         try:
             yield write
+            if fh is not None:
+                fh.close()
+                os.replace(part, path)
         except BaseException:
             if fh is not None:
                 fh.close()
-                os.remove(path)
+                os.remove(part)
             raise
 
 

@@ -68,20 +68,13 @@ def magnitude_matrix(frames, out=None) -> np.ndarray:
     return np.abs(arr, out=out.reshape(arr.shape)).reshape(out.shape)
 
 
-def _row_blocks(x, step: int, size: int, rows=magnitude_matrix):
-    """rows(x[a:a + size], out) for a = 0, step, 2 step, ... while a + size - step < len(x);
-    out is one float buffer for every block (magnitude_matrix: the block's |H| components). A
-    float64 x whose component order is C-contiguous (as session writes |H|) and that has no sign
-    bit set is its own magnitude matrix, bit for bit: its blocks are then views, with no buffer."""
-    n_buf = min(size, len(x))
-    if rows is magnitude_matrix and x.dtype == float and _component_order(x).flags.c_contiguous:
-        flat = _component_order(x).reshape(len(x), -1)
-        if flat.view(np.int64).min(initial=0) >= 0:
-            x, rows, n_buf = flat, lambda block, out: block, 0
-    buf = np.empty((n_buf, math.prod(x.shape[1:])))
-    for a in range(0, len(x) - size + step, step):
+def _magnitude_rows(x, size: int):
+    """magnitude_matrix(x[a:a + size]) for a = 0, size, 2 size, ..., each written into one float
+    buffer that the next block overwrites."""
+    buf = np.empty((min(size, len(x)), math.prod(x.shape[1:])))
+    for a in range(0, len(x), size):
         block = x[a:a + size]
-        yield rows(block, buf[:len(block)])
+        yield magnitude_matrix(block, buf[:len(block)])
 
 
 def select_subcarriers(reference_frames, k: int) -> list:
@@ -99,7 +92,7 @@ def select_subcarriers(reference_frames, k: int) -> list:
     if not (1 <= k <= n_sub):
         raise ValueError(f"k={k} out of range for {n_sub} subcarriers")
     series = np.concatenate([mags.reshape(len(mags), n_sub, -1).mean(axis=2)  # (time, K)
-                             for mags in _row_blocks(arr, 256, 256)])
+                             for mags in _magnitude_rows(arr, 256)])
     centered = series - series.mean(axis=0, keepdims=True)
     norms = np.sqrt((centered ** 2).sum(axis=0))
     unit = centered / np.where(norms > 0, norms, 1.0)
@@ -111,43 +104,67 @@ def select_subcarriers(reference_frames, k: int) -> list:
     return sorted(int(i) for i in order[:k])
 
 
-def _sliding_stds(x, n_w: int, rows=magnitude_matrix):
-    """Column-wise trailing-window population stds of the (time, m) matrix rows(x), yielded
-    for one block of n_w windows after another (see _row_blocks).
+class Observer:
+    """Column mean of the trailing-window population stds of (t, m) rows, fed in frame order
+    (n_rows in all); finish() gives one value per window. Blocks of 2 n_w - 1 rows start at rows
+    0, n_w, 2 n_w, ...; after each only the n_w - 1 rows the next shares are kept, and finish()
+    runs the partial last one, so the values do not depend on how the rows were split.
 
-    O(T) per column. A block's 2 n_w - 1 samples are centred on its sample
-    n_w - 1, which every window of the block contains, so a constant column
-    gives exactly 0 and slow drift adds little to the sums; each window's
-    variance comes from prefix sums of the centred values and their squares.
-    A window is ill-conditioned where the block's prefix sum of squares up to
-    its last sample exceeds 1e3 * n_w * var, as after a step inside the block;
-    such windows are recomputed by the two-pass formula (subtract the window's
-    own mean, then average the squared deviations).
+    O(T) per column. A block's samples are centred on its sample n_w - 1, which every window of
+    the block contains, so a constant column gives exactly 0 and slow drift adds little to the
+    sums; each window's variance comes from prefix sums of the centred values and their squares.
+    A window is ill-conditioned where the block's prefix sum of squares up to its last sample
+    exceeds 1e3 * n_w * var, as after a step inside the block; such windows are recomputed by
+    the two-pass formula (subtract the window's own mean, then average the squared deviations).
     """
-    # One scratch allocation per call, carved into c (prefix sums of seg, then of seg ** 2; row
-    # 0 stays 0), the centred block seg and s1. Three separate buffers give the same values but
-    # left a heap layout that slowed the frame synthesis after them (perfbench defense_grid).
-    k = min(2 * n_w - 1, len(x))
-    scratch = np.empty((3 * n_w + k, math.prod(x.shape[1:])))
-    c, seg_buf, s1_buf = scratch[:2 * n_w], scratch[2 * n_w:2 * n_w + k], scratch[2 * n_w + k:]
-    c[0] = 0.0
-    mask_buf = np.empty(s1_buf.shape, dtype=bool)
-    for block in _row_blocks(x, n_w, 2 * n_w - 1, rows):
+
+    def __init__(self, n_w: int, m: int, n_rows: int):
+        # One scratch allocation (separate buffers left a heap layout that slowed synthesis):
+        # the held block, c (prefix sums of seg, then of seg ** 2; row 0 stays 0), seg and s1.
+        k = min(2 * n_w - 1, n_rows)
+        scratch = np.empty((3 * n_w + 2 * k, m))
+        self.block, self.c = scratch[:k], scratch[k:k + 2 * n_w]
+        self.seg, self.s1 = scratch[k + 2 * n_w:2 * k + 2 * n_w], scratch[2 * k + 2 * n_w:]
+        self.c[0] = 0.0
+        self.mask = np.empty(self.s1.shape, dtype=bool)
+        self.n_w, self.held, self.means = n_w, 0, []
+
+    def feed(self, rows) -> None:
+        """Take the (t, m) rows that follow those fed before (copied: rows may be reused)."""
+        while len(rows):
+            take = min(len(rows), len(self.block) - self.held)
+            if not take:
+                raise ValueError(f"more rows fed than the n_rows = {len(self.block)} given")
+            self.block[self.held:self.held + take] = rows[:take]
+            self.held, rows = self.held + take, rows[take:]
+            if self.held == 2 * self.n_w - 1:
+                self._run(self.block)
+                self.block[:self.n_w - 1] = self.block[self.n_w:]
+                self.held = self.n_w - 1
+
+    def finish(self) -> np.ndarray:
+        """The component mean of each window's stds, in order; at least n_w rows were fed."""
+        if self.held >= self.n_w:
+            self._run(self.block[:self.held])
+        return np.concatenate(self.means)
+
+    def _run(self, block) -> None:
+        n_w, c = self.n_w, self.c
         nb = len(block) - n_w + 1
-        seg = np.subtract(block, block[n_w - 1], out=seg_buf[:len(block)])
+        seg = np.subtract(block, block[n_w - 1], out=self.seg[:len(block)])
         np.cumsum(seg, axis=0, out=c[1:nb + n_w])
-        s1 = np.subtract(c[n_w:nb + n_w], c[:nb], out=s1_buf[:nb])
+        s1 = np.subtract(c[n_w:nb + n_w], c[:nb], out=self.s1[:nb])
         np.cumsum(np.square(seg, out=seg), axis=0, out=c[1:nb + n_w])
-        var = c[n_w:nb + n_w] - c[:nb]  # a fresh array per block: callers may keep it
+        var = c[n_w:nb + n_w] - c[:nb]
         np.divide(np.multiply(s1, s1, out=s1), n_w, out=s1)
         np.divide(np.subtract(var, s1, out=var), n_w, out=var)
         thr = np.multiply(1e3 * n_w, var, out=s1)
-        if (mask := np.greater(c[n_w:nb + n_w], thr, out=mask_buf[:nb])).any():
+        if (mask := np.greater(c[n_w:nb + n_w], thr, out=self.mask[:nb])).any():
             ti, ji = np.nonzero(mask)
             w = np.lib.stride_tricks.sliding_window_view(block, n_w, axis=0)[ti, ji]
             dev = w - w.mean(axis=1, keepdims=True)
             var[ti, ji] = np.einsum("iw,iw->i", dev, dev) / n_w
-        yield np.sqrt(np.maximum(var, 0.0, out=var), out=var)
+        self.means.append(np.sqrt(np.maximum(var, 0.0, out=var), out=var).mean(axis=1))
 
 
 def window_samples(window_s: float, sample_rate: float) -> int:
@@ -187,8 +204,10 @@ def observe(frames, window_s: float, sample_rate: float,
     arr = np.asarray(frames)
     if arr.shape[0] < n_w:
         raise ValueError(f"{arr.shape[0]} frames shorter than window of {n_w}")
-    values = np.concatenate([std.mean(axis=1) for std in _sliding_stds(arr, n_w)])
-    return ObservationSeries(values=values, sample_rate=sample_rate, window_s=window_s,
+    observer = Observer(n_w, math.prod(arr.shape[1:]), len(arr))
+    for rows in _magnitude_rows(arr, n_w):
+        observer.feed(rows)
+    return ObservationSeries(values=observer.finish(), sample_rate=sample_rate, window_s=window_s,
                              meta=dict(meta or {}))
 
 

@@ -320,7 +320,9 @@ def sliding_std(series, n_w: int) -> np.ndarray:
         raise ValueError("window must cover at least 2 samples")
     if x.shape[0] < n_w:
         raise ValueError(f"series length {x.shape[0]} shorter than window {n_w}")
-    return np.concatenate([std[:, 0] for std in sn._sliding_stds(x[:, None], n_w, np.positive)])
+    observer = sn.Observer(n_w, 1, len(x))
+    observer.feed(x[:, None])
+    return observer.finish()
 
 
 def brute_force_observe(arr, n_w: int) -> np.ndarray:

@@ -414,12 +414,13 @@ def test_rejected_simulate_leaves_no_out_dir(tmp_path, minimal_config):
 
 def test_simulate_failing_mid_session_exits_4_and_leaves_no_trace(tmp_path, minimal_config,
                                                                   capsys, monkeypatch):
-    """The frame engine fails on the second chunk, after the first chunk's rows are on disk:
-    simulate exits 4 and removes trace.csv, which would read as a valid, shorter trace."""
+    """The frame engine fails on the second chunk, after the first chunk's rows are on disk in
+    trace.csv.part: simulate exits 4 and removes it, leaving no trace, which would read as a
+    valid, shorter one, and no temporary file."""
     out, frame, seen = tmp_path / "out", channel.FrameSimulator.frame, []
 
     def failing(self, *args, **kw):
-        seen.append((out / "trace.csv").exists())
+        seen.append(sorted(p.name for p in out.glob("*")))
         if len(seen) == 2:
             raise RuntimeError("engine fault")
         return frame(self, *args, **kw)
@@ -428,7 +429,29 @@ def test_simulate_failing_mid_session_exits_4_and_leaves_no_trace(tmp_path, mini
     assert invoke("simulate", "--config", minimal_config, "--motion", "walk", "--defense", "on",
                   "--duration", 3, "--out", out) == 4
     assert capsys.readouterr().err == "runtime error: engine fault\n"
-    assert seen == [False, True] and not (out / "trace.csv").exists()
+    assert seen == [[], ["trace.csv.part"]] and list(out.iterdir()) == []
+
+
+def test_simulate_failing_mid_session_keeps_the_earlier_run_whole(tmp_path, minimal_config,
+                                                                 capsys, monkeypatch):
+    """A second simulate into the same directory that fails mid-session leaves the first run's
+    trace, observation and manifest byte-identical, and no temporary file."""
+    out, frame, calls = tmp_path / "out", channel.FrameSimulator.frame, []
+    args = ("simulate", "--config", minimal_config, "--motion", "walk", "--defense", "on",
+            "--duration", 3, "--out", out)
+    assert invoke(*args) == 0
+    first = read_bytes_map(out)
+
+    def failing(self, *a, **kw):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("engine fault")
+        return frame(self, *a, **kw)
+
+    monkeypatch.setattr(channel.FrameSimulator, "frame", failing)
+    assert invoke(*args) == 4
+    assert sorted(first) == ["manifest.json", "observation.csv", "trace.csv"]
+    assert read_bytes_map(out) == first
 
 
 def test_simulate_enters_run_session_once(tmp_path, minimal_config, monkeypatch):

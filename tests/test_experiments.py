@@ -78,9 +78,9 @@ def test_session_larger_than_memory_rejected_before_allocating():
 
 @pytest.mark.parametrize("sink", [None, lambda h: None], ids=["no_sink", "sink"])
 def test_selected_session_memory_guard_counts_h_once(monkeypatch, sink):
-    """With n_select = k < K the session holds the full band's |H| once (the selection moves
-    within it), with or without a sink: the guard rejects it just below those bytes, before any
-    frame, and it runs at 1.25 times them."""
+    """With n_select = k < K the session holds the full band's |H| once, with or without a sink:
+    the guard rejects it just below those bytes, before any frame, and it runs at 1.25 times
+    them."""
     scn = quiet_scenario()
     sim = ch.FrameSimulator(scn)  # built first: its surface check needs more than the session
     k = scn.n_subcarriers // 2
@@ -93,7 +93,7 @@ def test_selected_session_memory_guard_counts_h_once(monkeypatch, sink):
             ex.session(scn, False, None, 2.0, n_select=k, sink=sink, simulator=sim)
     monkeypatch.setattr(ch, "_physical_memory", lambda: 1.25 * holds)
     rec = ex.session(scn, False, None, 2.0, n_select=k, sink=sink, simulator=sim)
-    assert rec.mags.shape == (140, k, scn.n_rx, scn.n_tx)
+    assert len(rec.subcarriers) == k and len(rec.observation) == 140 - 70 + 1
 
 
 def test_selected_reference_holds_h_once():
@@ -109,6 +109,39 @@ def test_selected_reference_holds_h_once():
     finally:
         tracemalloc.stop()
     assert peak <= 23 * 2 ** 20
+
+
+def test_unselected_session_guard_counts_its_frames_not_h(monkeypatch):
+    """Without n_select a session holds no |H|: memory for half its |H| runs it, and memory
+    just below its per-frame arrays rejects it before any frame."""
+    scn = quiet_scenario()
+    sim = ch.FrameSimulator(scn)
+    monkeypatch.setattr(ch, "_physical_memory",
+                        lambda: 0.5 * 140 * scn.n_subcarriers * scn.n_rx * scn.n_tx * 8)
+    assert len(ex.session(scn, True, WALK, 2.0, simulator=sim).observation) == 140 - 70 + 1
+    monkeypatch.setattr(ch, "_physical_memory", lambda: 0.999 * 140 * ex._FRAME_BYTES)
+    monkeypatch.setattr(ch.FrameSimulator, "frame",
+                        lambda *a, **kw: pytest.fail("a frame was synthesised"))
+    with pytest.raises(ValueError, match=r"^duration 2 s needs"):
+        ex.session(scn, True, WALK, 2.0, simulator=sim)
+
+
+@pytest.mark.parametrize("kind", ["reflector_28", "walk_full_band"])
+def test_session_memory_is_a_few_chunks_not_the_session(kind):
+    """A 60 s defended reflector cell at 28 subcarriers and a 60 s defended full-band walk, each
+    on a simulator built beforehand, peak under 7 MiB: the noise ring, one chunk and the
+    observer's block, not |H| (12.9 and 19.8 MiB when every session held it)."""
+    scn = quiet_scenario(seed=1)
+    sim = ch.FrameSimulator(scn)
+    motion, subs = ((ch.RotatingReflector(position=(3.75, 2.75)), list(range(0, 56, 2)))
+                    if kind == "reflector_28" else (WALK, None))
+    tracemalloc.start()
+    try:
+        ex.run_session(scn, True, motion, 60.0, subcarriers=subs, stream=1, simulator=sim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 2 ** 20
 
 
 # --- Trajectory ------------------------------------------------------------
@@ -494,15 +527,15 @@ def test_restricted_session_matches_full_band(motion, defense):
     n_frames = 3 * ex.FRAME_CHUNK + 5
     duration = n_frames / scn.sample_rate
     kw = dict(stream=5, person_template=None, active_elements=None, simulator=sim)
-    rec, full_frames = with_frames(ex.session, scn, defense, motion, duration, **kw)
-    full = rec.mags
+    _, full_frames = with_frames(ex.session, scn, defense, motion, duration, **kw)
+    full = np.abs(full_frames)
     def same(a, b):
         return a.tobytes() == b.tobytes()
 
     for subs in (SUBS_28, SUBS_6):
-        rec, frames = with_frames(ex.session, scn, defense, motion, duration, subcarriers=subs,
-                                  **kw)
-        mags = rec.mags
+        _, frames = with_frames(ex.session, scn, defense, motion, duration, subcarriers=subs,
+                                **kw)
+        mags = np.abs(frames)
         assert mags.shape == frames.shape == (n_frames, len(subs), 3, 3)
         assert same(mags, full[:, subs])
         assert same(frames, full_frames[:, subs])
@@ -556,14 +589,15 @@ def test_every_subset_width_matches_full_band_bit_for_bit():
     sim = ch.FrameSimulator(scn)
     rng = np.random.default_rng(8)
     for motion in (None, WALK):
-        full, full_frames = with_frames(ex.session, scn, True, motion, 1.0, stream=3,
-                                        simulator=sim)
+        _, full_frames = with_frames(ex.session, scn, True, motion, 1.0, stream=3,
+                                     simulator=sim)
         for width in range(1, 57):
             subs = [int(k) for k in rng.permutation(56)[:width]]
             rec, frames = with_frames(ex.session, scn, True, motion, 1.0, subcarriers=subs,
                                       stream=3, simulator=sim)
             assert frames.tobytes() == full_frames[:, subs].tobytes(), (motion, subs)
-            assert rec.mags.tobytes() == full.mags[:, subs].tobytes(), (motion, subs)
+            want = sn.observe(full_frames[:, subs], 1.0, scn.sample_rate)
+            assert rec.observation.values.tobytes() == want.values.tobytes(), (motion, subs)
 
 
 # The child runs a defended 2 s walk restricted to SUBS_6 and a full-band one with
@@ -609,7 +643,7 @@ def test_session_record_schedule_matches_change_frames():
     assert rec.person_xy.shape == (n, 2) and rec.moving.shape == (n,)
     assert rec.person_xy is rec.observation.meta["person_xy"]
     assert rec.subcarriers == list(range(scn.n_subcarriers))
-    assert rec.mags.shape == (n, scn.n_subcarriers, 3, 3)
+    assert len(rec.observation) == n - 70 + 1
     assert "subcarriers" not in rec.observation.meta
 
 
@@ -620,31 +654,33 @@ def test_session_record_without_motion_has_no_person():
 
 
 @pytest.mark.parametrize("subs", [None, SUBS_6], ids=["full", "subset"])
-def test_session_record_frames_give_mags_bit_for_bit(subs):
-    rec, frames = with_frames(ex.session, quiet_scenario(), True, WALK, 2.0, subcarriers=subs)
-    assert frames.shape == rec.mags.shape
-    assert np.abs(frames).tobytes() == rec.mags.tobytes()
+def test_session_record_frames_give_observation_bit_for_bit(subs):
+    scn = quiet_scenario()
+    rec, frames = with_frames(ex.session, scn, True, WALK, 2.0, subcarriers=subs)
+    assert frames.shape == (140, len(rec.subcarriers), 3, 3)
+    want = sn.observe(frames, 1.0, scn.sample_rate)
+    assert rec.observation.values.tobytes() == want.values.tobytes()
     if subs is not None:
         assert rec.subcarriers == subs == rec.observation.meta["subcarriers"]
 
 
 @pytest.mark.parametrize("n_select", [1, 28, 55])
 def test_selected_session_is_the_full_band_at_its_subcarriers(n_select):
-    """n_select moves the selected subcarriers to the front of the session's |H|, block by
-    block: mags and observation equal the full band's at those subcarriers, to the bit, over
-    three full chunks and a partial one. The sink gets the full band, as synthesised."""
+    """n_select feeds the observer the selected columns of the session's full-band |H|, 64
+    frames at a time: the observation equals the full band's at those subcarriers, to the bit,
+    over three full chunks and a partial one. The sink gets the full band, as synthesised."""
     scn = quiet_scenario(snr_db=20.0)
     sim = ch.FrameSimulator(scn)
     duration = (3 * ex.FRAME_CHUNK + 5) / scn.sample_rate
     kw = dict(stream=4, simulator=sim)
-    full, full_frames = with_frames(ex.session, scn, True, None, duration, **kw)
+    _, full_frames = with_frames(ex.session, scn, True, None, duration, **kw)
     rec, frames = with_frames(ex.session, scn, True, None, duration, n_select=n_select, **kw)
     subs = rec.subcarriers
-    assert subs == sn.select_subcarriers(full.mags, n_select) and len(subs) == n_select
-    assert rec.mags.tobytes() == full.mags[:, subs].tobytes()
+    full = np.abs(full_frames)
+    assert subs == sn.select_subcarriers(full, n_select) and len(subs) == n_select
     assert frames.shape == full_frames.shape  # the full band
     assert frames[:, subs].tobytes() == full_frames[:, subs].tobytes()
-    want = sn.observe(full.mags[:, subs], 1.0, scn.sample_rate)
+    want = sn.observe(full[:, subs], 1.0, scn.sample_rate)
     assert rec.observation.values.tobytes() == want.values.tobytes()
 
 
@@ -655,7 +691,6 @@ def test_session_n_select_equals_reference_and_selection():
     assert rec.subcarriers == subs and len(subs) == 28
     assert rec.observation.values.tobytes() == obs.values.tobytes()
     assert rec.observation.meta == obs.meta
-    assert rec.mags.shape[1] == 28
 
 
 def test_wrappers_call_session_once_and_not_each_other(monkeypatch):

@@ -353,14 +353,29 @@ def test_trace_writer_makes_nothing_before_its_first_chunk(tmp_path):
 
 
 def test_trace_writer_removes_its_file_when_the_block_raises(tmp_path):
-    """A partial trace would read as a valid, shorter one."""
+    """A partial trace would read as a valid, shorter one: the rows go to trace.csv.part, which
+    a raising block removes."""
     path = tmp_path / "out" / "trace.csv"
     with pytest.raises(RuntimeError, match="^stop$"):
         with oio.trace_writer(path, (2, 1, 1)) as write:
             write(small_frames(n=2))
-            assert path.exists()
+            assert (tmp_path / "out" / "trace.csv.part").exists() and not path.exists()
             raise RuntimeError("stop")
-    assert not path.exists() and path.parent.is_dir()
+    assert path.parent.is_dir() and list(path.parent.iterdir()) == []
+
+
+def test_trace_writer_keeps_an_earlier_trace_until_it_exits_cleanly(tmp_path):
+    path = tmp_path / "trace.csv"
+    oio.export_trace(small_frames(n=3), path)
+    earlier = path.read_bytes()
+    with pytest.raises(RuntimeError, match="^stop$"):
+        with oio.trace_writer(path, (2, 1, 1)) as write:
+            write(small_frames(n=2, seed=9))
+            raise RuntimeError("stop")
+    assert path.read_bytes() == earlier and list(tmp_path.iterdir()) == [path]
+    oio.export_trace(small_frames(n=2, seed=9), path)
+    assert path.read_bytes() == schema_trace(small_frames(n=2, seed=9), 70.0)
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_trace_not_utf8_names_file(tmp_path):

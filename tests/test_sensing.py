@@ -313,20 +313,48 @@ def test_session_layout_with_a_sign_bit_is_read_as_its_magnitude(entry):
         assert sn.select_subcarriers(view, k) == sn.select_subcarriers(magnitude, k)
 
 
-def test_observe_reads_session_layout_without_a_block_buffer():
-    """observe of |H| in session layout takes its row blocks as views: it peaks at least 0.9 of
-    a block buffer ((2 n_w - 1) rows of |H|) under the same values in C order."""
-    mags = np.random.default_rng(18).uniform(1.0, 2.0, size=(700, 28, 3, 3))
-    peaks = []
-    for x in (mags, session_layout(mags)):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            sn.observe(x, 1.0, 70.0)
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] <= peaks[0] - 0.9 * (2 * 70 - 1) * 28 * 9 * 8
+# --- the streamed observer -------------------------------------------------------
+
+def fed_in_chunks(rows, n_w, splits):
+    """Observer values of rows (T, m) fed in the pieces that the split points cut."""
+    observer = sn.Observer(n_w, rows.shape[1], len(rows))
+    for a, b in zip([0, *splits], [*splits, len(rows)]):
+        observer.feed(rows[a:b])
+    return observer.finish()
+
+
+@pytest.mark.parametrize("t, n_w, step, magnitudes", [
+    (503, 70, None, False), (503, 70, 251, False), (503, 70, 251, True), (300, 7, 150, False),
+    (70, 70, None, False), (71, 70, 35, True), (2, 2, None, False)])
+def test_observer_fed_in_chunks_equals_observe(t, n_w, step, magnitudes):
+    """The observer fed |H| rows in chunks of 1, 63, 64, 65, n_w - 1, n_w and 2 n_w - 1 gives
+    observe's values to the bit: fallback windows, partial last blocks, T = n_w, constant
+    columns, complex and magnitude input."""
+    rng = np.random.default_rng(t + n_w)
+    frames = rng.normal(size=(t, 3, 2, 3)) + 1j * rng.normal(size=(t, 3, 2, 3))
+    if step is not None:  # a jump of 1e4 noise stds, whose windows take the two-pass formula
+        frames = 1e-3 * frames + np.where(np.arange(t) < step, 1.0, 11.0)[:, None, None, None]
+    frames[:, 1, 0, 2] = 0.6 - 0.8j  # a constant column
+    if magnitudes:
+        frames = np.abs(frames)
+    want = sn.observe(frames, n_w / 70.0, 70.0).values.tobytes()
+    mags = sn.magnitude_matrix(frames)
+    for size in (1, 63, 64, 65, n_w - 1, n_w, 2 * n_w - 1):
+        assert fed_in_chunks(mags, n_w, range(size, t, size)).tobytes() == want, size
+
+
+@given(step_columns(), st.data())
+def test_observer_property_any_split_equals_observe(case, data):
+    x, n_w = case
+    splits = sorted(data.draw(st.lists(st.integers(0, len(x)), max_size=6)))
+    want = sn.observe(x[:, :, None, None], n_w / 70.0, 70.0).values
+    assert fed_in_chunks(x, n_w, splits).tobytes() == want.tobytes()
+
+
+def test_observer_rejects_more_rows_than_it_was_given():
+    observer = sn.Observer(3, 1, 4)
+    with pytest.raises(ValueError, match="more rows fed than the n_rows = 4 given"):
+        observer.feed(np.ones((5, 1)))
 
 
 NOT_DISTINCT_IN_4 = "is not a distinct integer in \\[0, 4\\)"
